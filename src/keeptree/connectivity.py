@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable
+from itertools import chain, combinations
+from typing import Iterable, Iterator
 
 from .errors import (
     DEFAULT_BRUTE_GUARD,
@@ -43,7 +43,6 @@ __all__ = [
     "is_k_connected_after_removal",
     "min_separator",
     "brute_min_separator",
-    "conn_at_least",
 ]
 
 
@@ -231,27 +230,37 @@ def local_connectivity_value(g: Graph, u: int, v: int, limit: int | None = None)
     return _SplitFlow(g).max_flow(u, v, cap)[0]
 
 
-def conn_at_least(value: int | None, bound: int | float) -> bool:
-    """Compare a set connectivity against a bound; None (unbounded) passes."""
-    return value is None or value >= bound
+def _weaker_pairs(
+    g: Graph, pairs: Iterable[tuple[int, int]], bound: int
+) -> Iterator[tuple[int, int, int]]:
+    """Scan ``pairs`` on one flow network, yielding (a, b, value) whenever a
+    pair has fewer than ``bound`` disjoint paths; the bound then drops to
+    that value, and the scan ends once it reaches zero.
+
+    Each flow is capped at the current bound, so the first yield answers a
+    threshold query and the last one is the minimum over all pairs.
+    """
+    net = _SplitFlow(g)
+    for a, b in pairs:
+        if bound <= 0:
+            return
+        value = net.max_flow(a, b, bound)[0]
+        if value < bound:
+            bound = value
+            yield a, b, value
 
 
 def set_connectivity(g: Graph, u_set: Iterable[int]) -> int | None:
     """Minimum local connectivity over pairs of ``u_set``; None when |set| <= 1.
 
     The None marker means "unbounded": every comparison against it holds
-    vacuously (see :func:`conn_at_least`).
+    vacuously.
     """
     us = sorted(check_vertex_set(g, u_set))
     if len(us) <= 1:
         return None
-    net = _SplitFlow(g)
-    best = g.n
-    for a, b in combinations(us, 2):
-        best = min(best, net.max_flow(a, b, best)[0])
-        if best == 0:
-            break
-    return best
+    weaker = _weaker_pairs(g, combinations(us, 2), g.n)
+    return min((value for _, _, value in weaker), default=g.n)
 
 
 def find_pair_below(g: Graph, u_set: Iterable[int], bound: int) -> tuple[int, int, int] | None:
@@ -265,61 +274,43 @@ def find_pair_below(g: Graph, u_set: Iterable[int], bound: int) -> tuple[int, in
     if len(us) <= 1 or bound <= 0:
         return None
     if len(us) == g.n:
-        return _kappa_witness_below(g, bound)
-    net = _SplitFlow(g)
-    for a, b in combinations(us, 2):
-        value = net.max_flow(a, b, bound)[0]
-        if value < bound:
-            return a, b, value
-    return None
+        return next(_kappa_pairs(g, bound), None)
+    return next(_weaker_pairs(g, combinations(us, 2), bound), None)
 
 
-def _kappa_witness_below(g: Graph, bound: int) -> tuple[int, int, int] | None:
-    """Witness pair for kappa(G) < bound, or None when kappa(G) >= bound."""
-    n = g.n
-    if n < 2:
-        return None
+def _kappa_pairs(g: Graph, bound: int) -> Iterator[tuple[int, int, int]]:
+    """:func:`_weaker_pairs` over pairs whose minimum is kappa(G), for n >= 2:
+    the first yield shows kappa(G) < bound, and the last one attains kappa(G)
+    whenever it is below ``bound``.
+
+    Complete and disconnected graphs need no flow.  Otherwise the pairs are
+    the designated-vertex reduction: a minimum-degree vertex against each
+    non-neighbor, then the nonadjacent pairs of its neighbors.
+    """
     if is_complete(g):
-        if n - 1 < bound:
-            return 0, 1, n - 1
-        return None
+        if g.n - 1 < bound:
+            yield 0, 1, g.n - 1
+        return
     comps = components(g)
     if len(comps) > 1:
-        return min(comps[0]), min(comps[1]), 0
-    v0 = min(range(n), key=lambda v: (g.degree(v), v))
-    net = _SplitFlow(g)
+        if bound > 0:
+            yield min(comps[0]), min(comps[1]), 0
+        return
+    v0 = min(range(g.n), key=lambda v: (g.degree(v), v))
     nb = g.neighbors(v0)
-    for w in range(n):
-        if w != v0 and w not in nb:
-            value = net.max_flow(v0, w, bound)[0]
-            if value < bound:
-                return v0, w, value
-    for x, y in combinations(sorted(nb), 2):
-        if not g.has_edge(x, y):
-            value = net.max_flow(x, y, bound)[0]
-            if value < bound:
-                return x, y, value
-    return None
+    pairs = chain(
+        ((v0, w) for w in range(g.n) if w != v0 and w not in nb),
+        ((x, y) for x, y in combinations(sorted(nb), 2) if not g.has_edge(x, y)),
+    )
+    yield from _weaker_pairs(g, pairs, bound)
 
 
 def global_connectivity(g: Graph) -> int:
     """Vertex connectivity: n-1 for complete graphs, 0 when disconnected or n <= 1."""
-    n = g.n
-    if n <= 1 or not is_connected(g):
+    if g.n <= 1:
         return 0
-    if is_complete(g):
-        return n - 1
-    v0 = min(range(n), key=lambda v: (g.degree(v), v))
-    best = g.degree(v0)
-    net = _SplitFlow(g)
-    nb = g.neighbors(v0)
-    for w in range(n):
-        if w != v0 and w not in nb:
-            best = min(best, net.max_flow(v0, w, best)[0])
-    for x, y in combinations(sorted(nb), 2):
-        if not g.has_edge(x, y):
-            best = min(best, net.max_flow(x, y, best)[0])
-    return best
+    delta = min(g.degree(v) for v in g.vertices())
+    return min((value for _, _, value in _kappa_pairs(g, delta)), default=delta)
 
 
 def _has_articulation(g: Graph) -> bool:
@@ -367,15 +358,11 @@ def connectivity_at_least(g: Graph, k: int) -> bool:
         return True
     if g.n <= k:
         return False
+    if k > 2:
+        return next(_kappa_pairs(g, k), None) is None
     if not is_connected(g):
         return False
-    if k == 1:
-        return True
-    if k == 2:
-        return not _has_articulation(g)
-    if is_complete(g):
-        return True
-    return _kappa_witness_below(g, k) is None
+    return k == 1 or not _has_articulation(g)
 
 
 def is_k_connected_after_removal(g: Graph, r: Iterable[int], k: int) -> bool:

@@ -138,16 +138,7 @@ def greedy_embed(host: Graph, tree: Tree) -> Embedding:
         raise PreconditionError(
             f"minimum degree {stats[0]} at vertex {offender} is below m-1 = {m - 1}"
         )
-    order, parent = _bfs_order(tree, 0)
-    mapping = {0: 0}
-    used = {0}
-    for t in order[1:]:
-        free = sorted(host.neighbors(mapping[parent[t]]) - used)
-        if not free:
-            raise TheoremViolation(f"greedy placement ran out at tree vertex {t}")
-        mapping[t] = free[0]
-        used.add(free[0])
-    return _certify(host, tree, mapping)
+    return _certify(host, tree, _greedy_place(host, tree, 0))
 
 
 def _side_min_degree(host: Graph, side: frozenset[int]) -> int | None:
@@ -188,21 +179,23 @@ def bipartite_embed(
         if dv is not None and dv < need_v:
             reasons.append(f"swap={swapped}: Y-side degree {dv} below |X| = {need_v}")
             continue
-        mapping = _bipartite_greedy(host, tu, tree)
+        mapping = _greedy_place(host, tree, min(tu))
         return _certify(host, tree, mapping, x_to=tu, y_to=tv), swapped
     raise PreconditionError(
         "degree conditions fail in both orientations: " + "; ".join(reasons)
     )
 
 
-def _bipartite_greedy(host: Graph, x_target: frozenset[int], tree: Tree) -> dict[int, int]:
+def _greedy_place(host: Graph, tree: Tree, root_image: int) -> dict[int, int]:
+    """Map tree vertex 0 to ``root_image``, then each vertex in BFS order to
+    the least-id unused neighbor of its parent's image."""
     order, parent = _bfs_order(tree, 0)
-    mapping = {0: min(x_target)}
-    used = {mapping[0]}
+    mapping = {0: root_image}
+    used = {root_image}
     for t in order[1:]:
         free = sorted(host.neighbors(mapping[parent[t]]) - used)
         if not free:
-            raise TheoremViolation(f"bipartite placement ran out at tree vertex {t}")
+            raise TheoremViolation(f"greedy placement ran out at tree vertex {t}")
         mapping[t] = free[0]
         used.add(free[0])
     return mapping

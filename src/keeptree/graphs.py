@@ -193,42 +193,12 @@ def is_triangle_free(g: Graph) -> bool:
     return find_triangle(g) is None
 
 
-def _two_color(g: Graph) -> list[int] | None:
-    """BFS 2-coloring (component minimum gets color 0), or None on odd cycle."""
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            a = queue.popleft()
-            for b in sorted(g.neighbors(a)):
-                if color[b] == -1:
-                    color[b] = color[a] ^ 1
-                    queue.append(b)
-                elif color[b] == color[a]:
-                    return None
-    return color
+def _two_color(g: Graph) -> tuple[list[int], list[int], tuple[int, int] | None]:
+    """BFS 2-coloring (component minimum gets color 0) with the BFS parents.
 
-
-def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
-    """A 2-coloring as a pair of parts, or None when no odd cycle-free split exists.
-
-    Within each connected component the coloring is unique up to swapping
-    parts; canonically, the minimum vertex id of each component lands in the
-    first part.
+    Stops at the first edge whose endpoints share a color and returns it as
+    the third item (None when the coloring is proper).
     """
-    color = _two_color(g)
-    if color is None:
-        return None
-    part0 = frozenset(v for v in range(g.n) if color[v] == 0)
-    part1 = frozenset(v for v in range(g.n) if color[v] == 1)
-    return part0, part1
-
-
-def odd_cycle(g: Graph) -> list[int] | None:
-    """Vertices of some odd cycle, or None when the graph is bipartite."""
     color = [-1] * g.n
     parent = [-1] * g.n
     for start in range(g.n):
@@ -244,8 +214,29 @@ def odd_cycle(g: Graph) -> list[int] | None:
                     parent[b] = a
                     queue.append(b)
                 elif color[b] == color[a]:
-                    return _cycle_through(parent, a, b)
-    return None
+                    return color, parent, (a, b)
+    return color, parent, None
+
+
+def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
+    """A 2-coloring as a pair of parts, or None when no odd cycle-free split exists.
+
+    Within each connected component the coloring is unique up to swapping
+    parts; canonically, the minimum vertex id of each component lands in the
+    first part.
+    """
+    color, _, clash = _two_color(g)
+    if clash is not None:
+        return None
+    part0 = frozenset(v for v in range(g.n) if color[v] == 0)
+    part1 = frozenset(v for v in range(g.n) if color[v] == 1)
+    return part0, part1
+
+
+def odd_cycle(g: Graph) -> list[int] | None:
+    """Vertices of some odd cycle, or None when the graph is bipartite."""
+    _, parent, clash = _two_color(g)
+    return None if clash is None else _cycle_through(parent, *clash)
 
 
 def _cycle_through(parent: list[int], a: int, b: int) -> list[int]:

@@ -11,6 +11,7 @@ canonical report unless explicitly requested.
 from __future__ import annotations
 
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -361,80 +362,59 @@ def _nondegenerate(d: int, k: int, m: int) -> bool:
     return 2 * d >= k + m + 1
 
 
-def corpus_triangle_free(random_per_cell: int = 6, base_seed: int = 52_01) -> list[SuiteInstance]:
-    """Hosts meeting the triangle-free threshold 2k+3m-4 for k in {1,2} and
-    every tree class of order 1..4: the pinned complete bipartite graphs
-    plus seeded balanced perturbations of them."""
+def _theorem_corpus(
+    case: str, prefix: str, base_seed: int, stride: int, random_per_cell: int
+) -> list[SuiteInstance]:
+    """Hosts at the case's degree threshold for k in {1, 2} and every tree
+    class of order 1..4: the pinned K_{d,d} plus seeded balanced
+    perturbations of K_{d+1,d+1} with minimum degree d."""
+    sel = CaseSelector(case)
     out: list[SuiteInstance] = []
     for k in (1, 2):
         for m in range(1, 5):
-            trees = enumerate_trees(m)
-            d = 2 * k + 3 * m - 4
-            for ti, tree in enumerate(trees):
+            for ti, tree in enumerate(enumerate_trees(m)):
+                d = math.ceil(degree_threshold(sel, tree, k))
                 if _nondegenerate(d, k, m):
                     out.append(
                         SuiteInstance(
-                            f"tf-kdd-k{k}-m{m}-t{ti}",
+                            f"{prefix}-kdd-k{k}-m{m}-t{ti}",
                             "complete-bipartite",
                             complete_bipartite(d, d),
                             tree,
                             k,
-                            CaseSelector(CASE_TRIANGLE_FREE),
+                            sel,
                         )
                     )
                 # One-vertex trees admit minimum degree 2k-1, below the
                 # guaranteed triple regime 2k; random hosts get the bump.
                 target = max(d, 2 * k) if m == 1 else d
                 for r in range(random_per_cell):
-                    seed = base_seed + 97 * (k * 100 + m * 10 + ti) + r
+                    seed = base_seed + stride * (k * 100 + m * 10 + ti) + r
                     g = random_bipartite(target + 1, target + 1, target, seed)
                     out.append(
                         SuiteInstance(
-                            f"tf-rand-k{k}-m{m}-t{ti}-s{r}",
+                            f"{prefix}-rand-k{k}-m{m}-t{ti}-s{r}",
                             "random-bipartite",
                             g,
                             tree,
                             k,
-                            CaseSelector(CASE_TRIANGLE_FREE),
+                            sel,
                         )
                     )
     return out
+
+
+def corpus_triangle_free(random_per_cell: int = 6, base_seed: int = 52_01) -> list[SuiteInstance]:
+    """Hosts meeting the triangle-free threshold 2k+3m-4 for k in {1,2} and
+    every tree class of order 1..4: the pinned complete bipartite graphs
+    plus seeded balanced perturbations of them."""
+    return _theorem_corpus(CASE_TRIANGLE_FREE, "tf", base_seed, 97, random_per_cell)
 
 
 def corpus_bipartite(random_per_cell: int = 6, base_seed: int = 52_02) -> list[SuiteInstance]:
     """Hosts meeting the bipartite threshold 2k+2m+max(|X|,|Y|)-3 (strictly
     below the triangle-free one), same shape as the triangle-free corpus."""
-    out: list[SuiteInstance] = []
-    for k in (1, 2):
-        for m in range(1, 5):
-            for ti, tree in enumerate(enumerate_trees(m)):
-                beta = max(len(tree.part_x), len(tree.part_y))
-                d = 2 * k + 2 * m + beta - 3
-                if _nondegenerate(d, k, m):
-                    out.append(
-                        SuiteInstance(
-                            f"bip-kdd-k{k}-m{m}-t{ti}",
-                            "complete-bipartite",
-                            complete_bipartite(d, d),
-                            tree,
-                            k,
-                            CaseSelector(CASE_BIPARTITE),
-                        )
-                    )
-                for r in range(random_per_cell):
-                    seed = base_seed + 89 * (k * 100 + m * 10 + ti) + r
-                    g = random_bipartite(d + 1, d + 1, d, seed)
-                    out.append(
-                        SuiteInstance(
-                            f"bip-rand-k{k}-m{m}-t{ti}-s{r}",
-                            "random-bipartite",
-                            g,
-                            tree,
-                            k,
-                            CaseSelector(CASE_BIPARTITE),
-                        )
-                    )
-    return out
+    return _theorem_corpus(CASE_BIPARTITE, "bip", base_seed, 89, random_per_cell)
 
 
 #: Girth-5 hosts per tree order: minimum degree 4 and 7 at 50 vertices or

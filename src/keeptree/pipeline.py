@@ -33,6 +33,7 @@ from .errors import (
     PreconditionError,
     SearchExhausted,
     TheoremViolation,
+    resolve_guard,
 )
 from .graphs import (
     Graph,
@@ -342,7 +343,7 @@ class Certificate:
             )
         except ParseError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise ParseError(f"malformed certificate: {exc!r}") from exc
 
 
@@ -416,17 +417,15 @@ def find_keeping_tree(
     try:
         local = _case_embed(g, host, tree, sel)
     except (PreconditionError, SearchExhausted) as exc:
-        if force and host.n <= DEFAULT_BRUTE_GUARD:
-            fallback = exhaustive_embed(host, tree)
-            if fallback is None:
-                raise SearchExhausted(f"embedding stage (forced): {exc}") from exc
-            local = fallback
-        elif force:
-            raise SearchExhausted(f"embedding stage (forced): {exc}") from exc
-        else:
+        if not force:
             raise TheoremViolation(
                 f"embedding stage failed despite passing hypotheses: {exc}"
             ) from exc
+        guard = resolve_guard(None, DEFAULT_BRUTE_GUARD)
+        fallback = exhaustive_embed(host, tree, guard) if host.n <= guard else None
+        if fallback is None:
+            raise SearchExhausted(f"embedding stage (forced): {exc}") from exc
+        local = fallback
     emb = Embedding.from_dict({tv: back[hv] for tv, hv in local.mapping})
     image = emb.image()
     if len(image) != m or p - k + 1 != m:

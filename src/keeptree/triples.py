@@ -17,12 +17,12 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from .connectivity import (
+    _weaker_pairs,
     find_pair_below,
     is_k_connected_after_removal,
-    local_connectivity_value,
     min_separator,
 )
 from .errors import (
@@ -190,23 +190,38 @@ def enumerate_triples(
     if g.n > bound:
         raise GuardExceeded(f"triple enumeration guard: {g.n} > {bound}")
     out: list[ConnectedTriple] = []
-    for size in range(min(2 * p - 1, g.n) + 1):
-        for subset in combinations(range(g.n), size):
+    for cand in _valid_triples(g, p, range(g.n), frozenset(g.vertices())):
+        out.append(cand)
+        if limit is not None and len(out) >= limit:
+            return out, True
+    return out, False
+
+
+def _valid_triples(
+    g: Graph, p: int, universe: Sequence[int], within: frozenset[int]
+) -> Iterator[ConnectedTriple]:
+    """Validated triples with s1 u s2 drawn from ``universe`` and the fragment
+    inside ``within``, by increasing |s1 u s2|, then subset, split and
+    fragment order."""
+    for size in range(min(2 * p - 1, len(universe)) + 1):
+        for subset in combinations(universe, size):
+            sset = frozenset(subset)
             fragments = [
-                c for c in components_excluding(g, subset) if len(c) >= 2
+                frag
+                for frag in components_excluding(g, sset)
+                if len(frag) >= 2 and frag <= within
             ]
             if not fragments:
                 continue
             for mask in range(1 << size):
                 s1 = frozenset(subset[i] for i in range(size) if mask >> i & 1)
-                s2 = frozenset(subset) - s1
+                s2 = sset - s1
                 for f in fragments:
+                    if any(len(g.neighbors(v) & f) > p for v in s1):
+                        continue
                     cand = ConnectedTriple(p, s1, s2, f)
                     if validate_triple(g, cand).passed:
-                        out.append(cand)
-                        if limit is not None and len(out) >= limit:
-                            return out, True
-    return out, False
+                        yield cand
 
 
 def _boundary_splits(
@@ -244,16 +259,13 @@ def _descend_fragments(
     """
     boundary = neighborhood_of_set(g, fragment)
     sub, kept = induced_subgraph(g, boundary | fragment)
-    witness = None
-    for a, b in combinations(range(sub.n), 2):
-        if sub.has_edge(a, b):
-            continue
-        if local_connectivity_value(sub, a, b, p + 1) <= p:
-            witness = (a, b)
-            break
+    nonadjacent = (
+        (a, b) for a, b in combinations(range(sub.n), 2) if not sub.has_edge(a, b)
+    )
+    witness = next(_weaker_pairs(sub, nonadjacent, p + 1), None)
     if witness is None:
         return []
-    cut = frozenset(kept[x] for x in min_separator(sub, *witness))
+    cut = frozenset(kept[x] for x in min_separator(sub, witness[0], witness[1]))
     removed = boundary | cut
     frags = [
         c
@@ -277,29 +289,13 @@ def _exhaustive_stage(
             f"({total} candidates over a {len(universe)}-vertex universe): "
             f"guard too tight or hypothesis violation"
         )
-    for size in range(max_size + 1):
-        for subset in combinations(universe, size):
-            sset = frozenset(subset)
-            fragments = [
-                frag
-                for frag in components_excluding(g, sset)
-                if len(frag) >= 2 and frag <= c
-            ]
-            if not fragments:
-                continue
-            for mask in range(1 << size):
-                s1 = frozenset(subset[i] for i in range(size) if mask >> i & 1)
-                s2 = sset - s1
-                for f in fragments:
-                    if any(len(g.neighbors(v) & f) > p for v in s1):
-                        continue
-                    cand = ConnectedTriple(p, s1, s2, f)
-                    if validate_triple(g, cand).passed:
-                        return cand
-    raise SearchExhausted(
-        "no connected triple inside the restricted search space: "
-        "hypothesis violation or guard too tight"
-    )
+    found = next(_valid_triples(g, p, universe, c), None)
+    if found is None:
+        raise SearchExhausted(
+            "no connected triple inside the restricted search space: "
+            "hypothesis violation or guard too tight"
+        )
+    return found
 
 
 def find_triple(
@@ -307,7 +303,6 @@ def find_triple(
     s0: Iterable[int],
     c: Iterable[int],
     p: int,
-    guard: int | None = None,
     enforce_degree: bool = True,
 ) -> ConnectedTriple:
     """A certified connected triple whose fragment lies inside component ``c``.
@@ -359,7 +354,6 @@ def find_triple(
 def hall_refine(
     g: Graph,
     t: ConnectedTriple,
-    guard: int | None = None,
     enforce_hypotheses: bool = True,
 ) -> SaturatedTriple:
     """Shrink a triple until a matching between s1 and f saturates s1.
@@ -424,9 +418,7 @@ def hall_refine(
             raise TheoremViolation(
                 "refined fragment leaked outside the previous one"
             )
-        current = find_triple(
-            g, exclusion, comp, p, guard=guard, enforce_degree=enforce_hypotheses
-        )
+        current = find_triple(g, exclusion, comp, p, enforce_degree=enforce_hypotheses)
 
 
 def removal_safety_check(g: Graph, st: SaturatedTriple, r: Iterable[int], k: int) -> bool:

@@ -100,6 +100,17 @@ class TestVerify:
         cert.write_text("{\"schema\": \"keeptree-cert/1\"}")
         assert main(["verify", str(k44_file), str(cert)]) == 1
 
+    @pytest.mark.parametrize(
+        "field, value", [("beta", "1/0"), ("connectivity_after_removal", float("inf"))]
+    )
+    def test_arithmetic_field_exit_1(self, tmp_path, k44_file, edge_tree_file, field, value):
+        cert = tmp_path / "cert.json"
+        main(["find", str(k44_file), str(edge_tree_file), "1", "--out", str(cert)])
+        data = json.loads(cert.read_text())
+        data[field] = value  # json.dumps writes an infinite float as Infinity
+        cert.write_text(json.dumps(data))
+        assert main(["verify", str(k44_file), str(cert)]) == 1
+
 
 class TestOracle:
     def test_none_is_still_exit_0(self, tmp_path, edge_tree_file, capsys):

@@ -16,7 +16,7 @@ from keeptree.harness import (
     small_connected_graphs,
     tightness_probe,
 )
-from keeptree.pipeline import CASE_TRIANGLE_FREE, CaseSelector
+from keeptree.pipeline import CASE_GIRTH, CASE_TRIANGLE_FREE, CaseSelector
 
 
 def path_tree(m):
@@ -94,6 +94,21 @@ class TestRunSuite:
         par = run_suite(instances, jobs=2)
         assert seq.to_json() == par.to_json()
         assert seq.certificates == par.certificates
+
+    def test_lowered_guard_fails_forced_instance_only(self, monkeypatch, k44, q3):
+        # The forced girth run on Q3 needs the exhaustive embedding fallback,
+        # which a lowered guard refuses; the healthy instance is unaffected.
+        monkeypatch.setenv("KEEPTREE_GUARD", "5")
+        instances = [
+            SuiteInstance(
+                "forced", "q3", q3, path_tree(2), 1, CaseSelector(CASE_GIRTH, 2), force=True
+            ),
+            SuiteInstance("healthy", "k44", k44, path_tree(2), 1, None),
+        ]
+        report = run_suite(instances)
+        assert report.by_id("forced")["status"] == "failed-search"
+        assert "embedding stage (forced)" in report.by_id("forced")["detail"]
+        assert report.by_id("healthy")["status"] == "certified"
 
     def test_timing_kept_out_of_canonical_output(self, k44):
         inst = SuiteInstance("a", "k44", k44, path_tree(2), 1, None)

@@ -159,6 +159,16 @@ class TestFindKeepingTree:
         with pytest.raises(SearchExhausted, match="stage"):
             find_keeping_tree(c5, tree_p4, 2, CaseSelector(CASE_GIRTH, 2), force=True)
 
+    def test_forced_fallback_obeys_env_guard(self, monkeypatch, q3, tree_k2):
+        # The girth embedder rejects Q3 (girth 4), so the forced run falls
+        # back to exhaustive search over the 8-vertex fragment host.
+        sel = CaseSelector(CASE_GIRTH, 2)
+        cert = find_keeping_tree(q3, tree_k2, 1, sel, force=True)
+        assert verify_certificate(q3, cert).passed
+        monkeypatch.setenv("KEEPTREE_GUARD", "5")
+        with pytest.raises(SearchExhausted, match=r"embedding stage \(forced\)"):
+            find_keeping_tree(q3, tree_k2, 1, sel, force=True)
+
     def test_single_vertex_tree_uniform_path(self, k33, tree_single):
         # delta = 3 = 2k-1 for k = 2: the relaxed triple search still applies.
         cert = find_keeping_tree(k33, tree_single, 2, CaseSelector(CASE_TRIANGLE_FREE))
@@ -242,6 +252,17 @@ class TestVerifyCertificate:
             Certificate.from_json_dict({"schema": "other/9"})
         with pytest.raises(ParseError):
             Certificate.from_json_dict({"schema": "keeptree-cert/1"})
+
+    @pytest.mark.parametrize(
+        "field, value", [("beta", "1/0"), ("connectivity_after_removal", float("inf"))]
+    )
+    def test_arithmetic_errors_raise_parse_error(self, k44, tree_k2, field, value):
+        from keeptree.errors import ParseError
+
+        data = json.loads(self._cert(k44, tree_k2).canonical_json())
+        data[field] = value
+        with pytest.raises(ParseError):
+            Certificate.from_json_dict(data)
 
     def test_byte_determinism(self, k44, tree_k2):
         a = find_keeping_tree(k44, tree_k2, 1).canonical_json()
