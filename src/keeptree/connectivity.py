@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
+from math import comb
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -108,26 +109,35 @@ class _SplitFlow:
         n = g.n
         self.n = n
         self.size = 2 * n
-        head: list[list[int]] = [[] for _ in range(2 * n)]
-        arc_to: list[int] = []
-        base_cap: list[int] = []
-
-        def add(a: int, b: int, c: int) -> None:
-            head[a].append(len(arc_to))
-            arc_to.append(b)
-            base_cap.append(c)
-            head[b].append(len(arc_to))
-            arc_to.append(a)
-            base_cap.append(0)
-
+        self.head: list[list[int]] = [[] for _ in range(2 * n)]
+        self.arc_to: list[int] = []
+        self.base_cap: list[int] = []
         for w in range(n):
-            add(2 * w, 2 * w + 1, 1)
+            self._add_arc(2 * w, 2 * w + 1, 1)
         for u, v in g.edges():
-            add(2 * u + 1, 2 * v, edge_cap)
-            add(2 * v + 1, 2 * u, edge_cap)
-        self.head = head
-        self.arc_to = arc_to
-        self.base_cap = base_cap
+            self._add_arc(2 * u + 1, 2 * v, edge_cap)
+            self._add_arc(2 * v + 1, 2 * u, edge_cap)
+
+    def _add_arc(self, a: int, b: int, c: int) -> None:
+        """Arc a -> b of capacity c, with its zero-capacity reverse arc."""
+        self.head[a].append(len(self.arc_to))
+        self.arc_to.append(b)
+        self.base_cap.append(c)
+        self.head[b].append(len(self.arc_to))
+        self.arc_to.append(a)
+        self.base_cap.append(0)
+
+    def add_sink(self) -> int:
+        """Append a vertex with no arcs and return its label; flows to it end
+        at its in-copy, which :meth:`join_sink` links vertices into."""
+        self.head += [[], []]
+        self.size += 2
+        self.n += 1
+        return self.n - 1
+
+    def join_sink(self, w: int, t: int) -> None:
+        """Edge from out(w) into the sink t: flows to t may end at w."""
+        self._add_arc(2 * w + 1, 2 * t, 1)
 
     def max_flow(self, u: int, v: int, limit: int) -> tuple[int, list[int]]:
         """Max flow from out(u) to in(v), capped at limit; returns residual caps."""
@@ -264,53 +274,103 @@ def set_connectivity(g: Graph, u_set: Iterable[int]) -> int | None:
 
 
 def find_pair_below(g: Graph, u_set: Iterable[int], bound: int) -> tuple[int, int, int] | None:
-    """First pair of ``u_set`` with fewer than ``bound`` disjoint paths, or None.
+    """A pair of ``u_set`` with fewer than ``bound`` disjoint paths, or None.
 
-    When ``u_set`` covers the whole graph this uses the standard designated-
-    vertex reduction (one low-degree vertex against its non-neighbors, plus
-    nonadjacent pairs of its neighbors) instead of all pairs.
+    Returns (a, b, value) with value the pair's exact local connectivity;
+    see :func:`_pair_below` for which pair is reported.
     """
     us = sorted(check_vertex_set(g, u_set))
     if len(us) <= 1 or bound <= 0:
         return None
-    if len(us) == g.n:
-        return next(_kappa_pairs(g, bound), None)
-    return next(_weaker_pairs(g, combinations(us, 2), bound), None)
+    return _pair_below(g, us, bound)
 
 
-def _kappa_pairs(g: Graph, bound: int) -> Iterator[tuple[int, int, int]]:
-    """:func:`_weaker_pairs` over pairs whose minimum is kappa(G), for n >= 2:
-    the first yield shows kappa(G) < bound, and the last one attains kappa(G)
-    whenever it is below ``bound``.
+def _pair_below(g: Graph, us: list[int], bound: int) -> tuple[int, int, int] | None:
+    """The threshold kernel behind :func:`find_pair_below` and
+    :func:`connectivity_at_least`: a pair of the sorted ``us`` (|us| >= 2,
+    bound >= 1) below ``bound``, or None.
 
-    Complete and disconnected graphs need no flow.  Otherwise the pairs are
-    the designated-vertex reduction: a minimum-degree vertex against each
-    non-neighbor, then the nonadjacent pairs of its neighbors.
+    A proper subset runs Even's test.  The whole vertex set first takes the
+    complete/disconnected shortcuts, then whichever of Even's test and the
+    designated-vertex pairs needs fewer flows when every pair passes.
     """
+    if len(us) == g.n:
+        trivial = _trivial_kappa(g)
+        if trivial is not None:
+            return trivial if trivial[2] < bound else None
+        pairs = _designated_pairs(g)
+        b = min(bound, g.n)
+        if len(pairs) <= comb(b, 2) + g.n - b:
+            return next(_weaker_pairs(g, pairs, bound), None)
+    return _even_test(g, us, bound)
+
+
+def _even_test(g: Graph, us: list[int], bound: int) -> tuple[int, int, int] | None:
+    """Even's threshold test (SIAM J. Comput. 4, 1975) on the sorted ``us``.
+
+    The pairs among the first ``bound`` vertices are checked directly; then
+    each later vertex u_j runs one fan flow, capped at ``bound``, to a sink
+    joined to every earlier vertex.  A separator S of fewer than ``bound``
+    elements (vertices, or one edge for an adjacent pair) that splits two
+    vertices of ``us`` either splits two of the first ``bound`` or leaves
+    those outside S in one component; then every fan path from the first
+    u_j in another component meets S.  Conversely a short fan is cut by fewer than ``bound`` elements,
+    which miss some earlier vertex x, and (x, u_j) is the witness.
+    """
+    head = us[:bound]
+    witness = next(_weaker_pairs(g, combinations(head, 2), bound), None)
+    if witness is not None or len(us) <= bound:
+        return witness
+    net = _SplitFlow(g)
+    sink = net.add_sink()
+    for x in head:
+        net.join_sink(x, sink)
+    for j in range(bound, len(us)):
+        u = us[j]
+        if net.max_flow(u, sink, bound)[0] < bound:
+            witness = next(_weaker_pairs(g, ((x, u) for x in us[:j]), bound), None)
+            if witness is None:
+                raise TheoremViolation(
+                    f"fan from {u} has fewer than {bound} paths, "
+                    f"but every earlier vertex has {bound}"
+                )
+            return witness
+        net.join_sink(u, sink)
+    return None
+
+
+def _trivial_kappa(g: Graph) -> tuple[int, int, int] | None:
+    """(a, b, kappa(G)) for a pair attaining it when G (n >= 2) is complete or
+    disconnected, where no flow is needed; None otherwise."""
     if is_complete(g):
-        if g.n - 1 < bound:
-            yield 0, 1, g.n - 1
-        return
+        return 0, 1, g.n - 1
     comps = components(g)
     if len(comps) > 1:
-        if bound > 0:
-            yield min(comps[0]), min(comps[1]), 0
-        return
+        return min(comps[0]), min(comps[1]), 0
+    return None
+
+
+def _designated_pairs(g: Graph) -> list[tuple[int, int]]:
+    """Pairs whose minimum local connectivity is kappa(G) for a connected,
+    non-complete G: a minimum-degree vertex against each non-neighbor, then
+    the nonadjacent pairs of its neighbors."""
     v0 = min(range(g.n), key=lambda v: (g.degree(v), v))
     nb = g.neighbors(v0)
-    pairs = chain(
-        ((v0, w) for w in range(g.n) if w != v0 and w not in nb),
-        ((x, y) for x, y in combinations(sorted(nb), 2) if not g.has_edge(x, y)),
-    )
-    yield from _weaker_pairs(g, pairs, bound)
+    pairs = [(v0, w) for w in range(g.n) if w != v0 and w not in nb]
+    pairs += [(x, y) for x, y in combinations(sorted(nb), 2) if not g.has_edge(x, y)]
+    return pairs
 
 
 def global_connectivity(g: Graph) -> int:
     """Vertex connectivity: n-1 for complete graphs, 0 when disconnected or n <= 1."""
     if g.n <= 1:
         return 0
+    trivial = _trivial_kappa(g)
+    if trivial is not None:
+        return trivial[2]
     delta = min(g.degree(v) for v in g.vertices())
-    return min((value for _, _, value in _kappa_pairs(g, delta)), default=delta)
+    weaker = _weaker_pairs(g, _designated_pairs(g), delta)
+    return min((value for _, _, value in weaker), default=delta)
 
 
 def _has_articulation(g: Graph) -> bool:
@@ -359,7 +419,7 @@ def connectivity_at_least(g: Graph, k: int) -> bool:
     if g.n <= k:
         return False
     if k > 2:
-        return next(_kappa_pairs(g, k), None) is None
+        return _pair_below(g, list(range(g.n)), k) is None
     if not is_connected(g):
         return False
     return k == 1 or not _has_articulation(g)

@@ -559,6 +559,8 @@ def parse_manifest(text: str) -> list[SuiteInstance]:
             g = gen_graph(graph_spec)
             tree = Tree(gen_graph(tree_spec))
             k = int(parts[2])
+            if k < 1:
+                raise ParseError(f"k = {k} must be at least 1")
             case_token = parts[3]
             if case_token == "auto":
                 sel = None

@@ -182,6 +182,15 @@ class TestSuite:
     def test_missing_manifest_exit_1(self, tmp_path):
         assert main(["suite", str(tmp_path / "nope.txt")]) == 1
 
+    def test_manifest_k_zero_exit_1(self, tmp_path, capsys):
+        manifest = tmp_path / "corpus.txt"
+        manifest.write_text(
+            "complete-bipartite 4 4 ; path 2 ; 0 ; bipartite\n"
+            "complete-bipartite 4 4 ; path 2 ; 1 ; bipartite\n"
+        )
+        assert main(["suite", str(manifest), "--out-dir", str(tmp_path / "out")]) == 1
+        assert "line 1" in capsys.readouterr().err
+
     def test_jobs_flag_matches_sequential(self, tmp_path):
         manifest = tmp_path / "corpus.txt"
         manifest.write_text(

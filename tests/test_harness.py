@@ -184,6 +184,14 @@ class TestManifest:
         with pytest.raises(ParseError, match="line 1"):
             parse_manifest("petersen ; cycle 4 ; 1 ; auto\n")
 
+    def test_k_below_one_rejected(self):
+        text = (
+            "complete-bipartite 4 4 ; path 2 ; 0 ; bipartite\n"
+            "complete-bipartite 4 4 ; path 2 ; 1 ; bipartite\n"
+        )
+        with pytest.raises(ParseError, match="line 1: k = 0"):
+            parse_manifest(text)
+
     def test_seed_required_for_random(self):
         with pytest.raises(ParseError, match="seed"):
             parse_manifest("random-bipartite 5 5 3 ; path 2 ; 1 ; auto\n")

@@ -6,20 +6,34 @@ work fails here without relying on wall time.
 """
 
 import random
+import re
+from itertools import combinations
+from math import comb
 
 import networkx as nx
 import pytest
 
 from keeptree.connectivity import (
     _SplitFlow,
+    _weaker_pairs,
     connectivity_at_least,
     find_pair_below,
     global_connectivity,
+    local_connectivity_value,
     set_connectivity,
 )
 from keeptree.families import complete_bipartite, petersen, random_bipartite, random_graph
-from keeptree.graphs import Graph
-from keeptree.triples import find_triple, validate_triple
+from keeptree.graphs import Graph, induced_subgraph
+from keeptree.triples import ConnectedTriple, find_triple, validate_triple
+
+
+def two_block_labels(half: int, seed: int) -> list[int]:
+    """The shuffled labels of :func:`two_block_host`: ``labels[:2 * half]`` is
+    the first block, and its cross edges run from ``labels[0]`` and
+    ``labels[half]`` to ``labels[2 * half]`` and ``labels[3 * half]``."""
+    labels = list(range(4 * half))
+    random.Random(seed).shuffle(labels)
+    return labels
 
 
 def two_block_host(half: int, degree: int, seed: int) -> Graph:
@@ -30,9 +44,15 @@ def two_block_host(half: int, degree: int, seed: int) -> Graph:
     n1 = a.n
     edges = a.edges() + [(u + n1, v + n1) for u, v in b.edges()]
     edges += [(0, n1), (half, n1 + half)]
-    perm = list(range(2 * n1))
-    random.Random(seed).shuffle(perm)
+    perm = two_block_labels(half, seed)
     return Graph(2 * n1, [(perm[u], perm[v]) for u, v in edges])
+
+
+def circulant(n: int, jumps: tuple[int, ...], seed: int) -> Graph:
+    """The circulant graph C_n(jumps) with shuffled labels."""
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    return Graph(n, [(perm[i], perm[(i + j) % n]) for i in range(n) for j in jumps])
 
 
 HOSTS = {
@@ -45,16 +65,16 @@ HOSTS = {
 #: max_flow calls per (host, query).
 WORK = {
     ("k44", "global"): 9,
-    ("k44", "pair-below-all"): 9,
+    ("k44", "pair-below-all"): 8,
     ("k44", "pair-below-subset"): 3,
     ("k44", "set"): 3,
     ("petersen", "global"): 9,
     ("petersen", "pair-below-all"): 9,
-    ("petersen", "pair-below-subset"): 6,
+    ("petersen", "pair-below-subset"): 4,
     ("petersen", "set"): 6,
     ("random-bipartite", "global"): 20,
-    ("random-bipartite", "pair-below-all"): 20,
-    ("random-bipartite", "pair-below-subset"): 15,
+    ("random-bipartite", "pair-below-all"): 16,
+    ("random-bipartite", "pair-below-subset"): 6,
     ("random-bipartite", "set"): 15,
     ("two-block", "global"): 28,
     ("two-block", "pair-below-all"): 1,
@@ -94,8 +114,53 @@ class TestFlowWork:
         t = find_triple(g, frozenset(), frozenset(range(g.n)), 2)
         # The whole host is only 2-connected, so the fragment had to descend.
         assert len(t.f) < g.n
-        assert len(flow_calls) == 70
+        assert len(flow_calls) == 16
         assert validate_triple(g, t).passed
+
+    def test_validate_triple_with_s1(self, flow_calls):
+        # The first block, cut off by the second block's cross-edge ends.
+        g = HOSTS["two-block"]()
+        labels = two_block_labels(6, 3)
+        t = ConnectedTriple(2, frozenset({labels[12], labels[18]}), frozenset(), frozenset(labels[:12]))
+        assert validate_triple(g, t).passed
+        # Even's test: C(p+1, 2) pairs among the first p+1 vertices of
+        # U = s2 u f, then one fan flow per remaining vertex of U.
+        assert len(flow_calls) == 12 <= comb(t.p + 1, 2) + len(t.f) - (t.p + 1)
+
+
+@pytest.mark.parametrize("cut_in_s1", [True, False], ids=["subset", "whole-set"])
+def test_validate_triple_witness(cut_in_s1):
+    g = HOSTS["two-block"]()
+    labels = two_block_labels(6, 3)
+    cut, f = frozenset({labels[12], labels[18]}), frozenset(labels[:12])
+    s1, s2 = (cut, frozenset()) if cut_in_s1 else (frozenset(), cut)
+    report = validate_triple(g, ConnectedTriple(5, s1, s2, f))
+    assert [name for name, ok, _ in report.checks if not ok] == ["connectivity"]
+    match = re.fullmatch(r"pair \((\d+), (\d+)\) has only (\d+) < p\+1 = 6 .*", report.checks[-1][2])
+    a, b, value = map(int, match.groups())
+    assert {a, b} <= s2 | f
+    sub, kept = induced_subgraph(g, s1 | s2 | f)
+    assert value == local_connectivity_value(sub, kept.index(a), kept.index(b))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_find_pair_below_matches_all_pairs(seed):
+    """Even's test against the all-pairs scan on small random graphs, subsets
+    (the whole vertex set among them) and bounds."""
+    rng = random.Random(seed)
+    for _ in range(100):
+        n = rng.randint(2, 16)
+        g = random_graph(n, rng.uniform(0.2, 0.9), rng.randrange(1 << 30))
+        us = sorted(rng.sample(range(n), rng.randint(2, n)))
+        bound = rng.randint(1, 6)
+        expected = next(_weaker_pairs(g, combinations(us, 2), bound), None)
+        witness = find_pair_below(g, us, bound)
+        assert (witness is None) == (expected is None)
+        if witness is not None:
+            a, b, value = witness
+            assert a != b and {a, b} <= set(us)
+            assert value < bound
+            assert value == local_connectivity_value(g, a, b)
 
 
 DIFFERENTIAL_HOSTS = [
@@ -109,6 +174,11 @@ DIFFERENTIAL_HOSTS = [
     random_graph(60, 0.1, 25),
     two_block_host(10, 4, 31),
     two_block_host(15, 5, 32),
+    # Low connectivity (2-6) at n = 90-200, where networkx stays fast.
+    circulant(90, (1, 5), 62),
+    random_graph(100, 0.12, 65),
+    random_graph(120, 0.07, 52),
+    random_graph(200, 0.035, 67),
 ]
 
 
@@ -119,5 +189,9 @@ def test_matches_networkx(g):
     nxg.add_edges_from(g.edges())
     kappa = nx.node_connectivity(nxg)
     assert global_connectivity(g) == kappa
-    for k in range(1, 5):
+    for k in sorted({1, 2, 3, 4, kappa, kappa + 1} - {0}):
         assert connectivity_at_least(g, k) == (kappa >= k)
+        witness = find_pair_below(g, range(g.n), k)
+        assert (witness is None) == (kappa >= k)
+        if witness is not None:
+            assert kappa <= witness[2] == local_connectivity_value(g, *witness[:2]) < k
