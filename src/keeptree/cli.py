@@ -29,10 +29,9 @@ from .harness import (
 )
 from .io import format_edge_list, load_graph, load_tree, to_dot
 from .pipeline import (
-    CASE_GIRTH,
-    CaseSelector,
     Certificate,
     find_keeping_tree,
+    parse_case,
     verify_certificate,
 )
 from .triples import enumerate_triples
@@ -54,21 +53,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_PARSE)
 
 
-def _parse_case(token: str) -> CaseSelector | None:
-    if token == "auto":
-        return None
-    if token.startswith("girth"):
-        t = 2
-        if ":" in token:
-            t = int(token.split(":", 1)[1])
-        return CaseSelector(CASE_GIRTH, t)
-    return CaseSelector(token)
-
-
 def _cmd_find(args) -> int:
     g = load_graph(args.graph)
     tree = load_tree(args.tree)
-    sel = _parse_case(args.case)
+    sel = parse_case(args.case)
     cert = find_keeping_tree(g, tree, args.k, sel, force=args.force)
     out = Path(args.out)
     out.write_text(cert.canonical_json())

@@ -95,7 +95,10 @@ class _SplitFlow:
 
     Node 2w is the in-copy of vertex w and node 2w+1 its out-copy; the
     internal arc in(w) -> out(w) has capacity one.  Sources/sinks bypass
-    their own internal arc, so endpoint vertices are uncapacitated.
+    their own internal arc, so endpoint vertices are uncapacitated.  Node 2n
+    is the in-copy of a sink vertex n with no arcs until :meth:`join_sink`
+    links vertices into it.  It has no outgoing arc with residual capacity,
+    so no augmenting path of a pair flow passes through it.
 
     Edge arcs carry capacity one by default, which never constrains the
     flow value for internally disjoint paths in a simple graph.  Separator
@@ -108,8 +111,8 @@ class _SplitFlow:
     def __init__(self, g: Graph, edge_cap: int = 1):
         n = g.n
         self.n = n
-        self.size = 2 * n
-        self.head: list[list[int]] = [[] for _ in range(2 * n)]
+        self.size = 2 * n + 1
+        self.head: list[list[int]] = [[] for _ in range(self.size)]
         self.arc_to: list[int] = []
         self.base_cap: list[int] = []
         for w in range(n):
@@ -127,17 +130,9 @@ class _SplitFlow:
         self.arc_to.append(a)
         self.base_cap.append(0)
 
-    def add_sink(self) -> int:
-        """Append a vertex with no arcs and return its label; flows to it end
-        at its in-copy, which :meth:`join_sink` links vertices into."""
-        self.head += [[], []]
-        self.size += 2
-        self.n += 1
-        return self.n - 1
-
-    def join_sink(self, w: int, t: int) -> None:
-        """Edge from out(w) into the sink t: flows to t may end at w."""
-        self._add_arc(2 * w + 1, 2 * t, 1)
+    def join_sink(self, w: int) -> None:
+        """Edge from out(w) into the sink vertex n: flows to n may end at w."""
+        self._add_arc(2 * w + 1, 2 * self.n, 1)
 
     def max_flow(self, u: int, v: int, limit: int) -> tuple[int, list[int]]:
         """Max flow from out(u) to in(v), capped at limit; returns residual caps."""
@@ -241,16 +236,15 @@ def local_connectivity_value(g: Graph, u: int, v: int, limit: int | None = None)
 
 
 def _weaker_pairs(
-    g: Graph, pairs: Iterable[tuple[int, int]], bound: int
+    net: _SplitFlow, pairs: Iterable[tuple[int, int]], bound: int
 ) -> Iterator[tuple[int, int, int]]:
-    """Scan ``pairs`` on one flow network, yielding (a, b, value) whenever a
-    pair has fewer than ``bound`` disjoint paths; the bound then drops to
-    that value, and the scan ends once it reaches zero.
+    """Scan ``pairs`` on the caller's flow network, yielding (a, b, value)
+    whenever a pair has fewer than ``bound`` disjoint paths; the bound then
+    drops to that value, and the scan ends once it reaches zero.
 
     Each flow is capped at the current bound, so the first yield answers a
     threshold query and the last one is the minimum over all pairs.
     """
-    net = _SplitFlow(g)
     for a, b in pairs:
         if bound <= 0:
             return
@@ -269,7 +263,7 @@ def set_connectivity(g: Graph, u_set: Iterable[int]) -> int | None:
     us = sorted(check_vertex_set(g, u_set))
     if len(us) <= 1:
         return None
-    weaker = _weaker_pairs(g, combinations(us, 2), g.n)
+    weaker = _weaker_pairs(_SplitFlow(g), combinations(us, 2), g.n)
     return min((value for _, _, value in weaker), default=g.n)
 
 
@@ -301,7 +295,7 @@ def _pair_below(g: Graph, us: list[int], bound: int) -> tuple[int, int, int] | N
         pairs = _designated_pairs(g)
         b = min(bound, g.n)
         if len(pairs) <= comb(b, 2) + g.n - b:
-            return next(_weaker_pairs(g, pairs, bound), None)
+            return next(_weaker_pairs(_SplitFlow(g), pairs, bound), None)
     return _even_test(g, us, bound)
 
 
@@ -314,28 +308,29 @@ def _even_test(g: Graph, us: list[int], bound: int) -> tuple[int, int, int] | No
     elements (vertices, or one edge for an adjacent pair) that splits two
     vertices of ``us`` either splits two of the first ``bound`` or leaves
     those outside S in one component; then every fan path from the first
-    u_j in another component meets S.  Conversely a short fan is cut by fewer than ``bound`` elements,
-    which miss some earlier vertex x, and (x, u_j) is the witness.
+    u_j in another component meets S.  Conversely a short fan is cut by
+    fewer than ``bound`` elements, which miss some earlier vertex x, and
+    (x, u_j) is the witness.  The pair flows, the fans and the witness scan
+    all run on one network; the fans end at its sink vertex.
     """
+    net = _SplitFlow(g)
     head = us[:bound]
-    witness = next(_weaker_pairs(g, combinations(head, 2), bound), None)
+    witness = next(_weaker_pairs(net, combinations(head, 2), bound), None)
     if witness is not None or len(us) <= bound:
         return witness
-    net = _SplitFlow(g)
-    sink = net.add_sink()
     for x in head:
-        net.join_sink(x, sink)
+        net.join_sink(x)
     for j in range(bound, len(us)):
         u = us[j]
-        if net.max_flow(u, sink, bound)[0] < bound:
-            witness = next(_weaker_pairs(g, ((x, u) for x in us[:j]), bound), None)
+        if net.max_flow(u, net.n, bound)[0] < bound:
+            witness = next(_weaker_pairs(net, ((x, u) for x in us[:j]), bound), None)
             if witness is None:
                 raise TheoremViolation(
                     f"fan from {u} has fewer than {bound} paths, "
                     f"but every earlier vertex has {bound}"
                 )
             return witness
-        net.join_sink(u, sink)
+        net.join_sink(u)
     return None
 
 
@@ -369,7 +364,7 @@ def global_connectivity(g: Graph) -> int:
     if trivial is not None:
         return trivial[2]
     delta = min(g.degree(v) for v in g.vertices())
-    weaker = _weaker_pairs(g, _designated_pairs(g), delta)
+    weaker = _weaker_pairs(_SplitFlow(g), _designated_pairs(g), delta)
     return min((value for _, _, value in weaker), default=delta)
 
 

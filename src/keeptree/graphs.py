@@ -137,40 +137,35 @@ def min_degree_over(g: Graph, w: Iterable[int]) -> int:
     return min(g.degree(v) for v in ws)
 
 
-def _distance_avoiding_edge(g: Graph, u: int, v: int) -> int | None:
-    """BFS distance from u to v with the single edge (u, v) removed."""
-    dist = [-1] * g.n
-    dist[u] = 0
-    queue = deque([u])
-    while queue:
-        a = queue.popleft()
-        for b in g.neighbors(a):
-            if (a == u and b == v) or (a == v and b == u):
-                continue
-            if dist[b] == -1:
-                dist[b] = dist[a] + 1
-                if b == v:
-                    return dist[b]
-                queue.append(b)
-    return None
-
-
 def girth(g: Graph) -> int | None:
     """Length of a shortest cycle, or None when the graph is acyclic.
 
-    Computed exactly: for every edge, a shortest alternative route between
-    its endpoints closes a candidate cycle; the minimum candidate over all
-    edges is the girth.
+    Computed exactly by one BFS per root: a non-tree edge (a, b) closes a
+    cycle of length at most dist(a) + dist(b) + 1, and a root on a shortest
+    cycle attains the girth.  A non-tree edge to an earlier level was already
+    seen from its other end, so each vertex a looks only at neighbors b with
+    dist(b) >= dist(a), and a root's BFS stops at the first a with
+    2 dist(a) + 1 >= best.  A triangle ends the search at once.
     """
     best: int | None = None
-    for u, v in g.edges():
-        d = _distance_avoiding_edge(g, u, v)
-        if d is not None:
-            cand = d + 1
-            if best is None or cand < best:
-                best = cand
-                if best == 3:
-                    return best
+    for root in range(g.n):
+        dist = [-1] * g.n
+        dist[root] = 0
+        queue = deque([root])
+        while queue:
+            a = queue.popleft()
+            if best is not None and 2 * dist[a] + 1 >= best:
+                break
+            for b in g.neighbors(a):
+                if dist[b] == -1:
+                    dist[b] = dist[a] + 1
+                    queue.append(b)
+                elif dist[b] >= dist[a]:
+                    cand = dist[a] + dist[b] + 1
+                    if best is None or cand < best:
+                        best = cand
+                        if best == 3:
+                            return best
     return best
 
 

@@ -49,6 +49,7 @@ from .pipeline import (
     check_hypotheses,
     degree_threshold,
     find_keeping_tree,
+    parse_case,
     verify_certificate,
 )
 
@@ -561,13 +562,7 @@ def parse_manifest(text: str) -> list[SuiteInstance]:
             k = int(parts[2])
             if k < 1:
                 raise ParseError(f"k = {k} must be at least 1")
-            case_token = parts[3]
-            if case_token == "auto":
-                sel = None
-            elif case_token.startswith("girth:"):
-                sel = CaseSelector(CASE_GIRTH, int(case_token.split(":", 1)[1]))
-            else:
-                sel = CaseSelector(case_token)
+            sel = parse_case(parts[3])
         except (ParseError, ValueError) as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
         instances.append(

@@ -46,7 +46,6 @@ from .graphs import (
     girth_at_least,
     induced_delete,
     induced_subgraph,
-    is_triangle_free,
     odd_cycle,
 )
 from .matching import Matching, check_matching
@@ -58,6 +57,7 @@ __all__ = [
     "CASE_BIPARTITE",
     "CASE_GIRTH",
     "CaseSelector",
+    "parse_case",
     "auto_case",
     "compute_beta",
     "degree_threshold",
@@ -98,6 +98,17 @@ class CaseSelector:
         if self.case == CASE_GIRTH:
             return f"girth:{self.t}"
         return self.case
+
+
+def parse_case(token: str) -> CaseSelector | None:
+    """Read a case token: None for ``auto``, else triangle-free, bipartite,
+    girth (t = 2) or girth:t; anything else raises ValueError."""
+    if token == "auto":
+        return None
+    case, colon, t = token.partition(":")
+    if colon and case == CASE_GIRTH:
+        return CaseSelector(CASE_GIRTH, int(t))
+    return CaseSelector(token)
 
 
 def auto_case(g: Graph) -> CaseSelector:
@@ -178,14 +189,11 @@ def check_hypotheses(
     tree: Tree,
     k: int,
     sel: CaseSelector,
-    connectivity_hard_fail: bool = True,
 ) -> HypothesisReport:
     """Evaluate connectivity, the structural case condition, and the degree
     threshold, reporting each pass/fail with a witness.
 
-    ``connectivity_hard_fail=False`` downgrades a failed connectivity check
-    to a recorded warning (the degree and structural checks still gate the
-    run).
+    Triangle-freeness is read off the girth (girth != 3).
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -193,7 +201,7 @@ def check_hypotheses(
     stats = degree_stats(g)
     delta = stats[0] if stats else None
     gv = girth(g)
-    tf = is_triangle_free(g)
+    tf = gv != 3
     parts = bipartition(g)
     sizes = (len(parts[0]), len(parts[1])) if parts is not None else None
     beta = compute_beta(sel, tree)
@@ -227,7 +235,7 @@ def check_hypotheses(
                 f"minimum degree {delta} (vertex {offender}) below threshold {threshold}"
             )
 
-    passed = structural_ok and degree_ok and (kappa_ok or not connectivity_hard_fail)
+    passed = kappa_ok and structural_ok and degree_ok
     return HypothesisReport(
         k=k,
         m=tree.order,
@@ -371,7 +379,6 @@ def find_keeping_tree(
     k: int,
     sel: CaseSelector | None = None,
     force: bool = False,
-    connectivity_hard_fail: bool = True,
 ) -> Certificate:
     """Find a subtree isomorphic to ``tree`` whose removal keeps the graph
     k-connected, and certify the whole run.
@@ -387,7 +394,7 @@ def find_keeping_tree(
         raise ValueError("k must be positive")
     if sel is None:
         sel = auto_case(g)
-    report = check_hypotheses(g, tree, k, sel, connectivity_hard_fail)
+    report = check_hypotheses(g, tree, k, sel)
     if not report.passed and not force:
         raise HypothesisFailure(
             f"hypotheses fail: {'; '.join(report.failures)}", report

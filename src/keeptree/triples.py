@@ -20,6 +20,7 @@ from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .connectivity import (
+    _SplitFlow,
     _weaker_pairs,
     find_pair_below,
     is_k_connected_after_removal,
@@ -262,7 +263,7 @@ def _descend_fragments(
     nonadjacent = (
         (a, b) for a, b in combinations(range(sub.n), 2) if not sub.has_edge(a, b)
     )
-    witness = next(_weaker_pairs(sub, nonadjacent, p + 1), None)
+    witness = next(_weaker_pairs(_SplitFlow(sub), nonadjacent, p + 1), None)
     if witness is None:
         return []
     cut = frozenset(kept[x] for x in min_separator(sub, witness[0], witness[1]))

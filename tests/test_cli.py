@@ -72,6 +72,13 @@ class TestFind:
         )
         assert rc == 3
 
+    @pytest.mark.parametrize("token", ["girthy", "girth:", "girth:two", "bipartite:2"])
+    def test_unknown_case_exit_1(self, tmp_path, k44_file, edge_tree_file, token, capsys):
+        cert = tmp_path / "c.json"
+        rc = main(["find", str(k44_file), str(edge_tree_file), "1", "--case", token, "--out", str(cert)])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err and not cert.exists()
+
     def test_usage_error_exit_1(self):
         with pytest.raises(SystemExit) as err:
             main(["find", "only-one-arg"])

@@ -1,13 +1,28 @@
 """Graph-core: construction invariants, basic quantities, and their oracles."""
 
+import math
+import random
 from collections import deque
 from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from keeptree.families import complete_bipartite, cycle, hypercube, petersen, random_graph
+from keeptree.families import (
+    complete_bipartite,
+    cycle,
+    gen_tree,
+    heawood,
+    hoffman_singleton,
+    hypercube,
+    petersen,
+    projective_incidence,
+    random_bipartite,
+    random_graph,
+    random_triangle_free,
+)
 from keeptree.graphs import (
     Graph,
     Tree,
@@ -117,8 +132,9 @@ class TestMinDegreeOver:
 
 def bfs_girth_oracle(g: Graph) -> int | None:
     """Exhaustive shortest-cycle search: BFS from every vertex, taking the
-    best closing edge over all roots (independent of the edge-deletion
-    route used by the implementation)."""
+    best closing non-tree edge over all roots.  This is the implementation's
+    method without its early stops; ``networkx.girth`` is the independent
+    reference (see ``girth_corpus``)."""
     best = None
     for root in g.vertices():
         dist = {root: 0}
@@ -136,6 +152,47 @@ def bfs_girth_oracle(g: Graph) -> int | None:
                     if best is None or cand < best:
                         best = cand
     return best
+
+
+def random_forest(rng: random.Random) -> Graph:
+    """Disjoint random trees plus isolated vertices, labels shuffled."""
+    edges, n = [], 0
+    for _ in range(rng.randint(1, 4)):
+        order = rng.randint(1, 12)
+        edges += [(u + n, v + n) for u, v in gen_tree(order, rng.randrange(1 << 30)).graph.edges()]
+        n += order
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def girth_corpus() -> list[Graph]:
+    """324 seeded graphs: forests, trees with one or two chords (long
+    cycles), sparse and dense random graphs, triangle-free and bipartite
+    ones, and the named high-girth hosts."""
+    rng = random.Random(2024)
+    graphs = [random_forest(rng) for _ in range(40)]
+    for _ in range(40):
+        tree = gen_tree(rng.randint(4, 30), rng.randrange(1 << 30)).graph
+        pairs = [(u, v) for u, v in combinations(range(tree.n), 2) if not tree.has_edge(u, v)]
+        graphs.append(Graph(tree.n, tree.edges() + rng.sample(pairs, rng.randint(1, 2))))
+    for _ in range(100):
+        n = rng.randint(1, 30)
+        graphs.append(random_graph(n, min(1.0, rng.uniform(0.5, 4.0) / n), rng.randrange(1 << 30)))
+    for _ in range(80):
+        graphs.append(random_triangle_free(rng.randint(4, 35), rng.uniform(0.05, 0.4), rng.randrange(1 << 30)))
+    for _ in range(60):
+        a, b = rng.randint(2, 10), rng.randint(2, 10)
+        graphs.append(random_bipartite(a, b, rng.randint(1, min(a, b)), rng.randrange(1 << 30)))
+    return graphs + [petersen(), heawood(), hoffman_singleton(), projective_incidence(3)]
+
+
+def networkx_girth(g: Graph) -> int | None:
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges())
+    value = nx.girth(nxg)
+    return None if value == math.inf else value
 
 
 class TestGirth:
@@ -157,6 +214,14 @@ class TestGirth:
     def test_oracle_agreement_on_random_corpus(self):
         for g in random_graphs(120, 8, 900):
             assert girth(g) == bfs_girth_oracle(g)
+
+    def test_matches_networkx(self):
+        values = []
+        for g in girth_corpus():
+            values.append(girth(g))
+            assert values[-1] == networkx_girth(g), g.edges()
+        # The corpus reaches acyclic graphs, triangles and long cycles.
+        assert None in values and 3 in values and max(v for v in values if v) >= 8
 
 
 class TestTriangleFree:

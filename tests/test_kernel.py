@@ -1,8 +1,9 @@
 """The flow kernel: pinned flow work and a differential check against networkx.
 
-The work pins count ``_SplitFlow.max_flow`` calls, which are deterministic,
-so a change that makes the connectivity scans do more (or different) flow
-work fails here without relying on wall time.
+The work pins count ``_SplitFlow.max_flow`` calls and ``_SplitFlow`` builds,
+which are deterministic, so a change that makes the connectivity scans do
+more (or different) flow work, or build more networks for it, fails here
+without relying on wall time.
 """
 
 import random
@@ -24,7 +25,7 @@ from keeptree.connectivity import (
 )
 from keeptree.families import complete_bipartite, petersen, random_bipartite, random_graph
 from keeptree.graphs import Graph, induced_subgraph
-from keeptree.triples import ConnectedTriple, find_triple, validate_triple
+from keeptree.triples import ConnectedTriple, _descend_fragments, find_triple, validate_triple
 
 
 def two_block_labels(half: int, seed: int) -> list[int]:
@@ -103,6 +104,34 @@ def flow_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def net_builds(monkeypatch):
+    builds = []
+    original = _SplitFlow.__init__
+
+    def counted(self, g, edge_cap=1):
+        builds.append(edge_cap)
+        original(self, g, edge_cap)
+
+    monkeypatch.setattr(_SplitFlow, "__init__", counted)
+    return builds
+
+
+def pinned_triples() -> dict[str, tuple[Graph, ConnectedTriple, bool]]:
+    """(host, triple, passes) with U = s2 u f a proper subset of the induced
+    subgraph's vertices (s1 nonempty) or all of them (s1 empty)."""
+    g = HOSTS["two-block"]()
+    labels = two_block_labels(6, 3)
+    cut, f = frozenset({labels[12], labels[18]}), frozenset(labels[:12])
+    k44 = HOSTS["k44"]()
+    return {
+        "pass-subset": (g, ConnectedTriple(2, cut, frozenset(), f), True),
+        "pass-whole-set": (k44, ConnectedTriple(3, frozenset(), frozenset({0}), frozenset(range(1, 8))), True),
+        "fail-subset": (g, ConnectedTriple(5, cut, frozenset(), f), False),
+        "fail-whole-set": (g, ConnectedTriple(5, frozenset(), cut, f), False),
+    }
+
+
 class TestFlowWork:
     @pytest.mark.parametrize("host, query", sorted(WORK))
     def test_connectivity_queries(self, flow_calls, host, query):
@@ -126,6 +155,40 @@ class TestFlowWork:
         # Even's test: C(p+1, 2) pairs among the first p+1 vertices of
         # U = s2 u f, then one fan flow per remaining vertex of U.
         assert len(flow_calls) == 12 <= comb(t.p + 1, 2) + len(t.f) - (t.p + 1)
+
+
+class TestNetworkBuilds:
+    """Each connectivity query builds one unit network and runs every flow
+    on it; cut descent adds one separator network when it cuts."""
+
+    @pytest.mark.parametrize("host, query", sorted(WORK))
+    def test_connectivity_queries(self, net_builds, host, query):
+        QUERIES[query](HOSTS[host]())
+        assert net_builds == [1]
+
+    def test_short_fan_witness(self, net_builds, flow_calls):
+        # 0 and 1 lie on the 4-cycle 0-3-1-4; 2 hangs off 3.  The pair (0, 1)
+        # passes, the fan from 2 is short, and the scan names (0, 2).
+        g = Graph(5, [(0, 3), (3, 1), (1, 4), (4, 0), (2, 3)])
+        assert find_pair_below(g, [0, 1, 2], 2) == (0, 2, 1)
+        assert [(u, v) for u, v, _ in flow_calls] == [(0, 1), (2, g.n), (0, 2)]
+        assert net_builds == [1]
+
+    @pytest.mark.parametrize("name", sorted(pinned_triples()))
+    def test_validate_triple(self, net_builds, name):
+        g, t, passes = pinned_triples()[name]
+        assert validate_triple(g, t).passed == passes
+        assert net_builds == [1]
+
+    def test_descend_fragments_with_witness(self, net_builds):
+        g = HOSTS["two-block"]()
+        assert _descend_fragments(g, frozenset(range(g.n)), 2)
+        assert net_builds == [1, g.n]  # the unit network, then min_separator's
+
+    def test_descend_fragments_without_witness(self, net_builds):
+        g = HOSTS["k44"]()
+        assert _descend_fragments(g, frozenset(range(g.n)), 2) == []
+        assert net_builds == [1]
 
 
 @pytest.mark.parametrize("cut_in_s1", [True, False], ids=["subset", "whole-set"])
@@ -153,7 +216,7 @@ def test_find_pair_below_matches_all_pairs(seed):
         g = random_graph(n, rng.uniform(0.2, 0.9), rng.randrange(1 << 30))
         us = sorted(rng.sample(range(n), rng.randint(2, n)))
         bound = rng.randint(1, 6)
-        expected = next(_weaker_pairs(g, combinations(us, 2), bound), None)
+        expected = next(_weaker_pairs(_SplitFlow(g), combinations(us, 2), bound), None)
         witness = find_pair_below(g, us, bound)
         assert (witness is None) == (expected is None)
         if witness is not None:

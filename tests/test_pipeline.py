@@ -20,6 +20,7 @@ from keeptree.pipeline import (
     compute_beta,
     degree_threshold,
     find_keeping_tree,
+    parse_case,
     verify_certificate,
 )
 
@@ -37,6 +38,18 @@ class TestCaseSelector:
     def test_unknown_case(self):
         with pytest.raises(ValueError):
             CaseSelector("chordal")
+
+    def test_parse_case(self):
+        assert parse_case("auto") is None
+        assert parse_case("triangle-free") == CaseSelector(CASE_TRIANGLE_FREE)
+        assert parse_case("bipartite") == CaseSelector(CASE_BIPARTITE)
+        assert parse_case("girth") == CaseSelector(CASE_GIRTH, 2)
+        assert parse_case("girth:3") == CaseSelector(CASE_GIRTH, 3)
+
+    @pytest.mark.parametrize("token", ["girthy", "girth:", "girth:1", "girth:x", "bipartite:2", "Auto", ""])
+    def test_parse_case_rejects(self, token):
+        with pytest.raises(ValueError):
+            parse_case(token)
 
     def test_auto_prefers_bipartite(self, k44, pete, c5):
         assert auto_case(k44).case == CASE_BIPARTITE
@@ -101,21 +114,12 @@ class TestCheckHypotheses:
         assert report.kappa_ok  # kappa(C6) = 2 >= 2
         assert not report.degree_ok and report.threshold == 9
 
-    def test_kappa_warn_only(self, two_triangles, tree_k2):
+    def test_kappa_failure_fails(self, two_triangles, tree_k2):
         hard = check_hypotheses(
             two_triangles, tree_k2, 1, CaseSelector(CASE_TRIANGLE_FREE)
         )
         assert not hard.passed and not hard.kappa_ok
-        soft = check_hypotheses(
-            two_triangles,
-            tree_k2,
-            1,
-            CaseSelector(CASE_TRIANGLE_FREE),
-            connectivity_hard_fail=False,
-        )
-        assert not soft.kappa_ok
-        # delta = 2 >= threshold 2k+2m+beta-3 = 2+4+1-3 = 4? No: 2 < 4.
-        assert not soft.degree_ok and not soft.passed
+        assert "connectivity below k = 1" in hard.failures
 
 
 class TestFindKeepingTree:
