@@ -29,7 +29,6 @@ __all__ = [
     "components",
     "components_excluding",
     "component_containing",
-    "nontrivial_components",
     "is_connected",
     "is_complete",
 ]
@@ -305,17 +304,8 @@ def components_excluding(g: Graph, excluded: Iterable[int] = ()) -> list[frozens
 
 
 def components(g: Graph) -> list[frozenset[int]]:
-    """Connected components, sorted by minimum vertex id.
-
-    A component is nontrivial when it has at least two vertices; see
-    :func:`nontrivial_components`.
-    """
+    """Connected components, sorted by minimum vertex id."""
     return components_excluding(g, ())
-
-
-def nontrivial_components(g: Graph) -> list[frozenset[int]]:
-    """Components with at least two vertices."""
-    return [c for c in components(g) if len(c) >= 2]
 
 
 def is_connected(g: Graph) -> bool:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable
 
-from .connectivity import connectivity_at_least, is_k_connected_after_removal
+from .connectivity import is_k_connected_after_removal
 from .embed import Embedding, iter_embeddings
 from .errors import (
     DEFAULT_BRUTE_GUARD,
@@ -39,7 +39,7 @@ from .families import (
     projective_incidence,
     random_bipartite,
 )
-from .graphs import Graph, Tree, degree_stats, girth, is_connected, is_triangle_free
+from .graphs import Graph, Tree, degree_stats, is_connected
 from .pipeline import (
     CASE_BIPARTITE,
     CASE_GIRTH,
@@ -159,28 +159,24 @@ def tightness_probe(g: Graph, tree: Tree, k: int, guard: int | None = None) -> T
     degree already meets the conjectured threshold is flagged as a
     counterexample candidate for manual review; nothing is asserted.
     """
-    sel = auto_case(g)
-    stats = degree_stats(g)
-    delta = stats[0] if stats else None
+    report = check_hypotheses(g, tree, k, auto_case(g))
     conjectured = k + max(len(tree.part_x), len(tree.part_y))
-    tf = is_triangle_free(g)
-    kappa_ok = connectivity_at_least(g, k)
     found = oracle_exists(g, tree, k, guard)
     verdict = "yes" if found is not None else "none"
     candidate = (
         verdict == "none"
-        and tf
-        and kappa_ok
-        and delta is not None
-        and delta >= conjectured
+        and report.triangle_free
+        and report.kappa_ok
+        and report.delta is not None
+        and report.delta >= conjectured
     )
     return TightnessRecord(
-        delta=delta,
-        case=sel.label(),
-        proven_threshold=str(degree_threshold(sel, tree, k)),
+        delta=report.delta,
+        case=CaseSelector(report.case, report.t).label(),
+        proven_threshold=str(report.threshold),
         conjectured_threshold=conjectured,
-        triangle_free=tf,
-        kappa_ok=kappa_ok,
+        triangle_free=report.triangle_free,
+        kappa_ok=report.kappa_ok,
         verdict=verdict,
         counterexample_candidate=candidate,
     )
@@ -190,23 +186,27 @@ def _girth_text(value: int | None) -> str:
     return "acyclic" if value is None else str(value)
 
 
+def _hypothesis_fields(h: dict[str, Any]) -> dict[str, Any]:
+    """The record columns taken from a hypothesis report's JSON form."""
+    return {
+        "case": CaseSelector(h["case"], h["t"]).label(),
+        "delta": h["delta"],
+        "girth": _girth_text(h["girth"]),
+        "beta": h["beta"],
+        "threshold": h["threshold"],
+        "hypothesis_pass": h["passed"],
+    }
+
+
 def _run_one(inst: SuiteInstance, oracle_guard: int) -> tuple[dict[str, Any], str | None, float]:
     start = time.perf_counter()
     g, tree = inst.graph, inst.tree
-    sel = inst.sel if inst.sel is not None else auto_case(g)
-    report = check_hypotheses(g, tree, inst.k, sel)
     record: dict[str, Any] = {
         "instance_id": inst.instance_id,
         "family": inst.family,
-        "case": sel.label(),
         "n": g.n,
         "m": tree.order,
         "k": inst.k,
-        "delta": report.delta,
-        "girth": _girth_text(report.girth_value),
-        "beta": str(report.beta),
-        "threshold": str(report.threshold),
-        "hypothesis_pass": report.passed,
         "force": inst.force,
         "detail": "",
         "verified": None,
@@ -217,31 +217,31 @@ def _run_one(inst: SuiteInstance, oracle_guard: int) -> tuple[dict[str, Any], st
         "kappa_after": None,
     }
     cert_json: str | None = None
-    if report.passed or inst.force:
-        try:
-            cert = find_keeping_tree(g, tree, inst.k, sel, force=inst.force)
-            verification = verify_certificate(g, cert)
-            record["status"] = "certified"
-            record["verified"] = verification.passed
-            t = cert.triple.triple
-            record["f_size"] = len(t.f)
-            record["s1_size"] = len(t.s1)
-            record["s2_size"] = len(t.s2)
-            record["removed_size"] = len(cert.embedding.image())
-            record["kappa_after"] = cert.connectivity_after_removal
-            cert_json = cert.canonical_json()
-        except HypothesisFailure as exc:
-            record["status"] = "skipped-hypothesis"
-            record["detail"] = str(exc)
-        except SearchExhausted as exc:
-            record["status"] = "failed-search"
-            record["detail"] = str(exc)
-        except TheoremViolation as exc:
-            record["status"] = "failed-violation"
-            record["detail"] = str(exc)
-    else:
+    try:
+        cert = find_keeping_tree(g, tree, inst.k, inst.sel, force=inst.force)
+        verification = verify_certificate(g, cert)
+        record.update(_hypothesis_fields(cert.hypothesis))
+        record["status"] = "certified"
+        record["verified"] = verification.passed
+        t = cert.triple.triple
+        record["f_size"] = len(t.f)
+        record["s1_size"] = len(t.s1)
+        record["s2_size"] = len(t.s2)
+        record["removed_size"] = len(cert.embedding.image())
+        record["kappa_after"] = cert.connectivity_after_removal
+        cert_json = cert.canonical_json()
+    except HypothesisFailure as exc:
+        record.update(_hypothesis_fields(exc.report.as_json_dict()))
         record["status"] = "skipped-hypothesis"
-        record["detail"] = "; ".join(report.failures)
+        record["detail"] = "; ".join(exc.report.failures)
+    except (SearchExhausted, TheoremViolation) as exc:
+        # A run that fails past the gate carries no report: evaluate it here.
+        report = check_hypotheses(g, tree, inst.k, inst.sel or auto_case(g))
+        record.update(_hypothesis_fields(report.as_json_dict()))
+        record["status"] = (
+            "failed-search" if isinstance(exc, SearchExhausted) else "failed-violation"
+        )
+        record["detail"] = str(exc)
 
     if g.n <= oracle_guard:
         found = oracle_exists(g, tree, inst.k, guard=oracle_guard)
@@ -253,10 +253,6 @@ def _run_one(inst: SuiteInstance, oracle_guard: int) -> tuple[dict[str, Any], st
     )
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return record, cert_json, elapsed_ms
-
-
-def _worker(args: tuple[SuiteInstance, int]):
-    return _run_one(*args)
 
 
 @dataclass(frozen=True)
@@ -323,12 +319,12 @@ def run_suite(
     if len(set(ids)) != len(ids):
         raise ValueError("instance ids must be unique")
     guard = resolve_guard(oracle_guard, DEFAULT_BRUTE_GUARD)
-    args = [(inst, guard) for inst in insts]
+    guards = [guard] * len(insts)
     if jobs > 1 and len(insts) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_worker, args))
+            results = list(pool.map(_run_one, insts, guards))
     else:
-        results = [_run_one(inst, guard) for inst in insts]
+        results = list(map(_run_one, insts, guards))
     triples = sorted(
         zip(ids, results), key=lambda pair: pair[0]
     )

@@ -182,8 +182,8 @@ def enumerate_triples(
 
     Enumerates every disjoint (s1, s2) with |s1 u s2| <= 2p-1 and every
     nontrivial component of the remainder, keeping validator-approved
-    candidates.  Returns (triples, truncated); the flag is set when ``limit``
-    stopped the enumeration early.
+    candidates.  Returns (triples, truncated); the flag is set when a triple
+    beyond the first ``limit`` exists.
     """
     if p < 1:
         raise ValueError("triple parameter p must be positive")
@@ -192,9 +192,9 @@ def enumerate_triples(
         raise GuardExceeded(f"triple enumeration guard: {g.n} > {bound}")
     out: list[ConnectedTriple] = []
     for cand in _valid_triples(g, p, range(g.n), frozenset(g.vertices())):
-        out.append(cand)
         if limit is not None and len(out) >= limit:
             return out, True
+        out.append(cand)
     return out, False
 
 

@@ -108,13 +108,44 @@ class TestVerify:
         assert main(["verify", str(k44_file), str(cert)]) == 1
 
     @pytest.mark.parametrize(
-        "field, value", [("beta", "1/0"), ("connectivity_after_removal", float("inf"))]
+        "field, value",
+        [
+            ("beta", "1/0"),
+            ("connectivity_after_removal", float("inf")),
+            ("connectivity_after_removal", 3.5),
+            ("connectivity_after_removal", "3"),
+            ("k", 1.9),
+            ("k", True),
+        ],
     )
     def test_arithmetic_field_exit_1(self, tmp_path, k44_file, edge_tree_file, field, value):
         cert = tmp_path / "cert.json"
         main(["find", str(k44_file), str(edge_tree_file), "1", "--out", str(cert)])
         data = json.loads(cert.read_text())
         data[field] = value  # json.dumps writes an infinite float as Infinity
+        cert.write_text(json.dumps(data))
+        assert main(["verify", str(k44_file), str(cert)]) == 1
+
+    @pytest.mark.parametrize(
+        "path, change",
+        [
+            (("tree_image", 0, 1), lambda v: v + 0.4),
+            (("triple", "f"), lambda f: [str(v) for v in f]),
+            (("tree", "order"), lambda v: v + 0.5),
+        ],
+        ids=["tree_image-float", "triple.f-strings", "tree.order-float"],
+    )
+    def test_nested_integer_field_exit_1(
+        self, tmp_path, k44_file, edge_tree_file, path, change
+    ):
+        cert = tmp_path / "cert.json"
+        main(["find", str(k44_file), str(edge_tree_file), "1", "--out", str(cert)])
+        data = json.loads(cert.read_text())
+        *parents, last = path
+        node = data
+        for key in parents:
+            node = node[key]
+        node[last] = change(node[last])
         cert.write_text(json.dumps(data))
         assert main(["verify", str(k44_file), str(cert)]) == 1
 
@@ -145,6 +176,17 @@ class TestTriples:
         out = capsys.readouterr().out.strip().splitlines()
         assert out[-1] == "total: 7"
         assert len(out) == 8
+
+    @pytest.mark.parametrize(
+        "limit, footer", [(0, "total: 0 (truncated)"), (3, "total: 3 (truncated)"), (7, "total: 7")]
+    )
+    def test_limit(self, tmp_path, capsys, limit, footer):
+        c6 = tmp_path / "c6.txt"
+        c6.write_text("6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n")
+        assert main(["triples", str(c6), "--p", "1", "--limit", str(limit)]) == 0
+        out = capsys.readouterr().out.strip().splitlines()
+        assert out[-1] == footer
+        assert len(out) == limit + 1
 
     def test_guard_exit_6(self, k44_file):
         assert main(["triples", str(k44_file), "--p", "1", "--guard", "6"]) == 6

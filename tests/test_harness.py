@@ -1,12 +1,17 @@
 """Oracle, suite runner, corpora, manifests, and the tightness probe."""
 
+import sys
+
 import pytest
 
+from keeptree import graphs, pipeline
+from keeptree.connectivity import connectivity_at_least
 from keeptree.errors import GuardExceeded, ParseError
-from keeptree.families import complete_bipartite, cycle, petersen
-from keeptree.graphs import Graph, Tree
+from keeptree.families import complete_bipartite, cycle, enumerate_trees, petersen
+from keeptree.graphs import Graph, Tree, degree_stats, is_triangle_free
 from keeptree.harness import (
     SuiteInstance,
+    _run_one,
     corpus_force,
     corpus_girth,
     corpus_triangle_free,
@@ -16,11 +21,34 @@ from keeptree.harness import (
     small_connected_graphs,
     tightness_probe,
 )
-from keeptree.pipeline import CASE_GIRTH, CASE_TRIANGLE_FREE, CaseSelector
+from keeptree.pipeline import (
+    CASE_GIRTH,
+    CASE_TRIANGLE_FREE,
+    CaseSelector,
+    auto_case,
+    degree_threshold,
+)
 
 
 def path_tree(m):
     return Tree.from_edges(m, [(i, i + 1) for i in range(m - 1)])
+
+
+def count_calls(monkeypatch, *functions):
+    """Wrap every module-level binding of ``functions`` in the loaded
+    keeptree modules; returns the live call counts by function name."""
+    counts = {fn.__name__: 0 for fn in functions}
+    for fn in functions:
+        def counted(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "keeptree" or name.startswith("keeptree."):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, counted)
+    return counts
 
 
 class TestOracle:
@@ -109,6 +137,59 @@ class TestRunSuite:
         assert report.by_id("forced")["status"] == "failed-search"
         assert "embedding stage (forced)" in report.by_id("forced")["detail"]
         assert report.by_id("healthy")["status"] == "certified"
+
+    def test_hypotheses_evaluated_once_per_run(self, monkeypatch, k44, c6):
+        counts = count_calls(
+            monkeypatch,
+            pipeline.check_hypotheses,
+            pipeline.auto_case,
+            graphs.girth,
+            graphs.find_triangle,
+        )
+        certified = SuiteInstance("ok", "k44", k44, path_tree(2), 1, None)
+        record, cert, _ = _run_one(certified, 0)
+        assert record["status"] == "certified" and record["case"] == "bipartite"
+        assert cert is not None
+        assert counts == {
+            "check_hypotheses": 1, "auto_case": 1, "girth": 1, "find_triangle": 0
+        }
+        skipped = SuiteInstance(
+            "skip", "cycle", c6, path_tree(3), 2, CaseSelector(CASE_TRIANGLE_FREE)
+        )
+        record, cert, _ = _run_one(skipped, 0)
+        assert record["status"] == "skipped-hypothesis" and cert is None
+        assert counts["check_hypotheses"] == 2 and counts["auto_case"] == 1
+
+    def test_forced_failure_record(self, k44):
+        inst = SuiteInstance(
+            "f", "complete-bipartite", k44, path_tree(4), 1,
+            CaseSelector(CASE_TRIANGLE_FREE), force=True,
+        )
+        assert run_suite([inst]).records[0] == {
+            "beta": "3",
+            "case": "triangle-free",
+            "delta": 4,
+            "detail": "triple stage: no connected triple inside the restricted "
+            "search space: hypothesis violation or guard too tight",
+            "dominance_violation": False,
+            "f_size": None,
+            "family": "complete-bipartite",
+            "force": True,
+            "girth": "4",
+            "hypothesis_pass": False,
+            "instance_id": "f",
+            "k": 1,
+            "kappa_after": None,
+            "m": 4,
+            "n": 8,
+            "oracle": "yes",
+            "removed_size": None,
+            "s1_size": None,
+            "s2_size": None,
+            "status": "failed-search",
+            "threshold": "10",
+            "verified": None,
+        }
 
     def test_timing_kept_out_of_canonical_output(self, k44):
         inst = SuiteInstance("a", "k44", k44, path_tree(2), 1, None)
@@ -214,3 +295,31 @@ class TestTightnessProbe:
         record = tightness_probe(pete, tree_k2, 1)
         assert record.delta == 3 and record.triangle_free and record.kappa_ok
         assert record.conjectured_threshold == 2
+
+    def test_matches_direct_recomputation(self):
+        for g in small_connected_graphs(5):
+            for m in (1, 2, 3):
+                for tree in enumerate_trees(m):
+                    for k in (1, 2):
+                        record = tightness_probe(g, tree, k)
+                        sel = auto_case(g)
+                        delta = degree_stats(g)[0]
+                        assert record.delta == delta
+                        assert record.case == sel.label()
+                        assert record.proven_threshold == str(degree_threshold(sel, tree, k))
+                        assert record.triangle_free == is_triangle_free(g)
+                        assert record.kappa_ok == connectivity_at_least(g, k)
+                        conjectured = k + max(len(tree.part_x), len(tree.part_y))
+                        assert record.conjectured_threshold == conjectured
+                        found = oracle_exists(g, tree, k)
+                        assert record.verdict == ("none" if found is None else "yes")
+                        assert record.counterexample_candidate == (
+                            found is None
+                            and record.triangle_free
+                            and record.kappa_ok
+                            and delta >= conjectured
+                        )
+
+    def test_k_below_one_rejected(self, c4, tree_k2):
+        with pytest.raises(ValueError, match="positive"):
+            tightness_probe(c4, tree_k2, 0)

@@ -7,8 +7,8 @@ import pytest
 
 from keeptree.errors import HypothesisFailure, SearchExhausted
 from keeptree.families import complete_bipartite, cycle, hypercube, petersen
-from keeptree.graphs import Graph, Tree
-from keeptree.harness import oracle_exists
+from keeptree.graphs import Graph, Tree, degree_stats, find_triangle
+from keeptree.harness import full_suite, oracle_exists
 from keeptree.pipeline import (
     CASE_BIPARTITE,
     CASE_GIRTH,
@@ -198,6 +198,21 @@ class TestFindKeepingTree:
         cert = find_keeping_tree(g, tree_p3, 1, CaseSelector(CASE_TRIANGLE_FREE))
         host, _ = induced_subgraph(g, cert.triple.f_rest)
         assert Fraction(degree_stats(host)[0]) >= cert.beta
+
+    def test_passed_hypotheses_give_triple_preconditions(self):
+        # find_keeping_tree skips the triple search's own degree and
+        # triangle checks: a passed report with m >= 2 must imply both.
+        checked = 0
+        for inst in full_suite():
+            sel = inst.sel or auto_case(inst.graph)
+            report = check_hypotheses(inst.graph, inst.tree, inst.k, sel)
+            if not report.passed or inst.tree.order < 2:
+                continue
+            p = inst.k + inst.tree.order - 1
+            assert degree_stats(inst.graph)[0] >= 2 * p, inst.instance_id
+            assert find_triangle(inst.graph) is None, inst.instance_id
+            checked += 1
+        assert checked > 0
 
 
 class TestVerifyCertificate:

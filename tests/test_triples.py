@@ -102,6 +102,13 @@ class TestEnumerateTriples:
         found, truncated = enumerate_triples(c6, 1, limit=3)
         assert len(found) == 3 and truncated
 
+    @pytest.mark.parametrize("limit, truncated", [(0, True), (6, True), (7, False), (8, False)])
+    def test_limit_is_exact(self, c6, limit, truncated):
+        # C6 has 7 triples for p = 1: the flag means a further one exists.
+        everything, _ = enumerate_triples(c6, 1)
+        found, flag = enumerate_triples(c6, 1, limit=limit)
+        assert found == everything[:limit] and flag == truncated
+
     def test_fragments_always_nontrivial(self):
         g = Graph(2, [(0, 1)])
         found, _ = enumerate_triples(g, 2)
