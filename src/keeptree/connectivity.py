@@ -135,36 +135,61 @@ class _SplitFlow:
         self._add_arc(2 * w + 1, 2 * self.n, 1)
 
     def max_flow(self, u: int, v: int, limit: int) -> tuple[int, list[int]]:
-        """Max flow from out(u) to in(v), capped at limit; returns residual caps."""
+        """Max flow from out(u) to in(v), capped at limit; returns residual caps.
+
+        Dinic phases: a BFS levels the residual network from the source and
+        stops once the sink has a level; a DFS with current-arc pointers then
+        augments one unit at a time along level-increasing arcs until the
+        level graph is blocked or the flow reaches ``limit``.  A dead end
+        drops out of the phase (level -1).  Each phase lengthens the shortest
+        augmenting path, so unit vertex capacities give O(sqrt(n) m) work.
+        """
         cap = self.base_cap.copy()
         source, sink = 2 * u + 1, 2 * v
         head, arc_to = self.head, self.arc_to
         value = 0
         while value < limit:
-            parent = [-1] * self.size
-            parent[source] = -2
-            queue = deque([source])
-            reached = False
-            while queue:
-                a = queue.popleft()
-                if a == sink:
-                    reached = True
-                    break
+            level = [-1] * self.size
+            level[source] = 0
+            queue = [source]
+            for a in queue:
+                nxt = level[a] + 1
                 for arc in head[a]:
                     b = arc_to[arc]
-                    if cap[arc] > 0 and parent[b] == -1:
-                        parent[b] = arc
+                    if cap[arc] > 0 and level[b] < 0:
+                        level[b] = nxt
                         queue.append(b)
-            if not reached:
-                break
-            # Augment one unit; internal arcs bound every path's bottleneck.
-            node = sink
-            while node != source:
-                arc = parent[node]
-                cap[arc] -= 1
-                cap[arc ^ 1] += 1
-                node = arc_to[arc ^ 1]
-            value += 1
+                if level[sink] >= 0:
+                    break
+            else:
+                break  # the sink is unreachable: the flow is maximum
+            current = [0] * self.size
+            path: list[int] = []
+            a = source
+            while True:
+                if a == sink:
+                    for arc in path:
+                        cap[arc] -= 1
+                        cap[arc ^ 1] += 1
+                    value += 1
+                    if value == limit:
+                        break
+                    # Saturated arcs fail the test below, so descending
+                    # again from the source resumes at the current arcs.
+                    path.clear()
+                    a = source
+                arcs, i, nxt = head[a], current[a], level[a] + 1
+                while i < len(arcs) and not (cap[arcs[i]] > 0 and level[arc_to[arcs[i]]] == nxt):
+                    i += 1
+                current[a] = i
+                if i < len(arcs):
+                    path.append(arcs[i])
+                    a = arc_to[arcs[i]]
+                    continue
+                level[a] = -1
+                if not path:
+                    break
+                a = arc_to[path.pop() ^ 1]
         return value, cap
 
     def decode_paths(self, u: int, v: int, cap: list[int]) -> list[tuple[int, ...]]:

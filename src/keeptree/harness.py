@@ -318,6 +318,8 @@ def run_suite(
     ids = [inst.instance_id for inst in insts]
     if len(set(ids)) != len(ids):
         raise ValueError("instance ids must be unique")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     guard = resolve_guard(oracle_guard, DEFAULT_BRUTE_GUARD)
     guards = [guard] * len(insts)
     if jobs > 1 and len(insts) > 1:

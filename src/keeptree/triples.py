@@ -187,6 +187,8 @@ def enumerate_triples(
     """
     if p < 1:
         raise ValueError("triple parameter p must be positive")
+    if limit is not None and limit < 0:
+        raise ValueError(f"triple limit must be nonnegative, got {limit}")
     bound = resolve_guard(guard, DEFAULT_ENUM_GUARD)
     if g.n > bound:
         raise GuardExceeded(f"triple enumeration guard: {g.n} > {bound}")

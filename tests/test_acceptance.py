@@ -7,6 +7,7 @@ shared across criteria; the determinism criterion executes it a second time
 and compares bytes.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -340,3 +341,23 @@ def test_criterion_10_determinism(suite_run):
         f"{len(second.certificates)} certificates identical: {same_certs}",
     )
     assert ok
+
+
+#: sha256 of the canonical suite outputs.  Criterion 10 compares two runs of
+#: the same code; these digests pin the outputs across kernel changes.
+SUITE_DIGESTS = {
+    "json": "47941b2b8335e32c692c1c7dba2c5ff86825df172efb6a8af44339219a9fa52c",
+    "csv": "1724c5c9c1a9cca83d28f03354f5fb746e1663114525d3b3164568f8111251f9",
+    "certificates": "b727c3ed20c678ebcec360cda243a20b0fb7094bc1a6004f48c8d42ba7c9c840",
+}
+
+
+def test_suite_outputs_match_golden_digests(suite_run):
+    _, report = suite_run
+    certs = "".join(f"{i}\n{text}\n" for i, text in sorted(report.certificates.items()))
+    digests = {
+        name: hashlib.sha256(text.encode()).hexdigest()
+        for name, text in (("json", report.to_json()), ("csv", report.to_csv()), ("certificates", certs))
+    }
+    assert len(report.certificates) == 192
+    assert digests == SUITE_DIGESTS

@@ -188,6 +188,14 @@ class TestTriples:
         assert out[-1] == footer
         assert len(out) == limit + 1
 
+    def test_negative_limit_exit_1(self, tmp_path, capsys):
+        c6 = tmp_path / "c6.txt"
+        c6.write_text("6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n")
+        assert main(["triples", str(c6), "--p", "1", "--limit", "-2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "limit" in captured.err
+
     def test_guard_exit_6(self, k44_file):
         assert main(["triples", str(k44_file), "--p", "1", "--guard", "6"]) == 6
 
@@ -239,6 +247,15 @@ class TestSuite:
         )
         assert main(["suite", str(manifest), "--out-dir", str(tmp_path / "out")]) == 1
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_1(self, tmp_path, capsys, jobs):
+        manifest = tmp_path / "corpus.txt"
+        manifest.write_text("complete-bipartite 4 4 ; path 2 ; 1 ; bipartite\n")
+        out_dir = tmp_path / "out"
+        assert main(["suite", str(manifest), "--out-dir", str(out_dir), "--jobs", jobs]) == 1
+        assert "jobs" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_jobs_flag_matches_sequential(self, tmp_path):
         manifest = tmp_path / "corpus.txt"

@@ -112,6 +112,12 @@ class TestRunSuite:
         with pytest.raises(ValueError, match="unique"):
             run_suite([inst, inst])
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, k44, jobs):
+        inst = SuiteInstance("x", "f", k44, path_tree(2), 1, None)
+        with pytest.raises(ValueError, match="jobs"):
+            run_suite([inst], jobs=jobs)
+
     def test_jobs_match_sequential(self, k44, q3):
         instances = [
             SuiteInstance("a", "k44", k44, path_tree(2), 1, None),

@@ -1,4 +1,5 @@
-"""The flow kernel: pinned flow work and a differential check against networkx.
+"""The flow kernel: pinned flow work and differential checks against a
+one-path-per-BFS reference kernel and networkx.
 
 The work pins count ``_SplitFlow.max_flow`` calls and ``_SplitFlow`` builds,
 which are deterministic, so a change that makes the connectivity scans do
@@ -8,6 +9,7 @@ without relying on wall time.
 
 import random
 import re
+from collections import deque
 from itertools import combinations
 from math import comb
 
@@ -17,9 +19,11 @@ import pytest
 from keeptree.connectivity import (
     _SplitFlow,
     _weaker_pairs,
+    check_path_system,
     connectivity_at_least,
     find_pair_below,
     global_connectivity,
+    local_connectivity,
     local_connectivity_value,
     set_connectivity,
 )
@@ -258,3 +262,118 @@ def test_matches_networkx(g):
         assert (witness is None) == (kappa >= k)
         if witness is not None:
             assert kappa <= witness[2] == local_connectivity_value(g, *witness[:2]) < k
+
+
+def bfs_max_flow(net: _SplitFlow, u: int, v: int, limit: int) -> tuple[int, list[int]]:
+    """Reference oracle: the kernel before blocking-flow phases, one BFS and
+    one augmenting unit at a time on ``net``'s arcs.  It stops at ``limit``,
+    so its value at any limit is min(limit, its value at limit n)."""
+    cap = net.base_cap.copy()
+    source, sink = 2 * u + 1, 2 * v
+    value = 0
+    while value < limit:
+        parent = [-1] * net.size
+        parent[source] = -2
+        queue = deque([source])
+        reached = False
+        while queue:
+            a = queue.popleft()
+            if a == sink:
+                reached = True
+                break
+            for arc in net.head[a]:
+                b = net.arc_to[arc]
+                if cap[arc] > 0 and parent[b] == -1:
+                    parent[b] = arc
+                    queue.append(b)
+        if not reached:
+            break
+        node = sink
+        while node != source:
+            arc = parent[node]
+            cap[arc] -= 1
+            cap[arc ^ 1] += 1
+            node = net.arc_to[arc ^ 1]
+        value += 1
+    return value, cap
+
+
+def seeded_kernel_hosts(count: int, seed: int) -> list[Graph]:
+    """``count`` seeded hosts with 6 to 40 vertices: random graphs of any
+    density, random-bipartite hosts and two-block hosts of connectivity 2."""
+    rng = random.Random(seed)
+    hosts = []
+    for i in range(count):
+        kind = i % 3
+        if kind == 0:
+            g = random_graph(rng.randint(6, 40), rng.uniform(0.05, 0.9), rng.randrange(1 << 30))
+        elif kind == 1:
+            a, b = rng.randint(3, 20), rng.randint(3, 20)
+            g = random_bipartite(a, b, rng.randint(1, min(a, b)), rng.randrange(1 << 30))
+        else:
+            half = rng.randint(2, 10)
+            g = two_block_host(half, rng.randint(1, half), rng.randrange(1 << 30))
+        hosts.append(g)
+    return hosts
+
+
+KERNEL_HOSTS = seeded_kernel_hosts(300, 2024)
+
+
+@pytest.mark.parametrize("chunk", range(6))
+def test_max_flow_matches_bfs_reference(chunk):
+    """Values at every limit 0..n on a pair network and on a fan network
+    (flows to the sink vertex n), and the source side of the residual after
+    a maximum flow on a separator network, against :func:`bfs_max_flow`."""
+    rng = random.Random(chunk)
+    for g in KERNEL_HOSTS[chunk::6]:
+        n = g.n
+        u, v = rng.sample(range(n), 2)
+        plain = _SplitFlow(g)
+        fan = _SplitFlow(g)
+        for w in rng.sample([w for w in range(n) if w != u], rng.randint(1, n - 1)):
+            fan.join_sink(w)
+        for net, sink in ((plain, v), (fan, n)):
+            top = bfs_max_flow(net, u, sink, n)[0]
+            assert [net.max_flow(u, sink, limit)[0] for limit in range(n + 1)] == [
+                min(limit, top) for limit in range(n + 1)
+            ]
+        wide = _SplitFlow(g, edge_cap=n)
+        value, cap = wide.max_flow(u, v, n)
+        ref_value, ref_cap = bfs_max_flow(wide, u, v, n)
+        assert value == ref_value
+        assert wide.residual_reachable(u, cap) == wide.residual_reachable(u, ref_cap)
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["unit", "separator"])
+def test_network_reuse(wide):
+    """Every query runs many flows on one network: a flow leaves no state
+    behind, so ``base_cap`` never changes and a repeated call returns the
+    same value and residual."""
+    rng = random.Random(int(wide))
+    for g in KERNEL_HOSTS[::10]:
+        net = _SplitFlow(g, edge_cap=g.n if wide else 1)
+        for w in rng.sample(range(g.n), g.n // 2):
+            net.join_sink(w)
+        base = net.base_cap.copy()
+        seen = {}
+        for _ in range(12):
+            u, v = rng.sample(range(g.n + 1), 2)
+            if u == g.n:
+                u, v = v, u
+            query = (u, v, rng.randint(0, g.n))
+            result = net.max_flow(*query)
+            assert net.base_cap == base
+            assert seen.setdefault(query, result) == result
+        for query, result in seen.items():
+            assert net.max_flow(*query) == result
+
+
+def test_local_connectivity_path_systems():
+    rng = random.Random(11)
+    for i in range(200):
+        g = KERNEL_HOSTS[i]
+        u, v = rng.sample(range(g.n), 2)
+        value, ps = local_connectivity(g, u, v)
+        assert check_path_system(g, ps) == []
+        assert len(ps.paths) == value == local_connectivity_value(g, u, v)

@@ -109,6 +109,11 @@ class TestEnumerateTriples:
         found, flag = enumerate_triples(c6, 1, limit=limit)
         assert found == everything[:limit] and flag == truncated
 
+    @pytest.mark.parametrize("limit", [-1, -2])
+    def test_negative_limit_rejected(self, c6, limit):
+        with pytest.raises(ValueError, match="limit"):
+            enumerate_triples(c6, 1, limit=limit)
+
     def test_fragments_always_nontrivial(self):
         g = Graph(2, [(0, 1)])
         found, _ = enumerate_triples(g, 2)
