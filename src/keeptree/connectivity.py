@@ -91,146 +91,196 @@ def check_path_system(g: Graph, ps: PathSystem) -> list[str]:
 
 
 class _SplitFlow:
-    """Reusable unit-capacity flow network over the vertex-split digraph.
+    """Reusable unit-capacity flow network over the vertex-split digraph,
+    held as vertex bitmasks.
 
-    Node 2w is the in-copy of vertex w and node 2w+1 its out-copy; the
-    internal arc in(w) -> out(w) has capacity one.  Sources/sinks bypass
-    their own internal arc, so endpoint vertices are uncapacitated.  Node 2n
-    is the in-copy of a sink vertex n with no arcs until :meth:`join_sink`
-    links vertices into it.  It has no outgoing arc with residual capacity,
-    so no augmenting path of a pair flow passes through it.
+    Vertex w has an in-copy and an out-copy joined by an internal arc
+    in(w) -> out(w) of capacity one; ``adj[w]`` is the mask of the y with an
+    arc out(w) -> in(y).  Sources/sinks bypass their own internal arc, so
+    endpoint vertices are uncapacitated.  Bit n stands for a sink vertex
+    with an in-copy only: :meth:`join_sink` adds arcs into it, and it has
+    no way out, so no augmenting path of a pair flow passes through it.
+    Split-node ids are 2w for in(w) and 2w+1 for out(w).
 
     Edge arcs carry capacity one by default, which never constrains the
     flow value for internally disjoint paths in a simple graph.  Separator
     extraction passes a large ``edge_cap`` instead so that minimum cuts are
-    realized on internal arcs only (sound for nonadjacent endpoints).
+    realized on internal arcs only (sound for nonadjacent endpoints).  Arcs
+    into the sink vertex have capacity one either way.
     """
 
-    __slots__ = ("n", "size", "head", "arc_to", "base_cap")
+    __slots__ = ("n", "adj", "edge_cap")
 
     def __init__(self, g: Graph, edge_cap: int = 1):
-        n = g.n
-        self.n = n
-        self.size = 2 * n + 1
-        self.head: list[list[int]] = [[] for _ in range(self.size)]
-        self.arc_to: list[int] = []
-        self.base_cap: list[int] = []
-        for w in range(n):
-            self._add_arc(2 * w, 2 * w + 1, 1)
-        for u, v in g.edges():
-            self._add_arc(2 * u + 1, 2 * v, edge_cap)
-            self._add_arc(2 * v + 1, 2 * u, edge_cap)
-
-    def _add_arc(self, a: int, b: int, c: int) -> None:
-        """Arc a -> b of capacity c, with its zero-capacity reverse arc."""
-        self.head[a].append(len(self.arc_to))
-        self.arc_to.append(b)
-        self.base_cap.append(c)
-        self.head[b].append(len(self.arc_to))
-        self.arc_to.append(a)
-        self.base_cap.append(0)
+        self.n = g.n
+        self.edge_cap = edge_cap
+        self.adj = [sum(1 << y for y in g.neighbors(w)) for w in range(g.n)]
 
     def join_sink(self, w: int) -> None:
         """Edge from out(w) into the sink vertex n: flows to n may end at w."""
-        self._add_arc(2 * w + 1, 2 * self.n, 1)
+        self.adj[w] |= 1 << self.n
 
-    def max_flow(self, u: int, v: int, limit: int) -> tuple[int, list[int]]:
-        """Max flow from out(u) to in(v), capped at limit; returns residual caps.
+    def max_flow(self, u: int, v: int, limit: int) -> tuple[int, tuple]:
+        """Max flow from out(u) to in(v), capped at ``limit``; returns the
+        value and the flow ``(v, direct, flow, used)``: ``direct`` units on
+        the arc out(u) -> in(v), ``flow[x]`` the mask of the y with flow on
+        out(x) -> in(y) (one bit at most unless x = u), and ``used`` the mask
+        of the vertices whose internal arc carries flow.
 
-        Dinic phases: a BFS levels the residual network from the source and
-        stops once the sink has a level; a DFS with current-arc pointers then
-        augments one unit at a time along level-increasing arcs until the
-        level graph is blocked or the flow reaches ``limit``.  A dead end
-        drops out of the phase (level -1).  Each phase lengthens the shortest
-        augmenting path, so unit vertex capacities give O(sqrt(n) m) work.
+        The arc out(u) -> in(v), if any, is filled first, as the first
+        phase would fill it.  Every other arc carries one unit at most, and
+        the residual arcs are out(x) -> in(y) for y in adj[x] & ~flow[x],
+        out(w) -> in(w) for used w, in(y) -> out(y) for free y, and
+        in(y) -> out(pred[y]) for used y, where pred[y] sends y its unit.
+        So every in-node but the sink has one exit at most.  (A separator
+        network leaves residual capacity on an arc with flow, but a path
+        through it would meet its in-node or out-node twice.)
+
+        Dinic phases: a BFS levels the residual network in alternating
+        out- and in-masks, one OR per frontier vertex, and stops once the
+        sink has a level; a DFS then augments one unit at a time along the
+        lowest live in-node of the next level, or an in-node's one exit,
+        until the level graph is blocked or the flow reaches ``limit``.  An
+        in-node that leads to a dead end leaves its level's mask.  Each phase
+        lengthens the shortest augmenting path, so unit vertex capacities
+        give O(sqrt(n) m) work.
         """
-        cap = self.base_cap.copy()
-        source, sink = 2 * u + 1, 2 * v
-        head, arc_to = self.head, self.arc_to
-        value = 0
+        n, adj = self.n, self.adj
+        sink = 1 << v
+        internal = (1 << n) - 1  # every vertex but the sink vertex n
+        flow = [0] * n
+        pred = [0] * n
+        used = direct = 0
+        if limit > 0 and adj[u] & sink:
+            direct = min(limit, 1 if v == n else self.edge_cap)
+            flow[u] = sink
+        value = direct
         while value < limit:
-            level = [-1] * self.size
-            level[source] = 0
-            queue = [source]
-            for a in queue:
-                nxt = level[a] + 1
-                for arc in head[a]:
-                    b = arc_to[arc]
-                    if cap[arc] > 0 and level[b] < 0:
-                        level[b] = nxt
-                        queue.append(b)
-                if level[sink] >= 0:
+            # ins[k]: the in-nodes at level 2k + 1 whose one exit is at level
+            # 2k + 2.  Every out-node but the source is the exit of one
+            # in-node only, so the exits of ins[k] are the next out-level.
+            frontier = seen_out = 1 << u
+            seen_in = 0
+            ins: list[int] = []
+            while frontier:
+                reach = frontier & used
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    x = low.bit_length() - 1
+                    reach |= adj[x] & ~flow[x]
+                reach &= ~seen_in
+                if reach & sink:
                     break
+                seen_in |= reach
+                layer = frontier = reach & ~used & internal & ~seen_out
+                rest = reach & used
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    exit_ = 1 << pred[low.bit_length() - 1]
+                    if not seen_out & exit_:
+                        frontier |= exit_
+                        layer |= low
+                seen_out |= frontier
+                ins.append(layer)
             else:
                 break  # the sink is unreachable: the flow is maximum
-            current = [0] * self.size
-            path: list[int] = []
-            a = source
+            ins.append(sink)
+            depth = len(ins) - 1
+            xs, ys = [u], []
+            x = u
             while True:
-                if a == sink:
-                    for arc in path:
-                        cap[arc] -= 1
-                        cap[arc ^ 1] += 1
-                    value += 1
-                    if value == limit:
+                k = len(ys)
+                live = ((adj[x] & ~flow[x]) | (used & (1 << x))) & ins[k]
+                if not live:
+                    if not ys:
                         break
-                    # Saturated arcs fail the test below, so descending
-                    # again from the source resumes at the current arcs.
-                    path.clear()
-                    a = source
-                arcs, i, nxt = head[a], current[a], level[a] + 1
-                while i < len(arcs) and not (cap[arcs[i]] > 0 and level[arc_to[arcs[i]]] == nxt):
-                    i += 1
-                current[a] = i
-                if i < len(arcs):
-                    path.append(arcs[i])
-                    a = arc_to[arcs[i]]
+                    xs.pop()
+                    x = xs[-1]
+                    ins[k - 1] ^= 1 << ys.pop()
                     continue
-                level[a] = -1
-                if not path:
+                low = live & -live
+                if k < depth:
+                    y = low.bit_length() - 1
+                    x = pred[y] if used & low else y
+                    xs.append(x)
+                    ys.append(y)
+                    continue
+                # Augment: in(y) is entered from out(xs[i]) by an edge arc, or
+                # by y's reversed internal arc if xs[i] == y, and left by y's
+                # internal arc if xs[i + 1] == y, else by cancelling the flow
+                # from xs[i + 1].  Its one exit is gone, so it leaves the phase.
+                for i, y in enumerate(ys):
+                    b = 1 << y
+                    if xs[i + 1] == y:
+                        used |= b
+                    else:
+                        flow[xs[i + 1]] = 0
+                    if xs[i] == y:
+                        used ^= b
+                    else:
+                        flow[xs[i]] |= b
+                        pred[y] = xs[i]
+                    ins[i] ^= b
+                flow[x] |= sink
+                value += 1
+                if value == limit:
                     break
-                a = arc_to[path.pop() ^ 1]
-        return value, cap
+                xs, ys = [u], []
+                x = u
+        return value, (v, direct, flow, used)
 
-    def decode_paths(self, u: int, v: int, cap: list[int]) -> list[tuple[int, ...]]:
-        """Decompose an integral flow into vertex paths from u to v."""
-        out: list[list[int]] = [[] for _ in range(self.size)]
-        for a in range(self.size):
-            arcs = [
-                arc
-                for arc in self.head[a]
-                if self.base_cap[arc] > 0 and self.base_cap[arc] - cap[arc] > 0
-            ]
-            arcs.sort(key=lambda arc: self.arc_to[arc], reverse=True)
-            out[a] = arcs
-        source, sink = 2 * u + 1, 2 * v
+    def decode_paths(self, u: int, v: int, residual: tuple) -> list[tuple[int, ...]]:
+        """Decompose the flow of :meth:`max_flow` into vertex paths from u to v."""
+        flow = residual[2]
         paths: list[tuple[int, ...]] = []
-        while out[source]:
-            arc = out[source].pop()
-            node = self.arc_to[arc]
+        for y in _bits(flow[u]):
             verts = [u]
-            while node != sink:
-                w = node // 2
-                verts.append(w)
-                inner = out[node].pop()  # in(w) -> out(w)
-                step = out[self.arc_to[inner]].pop()
-                node = self.arc_to[step]
+            while y != v:
+                verts.append(y)
+                y = flow[y].bit_length() - 1
             verts.append(v)
             paths.append(tuple(verts))
         return paths
 
-    def residual_reachable(self, u: int, cap: list[int]) -> set[int]:
-        source = 2 * u + 1
-        seen = {source}
-        queue = deque([source])
-        while queue:
-            a = queue.popleft()
-            for arc in self.head[a]:
-                b = self.arc_to[arc]
-                if cap[arc] > 0 and b not in seen:
+    def residual_reachable(self, u: int, residual: tuple) -> set[int]:
+        """Split-node ids reachable from out(u) in the residual network."""
+        v, direct, flow, used = residual
+        n, adj = self.n, self.adj
+        into = [0] * (n + 1)  # into[y]: the x with flow on out(x) -> in(y)
+        for x in range(n):
+            for y in _bits(flow[x]):
+                into[y] |= 1 << x
+        # full[x]: the arcs out of out(x) with no residual capacity.
+        full = [f if self.edge_cap == 1 else f & 1 << n for f in flow]
+        if direct >= self.edge_cap:
+            full[u] |= 1 << v
+        seen = {2 * u + 1}
+        queue = [2 * u + 1]
+        for a in queue:
+            w = a >> 1
+            if a & 1:
+                heads = [2 * y for y in _bits(adj[w] & ~full[w])]
+                if used >> w & 1:
+                    heads.append(2 * w)
+            else:
+                heads = [2 * x + 1 for x in _bits(into[w])]
+                if w < n and not used >> w & 1:
+                    heads.append(2 * w + 1)
+            for b in heads:
+                if b not in seen:
                     seen.add(b)
                     queue.append(b)
         return seen
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _check_pair(g: Graph, u: int, v: int) -> None:

@@ -51,13 +51,21 @@ class TheoremViolation(KeeptreeError):
 
 
 def resolve_guard(explicit: int | None, default: int) -> int:
-    """Pick a size guard: explicit argument, else KEEPTREE_GUARD, else default."""
+    """Pick a size guard: explicit argument, else KEEPTREE_GUARD, else default.
+
+    A negative guard is an input error, not a guard every size exceeds.
+    """
     if explicit is not None:
+        if explicit < 0:
+            raise ValueError(f"guard must be nonnegative, got {explicit}")
         return explicit
     env = os.environ.get(_ENV_GUARD)
     if env is not None:
         try:
-            return int(env)
+            value = int(env)
         except ValueError as exc:
             raise ParseError(f"{_ENV_GUARD} must be an integer, got {env!r}") from exc
+        if value < 0:
+            raise ParseError(f"{_ENV_GUARD} must be nonnegative, got {value}")
+        return value
     return default

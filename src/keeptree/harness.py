@@ -97,6 +97,8 @@ CSV_COLUMNS = (
 def oracle_exists(g: Graph, tree: Tree, k: int, guard: int | None = None) -> Embedding | None:
     """Brute-force witness: the first labeled embedding whose removal keeps
     the graph k-connected, or None when none exists."""
+    if k < 1:
+        raise ValueError("k must be positive")
     for emb in iter_embeddings(g, tree, guard):
         if is_k_connected_after_removal(g, emb.image(), k):
             return emb

@@ -167,6 +167,12 @@ class TestOracle:
         big.write_text(format_edge_list(complete_bipartite(8, 8)))
         assert main(["oracle", str(big), str(edge_tree_file), "1", "--guard", "12"]) == 6
 
+    def test_k_below_one_exit_1(self, k44_file, edge_tree_file, capsys):
+        assert main(["oracle", str(k44_file), str(edge_tree_file), "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "k must be positive" in captured.err
+
 
 class TestTriples:
     def test_listing_matches_enumeration(self, tmp_path, capsys):
@@ -198,6 +204,15 @@ class TestTriples:
 
     def test_guard_exit_6(self, k44_file):
         assert main(["triples", str(k44_file), "--p", "1", "--guard", "6"]) == 6
+
+    def test_negative_guard_exit_1(self, k44_file, capsys):
+        assert main(["triples", str(k44_file), "--p", "1", "--guard", "-1"]) == 1
+        assert "guard must be nonnegative" in capsys.readouterr().err
+
+    def test_negative_env_guard_exit_1(self, k44_file, capsys, monkeypatch):
+        monkeypatch.setenv("KEEPTREE_GUARD", "-1")
+        assert main(["triples", str(k44_file), "--p", "1"]) == 1
+        assert "KEEPTREE_GUARD must be nonnegative" in capsys.readouterr().err
 
 
 class TestGen:

@@ -25,6 +25,16 @@ def test_env_must_be_integer(monkeypatch):
         resolve_guard(None, 12)
 
 
+def test_negative_guard_rejected(monkeypatch):
+    with pytest.raises(ValueError, match="nonnegative"):
+        resolve_guard(-1, 12)
+    monkeypatch.setenv("KEEPTREE_GUARD", "-1")
+    with pytest.raises(ParseError, match="KEEPTREE_GUARD"):
+        resolve_guard(None, 12)
+    # An explicit guard still wins over the environment.
+    assert resolve_guard(0, 12) == 0
+
+
 def test_env_lifts_operation_guard(monkeypatch):
     g = complete_bipartite(6, 6)
     with pytest.raises(GuardExceeded):

@@ -66,6 +66,11 @@ class TestOracle:
         with pytest.raises(GuardExceeded):
             oracle_exists(complete_bipartite(8, 8), tree_k2, 1, guard=12)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k44, tree_k2, k):
+        with pytest.raises(ValueError, match="k must be positive"):
+            oracle_exists(k44, tree_k2, k)
+
 
 class TestSmallGraphCorpus:
     def test_counts_per_order(self):

@@ -1,5 +1,5 @@
 """The flow kernel: pinned flow work and differential checks against a
-one-path-per-BFS reference kernel and networkx.
+one-path-per-BFS reference kernel on its own arc lists and networkx.
 
 The work pins count ``_SplitFlow.max_flow`` calls and ``_SplitFlow`` builds,
 which are deterministic, so a change that makes the connectivity scans do
@@ -241,6 +241,9 @@ DIFFERENTIAL_HOSTS = [
     random_graph(60, 0.1, 25),
     two_block_host(10, 4, 31),
     two_block_host(15, 5, 32),
+    # Masks past a machine word with high connectivity (21 and 12).
+    random_bipartite(35, 35, 14, 71),
+    random_graph(80, 0.3, 72),
     # Low connectivity (2-6) at n = 90-200, where networkx stays fast.
     circulant(90, (1, 5), 62),
     random_graph(100, 0.12, 65),
@@ -264,38 +267,59 @@ def test_matches_networkx(g):
             assert kappa <= witness[2] == local_connectivity_value(g, *witness[:2]) < k
 
 
-def bfs_max_flow(net: _SplitFlow, u: int, v: int, limit: int) -> tuple[int, list[int]]:
-    """Reference oracle: the kernel before blocking-flow phases, one BFS and
-    one augmenting unit at a time on ``net``'s arcs.  It stops at ``limit``,
-    so its value at any limit is min(limit, its value at limit n)."""
-    cap = net.base_cap.copy()
+def bfs_max_flow(
+    g: Graph, u: int, v: int, limit: int, joined=(), edge_cap: int = 1
+) -> tuple[int, set[int]]:
+    """Reference oracle, independent of the kernel: the vertex-split digraph
+    as arc lists (in(w) = 2w, out(w) = 2w+1, a sink vertex n with in-copy 2n
+    and arcs of capacity one from the out-copies of ``joined``, edge arcs of
+    capacity ``edge_cap``), one BFS and one augmenting unit at a time.  It
+    stops at ``limit``, so its value at any limit is min(limit, its value at
+    limit n).  Returns the value and the split-node ids reachable from
+    out(u) in the residual network."""
+    n = g.n
+    head: list[list[int]] = [[] for _ in range(2 * n + 1)]
+    arc_to: list[int] = []
+    cap: list[int] = []
+
+    def add_arc(a: int, b: int, c: int) -> None:
+        for tail, tip, residual in ((a, b, c), (b, a, 0)):
+            head[tail].append(len(arc_to))
+            arc_to.append(tip)
+            cap.append(residual)
+
+    for w in range(n):
+        add_arc(2 * w, 2 * w + 1, 1)
+    for x, y in g.edges():
+        add_arc(2 * x + 1, 2 * y, edge_cap)
+        add_arc(2 * y + 1, 2 * x, edge_cap)
+    for w in joined:
+        add_arc(2 * w + 1, 2 * n, 1)
     source, sink = 2 * u + 1, 2 * v
-    value = 0
-    while value < limit:
-        parent = [-1] * net.size
-        parent[source] = -2
+
+    def residual_tree() -> dict[int, int | None]:
+        parent: dict[int, int | None] = {source: None}
         queue = deque([source])
-        reached = False
         while queue:
             a = queue.popleft()
-            if a == sink:
-                reached = True
-                break
-            for arc in net.head[a]:
-                b = net.arc_to[arc]
-                if cap[arc] > 0 and parent[b] == -1:
-                    parent[b] = arc
-                    queue.append(b)
-        if not reached:
-            break
+            for arc in head[a]:
+                if cap[arc] > 0 and arc_to[arc] not in parent:
+                    parent[arc_to[arc]] = arc
+                    queue.append(arc_to[arc])
+        return parent
+
+    value = 0
+    parent = residual_tree()
+    while value < limit and sink in parent:
         node = sink
         while node != source:
             arc = parent[node]
             cap[arc] -= 1
             cap[arc ^ 1] += 1
-            node = net.arc_to[arc ^ 1]
+            node = arc_to[arc ^ 1]
         value += 1
-    return value, cap
+        parent = residual_tree()
+    return value, set(parent)
 
 
 def seeded_kernel_hosts(count: int, seed: int) -> list[Graph]:
@@ -317,45 +341,56 @@ def seeded_kernel_hosts(count: int, seed: int) -> list[Graph]:
     return hosts
 
 
-KERNEL_HOSTS = seeded_kernel_hosts(300, 2024)
+#: The seeded hosts, then two (connectivity 21 and 12) whose masks, the sink
+#: bit n among them, run past a machine word.
+KERNEL_HOSTS = seeded_kernel_hosts(300, 2024) + [
+    random_bipartite(35, 35, 14, 73),
+    random_graph(80, 0.3, 74),
+]
 
 
 @pytest.mark.parametrize("chunk", range(6))
 def test_max_flow_matches_bfs_reference(chunk):
     """Values at every limit 0..n on a pair network and on a fan network
     (flows to the sink vertex n), and the source side of the residual after
-    a maximum flow on a separator network, against :func:`bfs_max_flow`."""
+    a pair flow and a fan flow at limit n on a separator network, against
+    :func:`bfs_max_flow`."""
     rng = random.Random(chunk)
     for g in KERNEL_HOSTS[chunk::6]:
         n = g.n
         u, v = rng.sample(range(n), 2)
         plain = _SplitFlow(g)
         fan = _SplitFlow(g)
-        for w in rng.sample([w for w in range(n) if w != u], rng.randint(1, n - 1)):
+        joined = rng.sample([w for w in range(n) if w != u], rng.randint(1, n - 1))
+        for w in joined:
             fan.join_sink(w)
-        for net, sink in ((plain, v), (fan, n)):
-            top = bfs_max_flow(net, u, sink, n)[0]
+        for net, sink, js in ((plain, v, ()), (fan, n, joined)):
+            top = bfs_max_flow(g, u, sink, n, js)[0]
             assert [net.max_flow(u, sink, limit)[0] for limit in range(n + 1)] == [
                 min(limit, top) for limit in range(n + 1)
             ]
+        # u joins too, so the fan flow has a direct arc of capacity one.
         wide = _SplitFlow(g, edge_cap=n)
-        value, cap = wide.max_flow(u, v, n)
-        ref_value, ref_cap = bfs_max_flow(wide, u, v, n)
-        assert value == ref_value
-        assert wide.residual_reachable(u, cap) == wide.residual_reachable(u, ref_cap)
+        for w in joined + [u]:
+            wide.join_sink(w)
+        for sink in (v, n):
+            value, residual = wide.max_flow(u, sink, n)
+            ref_value, ref_reach = bfs_max_flow(g, u, sink, n, joined + [u], edge_cap=n)
+            assert value == ref_value
+            assert wide.residual_reachable(u, residual) == ref_reach
 
 
 @pytest.mark.parametrize("wide", [False, True], ids=["unit", "separator"])
 def test_network_reuse(wide):
     """Every query runs many flows on one network: a flow leaves no state
-    behind, so ``base_cap`` never changes and a repeated call returns the
-    same value and residual."""
+    behind, so the adjacency masks never change and a repeated call returns
+    the same value and residual."""
     rng = random.Random(int(wide))
     for g in KERNEL_HOSTS[::10]:
         net = _SplitFlow(g, edge_cap=g.n if wide else 1)
         for w in rng.sample(range(g.n), g.n // 2):
             net.join_sink(w)
-        base = net.base_cap.copy()
+        adj = net.adj.copy()
         seen = {}
         for _ in range(12):
             u, v = rng.sample(range(g.n + 1), 2)
@@ -363,7 +398,7 @@ def test_network_reuse(wide):
                 u, v = v, u
             query = (u, v, rng.randint(0, g.n))
             result = net.max_flow(*query)
-            assert net.base_cap == base
+            assert net.adj == adj
             assert seen.setdefault(query, result) == result
         for query, result in seen.items():
             assert net.max_flow(*query) == result
@@ -377,3 +412,13 @@ def test_local_connectivity_path_systems():
         value, ps = local_connectivity(g, u, v)
         assert check_path_system(g, ps) == []
         assert len(ps.paths) == value == local_connectivity_value(g, u, v)
+
+
+def test_path_system_after_a_cancelled_arc():
+    """The only two disjoint 1-0 paths.  The first phase takes (1, 5, 3, 0);
+    the second reaches in(3) from 6 and leaves it back to out(5), cancelling
+    the arc 5 -> 3, so decoding must follow 5's new successor."""
+    g = Graph(7, [(0, 3), (0, 4), (1, 5), (1, 6), (2, 4), (2, 5), (3, 5), (3, 6)])
+    value, ps = local_connectivity(g, 1, 0)
+    assert value == 2
+    assert sorted(ps.paths) == [(1, 5, 2, 4, 0), (1, 6, 3, 0)]
