@@ -100,41 +100,36 @@ class _SplitFlow:
     endpoint vertices are uncapacitated.  Bit n stands for a sink vertex
     with an in-copy only: :meth:`join_sink` adds arcs into it, and it has
     no way out, so no augmenting path of a pair flow passes through it.
-    Split-node ids are 2w for in(w) and 2w+1 for out(w).
-
-    Edge arcs carry capacity one by default, which never constrains the
-    flow value for internally disjoint paths in a simple graph.  Separator
-    extraction passes a large ``edge_cap`` instead so that minimum cuts are
-    realized on internal arcs only (sound for nonadjacent endpoints).  Arcs
-    into the sink vertex have capacity one either way.
+    Every arc has capacity one, which never constrains the flow value for
+    internally disjoint paths in a simple graph.
     """
 
-    __slots__ = ("n", "adj", "edge_cap")
+    __slots__ = ("n", "adj")
 
-    def __init__(self, g: Graph, edge_cap: int = 1):
+    def __init__(self, g: Graph):
         self.n = g.n
-        self.edge_cap = edge_cap
         self.adj = [sum(1 << y for y in g.neighbors(w)) for w in range(g.n)]
 
     def join_sink(self, w: int) -> None:
         """Edge from out(w) into the sink vertex n: flows to n may end at w."""
         self.adj[w] |= 1 << self.n
 
-    def max_flow(self, u: int, v: int, limit: int) -> tuple[int, tuple]:
-        """Max flow from out(u) to in(v), capped at ``limit``; returns the
-        value and the flow ``(v, direct, flow, used)``: ``direct`` units on
-        the arc out(u) -> in(v), ``flow[x]`` the mask of the y with flow on
-        out(x) -> in(y) (one bit at most unless x = u), and ``used`` the mask
-        of the vertices whose internal arc carries flow.
+    def max_flow(
+        self, u: int, v: int, limit: int
+    ) -> tuple[int, list[int], tuple[int, int] | None]:
+        """Max flow from out(u) to in(v), capped at ``limit``; returns
+        ``(value, flow, reach)``.  ``flow[x]`` is the mask of the y with flow
+        on out(x) -> in(y) (one bit at most unless x = u).  ``reach`` is None
+        when the flow stopped at ``limit``, else the masks ``(seen_in,
+        seen_out)`` of the vertices whose in- and out-copies the last BFS,
+        which finds the sink unreachable, reaches from out(u).
 
         The arc out(u) -> in(v), if any, is filled first, as the first
-        phase would fill it.  Every other arc carries one unit at most, and
-        the residual arcs are out(x) -> in(y) for y in adj[x] & ~flow[x],
-        out(w) -> in(w) for used w, in(y) -> out(y) for free y, and
-        in(y) -> out(pred[y]) for used y, where pred[y] sends y its unit.
-        So every in-node but the sink has one exit at most.  (A separator
-        network leaves residual capacity on an arc with flow, but a path
-        through it would meet its in-node or out-node twice.)
+        phase would fill it.  The residual arcs are out(x) -> in(y) for y in
+        adj[x] & ~flow[x], out(w) -> in(w) for used w, in(y) -> out(y) for
+        free y, and in(y) -> out(pred[y]) for used y, where pred[y] sends y
+        its unit and ``used`` masks the vertices whose internal arc carries
+        flow.  So every in-node but the sink has one exit at most.
 
         Dinic phases: a BFS levels the residual network in alternating
         out- and in-masks, one OR per frontier vertex, and stops once the
@@ -150,11 +145,10 @@ class _SplitFlow:
         internal = (1 << n) - 1  # every vertex but the sink vertex n
         flow = [0] * n
         pred = [0] * n
-        used = direct = 0
+        used = value = 0
         if limit > 0 and adj[u] & sink:
-            direct = min(limit, 1 if v == n else self.edge_cap)
+            value = 1
             flow[u] = sink
-        value = direct
         while value < limit:
             # ins[k]: the in-nodes at level 2k + 1 whose one exit is at level
             # 2k + 2.  Every out-node but the source is the exit of one
@@ -184,8 +178,8 @@ class _SplitFlow:
                         layer |= low
                 seen_out |= frontier
                 ins.append(layer)
-            else:
-                break  # the sink is unreachable: the flow is maximum
+            else:  # the sink is unreachable: the flow is maximum
+                return value, flow, (seen_in, seen_out)
             ins.append(sink)
             depth = len(ins) - 1
             xs, ys = [u], []
@@ -229,11 +223,10 @@ class _SplitFlow:
                     break
                 xs, ys = [u], []
                 x = u
-        return value, (v, direct, flow, used)
+        return value, flow, None
 
-    def decode_paths(self, u: int, v: int, residual: tuple) -> list[tuple[int, ...]]:
+    def decode_paths(self, u: int, v: int, flow: list[int]) -> list[tuple[int, ...]]:
         """Decompose the flow of :meth:`max_flow` into vertex paths from u to v."""
-        flow = residual[2]
         paths: list[tuple[int, ...]] = []
         for y in _bits(flow[u]):
             verts = [u]
@@ -243,36 +236,6 @@ class _SplitFlow:
             verts.append(v)
             paths.append(tuple(verts))
         return paths
-
-    def residual_reachable(self, u: int, residual: tuple) -> set[int]:
-        """Split-node ids reachable from out(u) in the residual network."""
-        v, direct, flow, used = residual
-        n, adj = self.n, self.adj
-        into = [0] * (n + 1)  # into[y]: the x with flow on out(x) -> in(y)
-        for x in range(n):
-            for y in _bits(flow[x]):
-                into[y] |= 1 << x
-        # full[x]: the arcs out of out(x) with no residual capacity.
-        full = [f if self.edge_cap == 1 else f & 1 << n for f in flow]
-        if direct >= self.edge_cap:
-            full[u] |= 1 << v
-        seen = {2 * u + 1}
-        queue = [2 * u + 1]
-        for a in queue:
-            w = a >> 1
-            if a & 1:
-                heads = [2 * y for y in _bits(adj[w] & ~full[w])]
-                if used >> w & 1:
-                    heads.append(2 * w)
-            else:
-                heads = [2 * x + 1 for x in _bits(into[w])]
-                if w < n and not used >> w & 1:
-                    heads.append(2 * w + 1)
-            for b in heads:
-                if b not in seen:
-                    seen.add(b)
-                    queue.append(b)
-        return seen
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -294,8 +257,8 @@ def local_connectivity(g: Graph, u: int, v: int) -> tuple[int, PathSystem]:
     """Maximum number of internally vertex-disjoint u-v paths, with witnesses."""
     _check_pair(g, u, v)
     net = _SplitFlow(g)
-    value, cap = net.max_flow(u, v, g.n)
-    paths = net.decode_paths(u, v, cap)
+    value, flow, _ = net.max_flow(u, v, g.n)
+    paths = net.decode_paths(u, v, flow)
     ps = PathSystem(u, v, tuple(paths))
     problems = check_path_system(g, ps)
     if problems or len(paths) != value:
@@ -503,16 +466,18 @@ def is_k_connected_after_removal(g: Graph, r: Iterable[int], k: int) -> bool:
 
 
 def min_separator(g: Graph, u: int, v: int) -> frozenset[int]:
-    """A minimum {u, v}-separating set extracted from max-flow residuals."""
+    """A minimum {u, v}-separating set, read off the last BFS of a maximum
+    flow: the vertices whose in-copy is on its source side and whose
+    out-copy is not.  Uncapacitated edge arcs, which leave the flow of a
+    nonadjacent pair as it is, would add to that side only the in-copies of
+    u's flow successors (any other out(x) there was reached from its flow
+    head), so these count as on it and the cut holds internal arcs only.
+    """
     _check_pair(g, u, v)
     if g.has_edge(u, v):
         raise ValueError(f"({u}, {v}) are adjacent: no separating set exists")
-    net = _SplitFlow(g, edge_cap=g.n)
-    value, cap = net.max_flow(u, v, g.n)
-    reach = net.residual_reachable(u, cap)
-    cut = frozenset(
-        w for w in range(g.n) if 2 * w in reach and 2 * w + 1 not in reach
-    )
+    value, flow, (seen_in, seen_out) = _SplitFlow(g).max_flow(u, v, g.n)
+    cut = frozenset(_bits((seen_in | flow[u]) & ~seen_out))
     if len(cut) != value:
         raise TheoremViolation(
             f"residual cut size {len(cut)} differs from flow value {value}"

@@ -325,7 +325,8 @@ def run_suite(
     guard = resolve_guard(oracle_guard, DEFAULT_BRUTE_GUARD)
     guards = [guard] * len(insts)
     if jobs > 1 and len(insts) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # The pool starts every worker up front: no more than one per instance.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(insts))) as pool:
             results = list(pool.map(_run_one, insts, guards))
     else:
         results = list(map(_run_one, insts, guards))

@@ -496,11 +496,16 @@ def verify_certificate(g: Graph, cert: Certificate | dict) -> CheckReport:
     )
 
     tree: Tree | None = None
-    try:
-        tree = Tree.from_edges(cert.tree_order, cert.tree_edges)
-        add("tree-shape", True)
-    except ValueError as exc:
-        add("tree-shape", False, str(exc))
+    if cert.tree_order > g.n:
+        # Checked before the tree is built: building costs memory linear in
+        # the claimed order.
+        add("tree-shape", False, f"tree order {cert.tree_order} exceeds the host order {g.n}")
+    else:
+        try:
+            tree = Tree.from_edges(cert.tree_order, cert.tree_edges)
+            add("tree-shape", True)
+        except ValueError as exc:
+            add("tree-shape", False, str(exc))
 
     if tree is not None:
         beta = compute_beta(cert.case, tree)

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from keeptree import graphs, pipeline
+from keeptree import graphs, harness, pipeline
 from keeptree.connectivity import connectivity_at_least
 from keeptree.errors import GuardExceeded, ParseError
 from keeptree.families import complete_bipartite, cycle, enumerate_trees, petersen
@@ -133,6 +133,33 @@ class TestRunSuite:
         par = run_suite(instances, jobs=2)
         assert seq.to_json() == par.to_json()
         assert seq.certificates == par.certificates
+
+    def test_pool_capped_at_instance_count(self, monkeypatch, k44, q3):
+        """A pool starts every worker it is given, so ``jobs`` far above the
+        instance count must not reach it; an in-process fake stands in."""
+        workers = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        instances = [
+            SuiteInstance("a", "k44", k44, path_tree(2), 1, None),
+            SuiteInstance("b", "q3", q3, path_tree(2), 1, None),
+        ]
+        report = run_suite(instances, jobs=5000)
+        assert workers == [2]
+        assert report.to_json() == run_suite(instances, jobs=1).to_json()
 
     def test_lowered_guard_fails_forced_instance_only(self, monkeypatch, k44, q3):
         # The forced girth run on Q3 needs the exhaustive embedding fallback,

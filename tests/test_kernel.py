@@ -17,6 +17,7 @@ import networkx as nx
 import pytest
 
 from keeptree.connectivity import (
+    _bits,
     _SplitFlow,
     _weaker_pairs,
     check_path_system,
@@ -25,6 +26,7 @@ from keeptree.connectivity import (
     global_connectivity,
     local_connectivity,
     local_connectivity_value,
+    min_separator,
     set_connectivity,
 )
 from keeptree.families import complete_bipartite, petersen, random_bipartite, random_graph
@@ -113,9 +115,9 @@ def net_builds(monkeypatch):
     builds = []
     original = _SplitFlow.__init__
 
-    def counted(self, g, edge_cap=1):
-        builds.append(edge_cap)
-        original(self, g, edge_cap)
+    def counted(self, g):
+        builds.append(g.n)
+        original(self, g)
 
     monkeypatch.setattr(_SplitFlow, "__init__", counted)
     return builds
@@ -162,13 +164,13 @@ class TestFlowWork:
 
 
 class TestNetworkBuilds:
-    """Each connectivity query builds one unit network and runs every flow
-    on it; cut descent adds one separator network when it cuts."""
+    """Each connectivity query builds one network and runs every flow on it;
+    cut descent builds one more when it cuts."""
 
     @pytest.mark.parametrize("host, query", sorted(WORK))
     def test_connectivity_queries(self, net_builds, host, query):
         QUERIES[query](HOSTS[host]())
-        assert net_builds == [1]
+        assert len(net_builds) == 1
 
     def test_short_fan_witness(self, net_builds, flow_calls):
         # 0 and 1 lie on the 4-cycle 0-3-1-4; 2 hangs off 3.  The pair (0, 1)
@@ -176,23 +178,23 @@ class TestNetworkBuilds:
         g = Graph(5, [(0, 3), (3, 1), (1, 4), (4, 0), (2, 3)])
         assert find_pair_below(g, [0, 1, 2], 2) == (0, 2, 1)
         assert [(u, v) for u, v, _ in flow_calls] == [(0, 1), (2, g.n), (0, 2)]
-        assert net_builds == [1]
+        assert len(net_builds) == 1
 
     @pytest.mark.parametrize("name", sorted(pinned_triples()))
     def test_validate_triple(self, net_builds, name):
         g, t, passes = pinned_triples()[name]
         assert validate_triple(g, t).passed == passes
-        assert net_builds == [1]
+        assert len(net_builds) == 1
 
     def test_descend_fragments_with_witness(self, net_builds):
         g = HOSTS["two-block"]()
         assert _descend_fragments(g, frozenset(range(g.n)), 2)
-        assert net_builds == [1, g.n]  # the unit network, then min_separator's
+        assert len(net_builds) == 2  # the scan's network, then min_separator's
 
     def test_descend_fragments_without_witness(self, net_builds):
         g = HOSTS["k44"]()
         assert _descend_fragments(g, frozenset(range(g.n)), 2) == []
-        assert net_builds == [1]
+        assert len(net_builds) == 1
 
 
 @pytest.mark.parametrize("cut_in_s1", [True, False], ids=["subset", "whole-set"])
@@ -352,8 +354,8 @@ KERNEL_HOSTS = seeded_kernel_hosts(300, 2024) + [
 @pytest.mark.parametrize("chunk", range(6))
 def test_max_flow_matches_bfs_reference(chunk):
     """Values at every limit 0..n on a pair network and on a fan network
-    (flows to the sink vertex n), and the source side of the residual after
-    a pair flow and a fan flow at limit n on a separator network, against
+    (flows to the sink vertex n), the source side of the residual after a
+    maximum pair flow and fan flow, and minimum separators, against
     :func:`bfs_max_flow`."""
     rng = random.Random(chunk)
     for g in KERNEL_HOSTS[chunk::6]:
@@ -369,25 +371,31 @@ def test_max_flow_matches_bfs_reference(chunk):
             assert [net.max_flow(u, sink, limit)[0] for limit in range(n + 1)] == [
                 min(limit, top) for limit in range(n + 1)
             ]
-        # u joins too, so the fan flow has a direct arc of capacity one.
-        wide = _SplitFlow(g, edge_cap=n)
-        for w in joined + [u]:
-            wide.join_sink(w)
+        # u joins too, so the fan flow has a direct arc into the sink vertex
+        # and may reach n; at limit n + 1 every flow stops at its maximum.
+        fan.join_sink(u)
         for sink in (v, n):
-            value, residual = wide.max_flow(u, sink, n)
-            ref_value, ref_reach = bfs_max_flow(g, u, sink, n, joined + [u], edge_cap=n)
+            value, _, (seen_in, seen_out) = fan.max_flow(u, sink, n + 1)
+            ref_value, ref_reach = bfs_max_flow(g, u, sink, n + 1, joined + [u])
             assert value == ref_value
-            assert wide.residual_reachable(u, residual) == ref_reach
+            split_ids = {2 * w for w in _bits(seen_in)} | {2 * w + 1 for w in _bits(seen_out)}
+            assert split_ids == ref_reach
+            assert fan.max_flow(u, sink, value)[2] is None
+        # The cut of a network with uncapacitated edge arcs, for nonadjacent pairs.
+        for a, b in rng.sample(list(combinations(range(n), 2)), 4):
+            if not g.has_edge(a, b):
+                reach = bfs_max_flow(g, a, b, n, edge_cap=n)[1]
+                cut = {w for w in range(n) if 2 * w in reach and 2 * w + 1 not in reach}
+                assert min_separator(g, a, b) == cut
 
 
-@pytest.mark.parametrize("wide", [False, True], ids=["unit", "separator"])
-def test_network_reuse(wide):
+def test_network_reuse():
     """Every query runs many flows on one network: a flow leaves no state
     behind, so the adjacency masks never change and a repeated call returns
-    the same value and residual."""
-    rng = random.Random(int(wide))
+    the same value, flow and residual reach."""
+    rng = random.Random(0)
     for g in KERNEL_HOSTS[::10]:
-        net = _SplitFlow(g, edge_cap=g.n if wide else 1)
+        net = _SplitFlow(g)
         for w in rng.sample(range(g.n), g.n // 2):
             net.join_sink(w)
         adj = net.adj.copy()

@@ -264,6 +264,18 @@ class TestVerifyCertificate:
         data["connectivity_after_removal"] += 1
         assert not verify_certificate(k44, data).passed
 
+    @pytest.mark.parametrize("order", [9, 10**9])  # K4,4 has 8 vertices
+    def test_tree_order_above_host_order_fails(self, k44, tree_k2, order):
+        # Rejected before the tree is built, whose cost grows with the order.
+        data = json.loads(self._cert(k44, tree_k2).canonical_json())
+        data["tree"]["order"] = order
+        report = verify_certificate(k44, data)
+        details = {name: detail for name, _, detail in report.checks}
+        assert not report.get("tree-shape")
+        assert details["tree-shape"] == f"tree order {order} exceeds the host order 8"
+        for name in ("arith-threshold", "tree-order", "embedding-valid"):
+            assert details[name] == "skipped: tree malformed"
+
     def test_schema_errors_raise(self, k44):
         from keeptree.errors import ParseError
 
