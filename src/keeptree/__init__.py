@@ -26,18 +26,9 @@ from .graphs import (
     girth,
     induced_delete,
     is_triangle_free,
-    min_degree_over,
     neighborhood_of_set,
 )
-from .connectivity import (
-    PathSystem,
-    Separator,
-    brute_min_separator,
-    global_connectivity,
-    is_k_connected_after_removal,
-    local_connectivity,
-    set_connectivity,
-)
+from .connectivity import global_connectivity, is_k_connected_after_removal
 from .matching import HallViolator, Matching, max_matching, saturating_matching_or_violator
 from .embed import (
     Embedding,
@@ -52,7 +43,6 @@ from .triples import (
     enumerate_triples,
     find_triple,
     hall_refine,
-    removal_safety_check,
     validate_triple,
 )
 from .pipeline import (

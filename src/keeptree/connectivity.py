@@ -1,27 +1,21 @@
-"""Vertex connectivity: disjoint-path maxima, separators, and brute oracles.
+"""Vertex connectivity: the unit-capacity flow kernel and the queries on it.
 
 Local connectivity between two vertices is a unit-capacity maximum flow on
 the vertex-split digraph: every vertex other than the two endpoints becomes
 an in->out arc of capacity one.  Adjacent pairs are handled uniformly (the
-direct edge counts as one path with no internal vertices).  The brute-force
-separator search is an independent oracle realizing the min-cut side of the
-max-flow/min-cut equality.
+direct edge counts as one path with no internal vertices).  On that kernel
+run the threshold tests (:func:`find_pair_below`,
+:func:`connectivity_at_least`), exact connectivity
+(:func:`global_connectivity`) and minimum separators (:func:`min_separator`).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator
 
-from .errors import (
-    DEFAULT_BRUTE_GUARD,
-    GuardExceeded,
-    TheoremViolation,
-    resolve_guard,
-)
+from .errors import TheoremViolation
 from .graphs import (
     Graph,
     check_vertex_set,
@@ -32,62 +26,13 @@ from .graphs import (
 )
 
 __all__ = [
-    "PathSystem",
-    "Separator",
-    "check_path_system",
-    "local_connectivity",
     "local_connectivity_value",
-    "set_connectivity",
     "find_pair_below",
     "global_connectivity",
     "connectivity_at_least",
     "is_k_connected_after_removal",
     "min_separator",
-    "brute_min_separator",
 ]
-
-
-@dataclass(frozen=True)
-class PathSystem:
-    """Internally vertex-disjoint paths witnessing a local connectivity value."""
-
-    u: int
-    v: int
-    paths: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class Separator:
-    """A vertex set whose removal puts u and v in different components."""
-
-    u: int
-    v: int
-    cut: frozenset[int]
-
-
-def check_path_system(g: Graph, ps: PathSystem) -> list[str]:
-    """Structural problems of a path system (empty list when valid)."""
-    problems: list[str] = []
-    internal_seen: set[int] = set()
-    for idx, path in enumerate(ps.paths):
-        if len(path) < 2 or path[0] != ps.u or path[-1] != ps.v:
-            problems.append(f"path {idx} does not run from {ps.u} to {ps.v}")
-            continue
-        if len(set(path)) != len(path):
-            problems.append(f"path {idx} repeats a vertex")
-            continue
-        for a, b in zip(path, path[1:]):
-            if not g.has_edge(a, b):
-                problems.append(f"path {idx} uses the non-edge ({a}, {b})")
-                break
-        interior = set(path[1:-1])
-        if ps.u in interior or ps.v in interior:
-            problems.append(f"path {idx} passes through an endpoint")
-        overlap = interior & internal_seen
-        if overlap:
-            problems.append(f"path {idx} shares internal vertex {min(overlap)}")
-        internal_seen |= interior
-    return problems
 
 
 class _SplitFlow:
@@ -225,18 +170,6 @@ class _SplitFlow:
                 x = u
         return value, flow, None
 
-    def decode_paths(self, u: int, v: int, flow: list[int]) -> list[tuple[int, ...]]:
-        """Decompose the flow of :meth:`max_flow` into vertex paths from u to v."""
-        paths: list[tuple[int, ...]] = []
-        for y in _bits(flow[u]):
-            verts = [u]
-            while y != v:
-                verts.append(y)
-                y = flow[y].bit_length() - 1
-            verts.append(v)
-            paths.append(tuple(verts))
-        return paths
-
 
 def _bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of ``mask``, lowest first."""
@@ -251,19 +184,6 @@ def _check_pair(g: Graph, u: int, v: int) -> None:
     g.check_vertex(v)
     if u == v:
         raise ValueError("local connectivity needs two distinct vertices")
-
-
-def local_connectivity(g: Graph, u: int, v: int) -> tuple[int, PathSystem]:
-    """Maximum number of internally vertex-disjoint u-v paths, with witnesses."""
-    _check_pair(g, u, v)
-    net = _SplitFlow(g)
-    value, flow, _ = net.max_flow(u, v, g.n)
-    paths = net.decode_paths(u, v, flow)
-    ps = PathSystem(u, v, tuple(paths))
-    problems = check_path_system(g, ps)
-    if problems or len(paths) != value:
-        raise TheoremViolation(f"invalid path system for ({u}, {v}): {problems}")
-    return value, ps
 
 
 def local_connectivity_value(g: Graph, u: int, v: int, limit: int | None = None) -> int:
@@ -290,19 +210,6 @@ def _weaker_pairs(
         if value < bound:
             bound = value
             yield a, b, value
-
-
-def set_connectivity(g: Graph, u_set: Iterable[int]) -> int | None:
-    """Minimum local connectivity over pairs of ``u_set``; None when |set| <= 1.
-
-    The None marker means "unbounded": every comparison against it holds
-    vacuously.
-    """
-    us = sorted(check_vertex_set(g, u_set))
-    if len(us) <= 1:
-        return None
-    weaker = _weaker_pairs(_SplitFlow(g), combinations(us, 2), g.n)
-    return min((value for _, _, value in weaker), default=g.n)
 
 
 def find_pair_below(g: Graph, u_set: Iterable[int], bound: int) -> tuple[int, int, int] | None:
@@ -483,39 +390,3 @@ def min_separator(g: Graph, u: int, v: int) -> frozenset[int]:
             f"residual cut size {len(cut)} differs from flow value {value}"
         )
     return cut
-
-
-def _separates(g: Graph, u: int, v: int, cut: frozenset[int]) -> bool:
-    seen = {u}
-    queue = deque([u])
-    while queue:
-        a = queue.popleft()
-        for b in g.neighbors(a):
-            if b == v:
-                return False
-            if b not in seen and b not in cut:
-                seen.add(b)
-                queue.append(b)
-    return True
-
-
-def brute_min_separator(g: Graph, u: int, v: int, guard: int | None = None) -> Separator:
-    """Minimum {u, v}-separating set by exhaustive subset search (oracle side).
-
-    Subsets are enumerated in increasing size, so the first separating set
-    found is minimum.  Guarded by graph size; adjacent pairs are rejected
-    since no separating set exists for them.
-    """
-    _check_pair(g, u, v)
-    if g.has_edge(u, v):
-        raise ValueError(f"({u}, {v}) are adjacent: no separating set exists")
-    limit = resolve_guard(guard, DEFAULT_BRUTE_GUARD)
-    if g.n > limit:
-        raise GuardExceeded(f"brute separator guard: {g.n} > {limit}")
-    others = sorted(set(g.vertices()) - {u, v})
-    for size in range(len(others) + 1):
-        for cut in combinations(others, size):
-            cut_set = frozenset(cut)
-            if _separates(g, u, v, cut_set):
-                return Separator(u, v, cut_set)
-    raise TheoremViolation(f"no separating set found for nonadjacent ({u}, {v})")

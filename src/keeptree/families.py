@@ -211,6 +211,8 @@ def random_bipartite(a: int, b: int, min_degree: int, seed: int) -> Graph:
     connectivity at least min(2, min_degree); the construction with a fixed
     seed is fully deterministic.
     """
+    if not all(isinstance(x, int) for x in (a, b, min_degree)):
+        raise ValueError(f"a, b and min_degree must be integers, got {a!r}, {b!r}, {min_degree!r}")
     if min_degree > min(a, b):
         raise ValueError(f"min_degree {min_degree} exceeds the smaller side {min(a, b)}")
     floor = min(2, min_degree)
@@ -280,6 +282,8 @@ def prufer_decode(seq: list[int], order: int) -> list[tuple[int, int]]:
 
 def gen_tree(m: int, seed: int) -> Tree:
     """Uniform random labeled tree of order m via a random decoding sequence."""
+    if not isinstance(m, int):
+        raise ValueError(f"tree order must be an integer, got {m!r}")
     if m < 1:
         raise ValueError("tree order must be positive")
     if m == 1:
@@ -410,7 +414,7 @@ def gen_graph(spec: FamilySpec) -> Graph:
     if spec.family == "random-tree":
         if len(spec.params) != 1:
             raise ValueError("random-tree takes parameters 'm seed'")
-        return gen_tree(int(spec.params[0]), spec.seed).graph
+        return gen_tree(spec.params[0], spec.seed).graph
     if spec.family in _SEEDED:
         builder, docs = _SEEDED[spec.family]
         try:

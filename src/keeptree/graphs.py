@@ -17,7 +17,6 @@ __all__ = [
     "Tree",
     "degree_stats",
     "neighborhood_of_set",
-    "min_degree_over",
     "girth",
     "girth_at_least",
     "is_triangle_free",
@@ -126,14 +125,6 @@ def neighborhood_of_set(g: Graph, w: Iterable[int]) -> frozenset[int]:
     for v in ws:
         out |= g.neighbors(v)
     return frozenset(out - ws)
-
-
-def min_degree_over(g: Graph, w: Iterable[int]) -> int:
-    """Minimum full-graph degree among the vertices of ``w`` (nonempty)."""
-    ws = check_vertex_set(g, w)
-    if not ws:
-        raise ValueError("minimum degree over an empty vertex set is undefined")
-    return min(g.degree(v) for v in ws)
 
 
 def girth(g: Graph) -> int | None:

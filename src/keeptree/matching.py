@@ -42,9 +42,6 @@ class Matching:
     def right_vertices(self) -> frozenset[int]:
         return frozenset(b for _, b in self.edges)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.edges)
-
 
 @dataclass(frozen=True)
 class HallViolator:
@@ -107,6 +104,25 @@ def max_matching(g: Graph, left: Iterable[int], right: Iterable[int]) -> Matchin
     return m
 
 
+def _partner_closure(
+    g: Graph, rs: frozenset[int], pair_right: dict[int, int], start: Iterable[int]
+) -> set[int] | None:
+    """The least left set holding ``start`` and closed under the partners of
+    its right neighbours, or None once one of those neighbours is unmatched.
+    A closure is a fixpoint, so the scan order never changes the answer."""
+    subset = set(start)
+    queue = list(subset)
+    while queue:
+        for b in g.neighbors(queue.pop()) & rs:
+            partner = pair_right.get(b)
+            if partner is None:
+                return None
+            if partner not in subset:
+                subset.add(partner)
+                queue.append(partner)
+    return subset
+
+
 def saturating_matching_or_violator(
     g: Graph, left: Iterable[int], right: Iterable[int]
 ) -> Matching | HallViolator:
@@ -121,17 +137,10 @@ def saturating_matching_or_violator(
     m = max_matching(g, ls, rs)
     if m.size == len(ls):
         return m
-    pair_left = m.as_dict()
     pair_right = {b: a for a, b in m.edges}
-    subset = {a for a in ls if a not in pair_left}
-    queue = list(sorted(subset))
-    while queue:
-        a = queue.pop()
-        for b in sorted(g.neighbors(a) & rs):
-            partner = pair_right.get(b)
-            if partner is not None and partner not in subset:
-                subset.add(partner)
-                queue.append(partner)
+    subset = _partner_closure(g, rs, pair_right, ls - m.left_vertices())
+    if subset is None:
+        raise TheoremViolation("an unmatched right vertex is alternating-reachable")
     neighborhood = neighborhood_of_set(g, subset) & rs
     if len(neighborhood) >= len(subset):
         raise TheoremViolation(
@@ -156,19 +165,7 @@ def find_tight_set(
     if m.left_vertices() != ls:
         raise ValueError("tight-set probing needs a matching saturating the left side")
     for probe in sorted(ls):
-        subset = {probe}
-        queue = [probe]
-        closed = True
-        while queue and closed:
-            a = queue.pop()
-            for b in sorted(g.neighbors(a) & rs):
-                partner = pair_right.get(b)
-                if partner is None:
-                    closed = False
-                    break
-                if partner not in subset:
-                    subset.add(partner)
-                    queue.append(partner)
-        if closed:
+        subset = _partner_closure(g, rs, pair_right, {probe})
+        if subset is not None:
             return frozenset(subset)
     return None

@@ -13,6 +13,7 @@ re-check from scratch.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
@@ -75,6 +76,7 @@ CASE_GIRTH = "girth"
 _CASES = (CASE_TRIANGLE_FREE, CASE_BIPARTITE, CASE_GIRTH)
 
 CERTIFICATE_SCHEMA = "keeptree-cert/1"
+_FRACTION_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 @dataclass(frozen=True)
@@ -340,8 +342,8 @@ class Certificate:
                 m=_int(data["m"]),
                 p=_int(data["p"]),
                 case=case,
-                beta=Fraction(data["beta"]),
-                threshold=Fraction(data["threshold"]),
+                beta=_fraction(data["beta"]),
+                threshold=_fraction(data["threshold"]),
                 tree_order=_int(data["tree"]["order"]),
                 tree_edges=tree_edges,
                 embedding=embedding,
@@ -360,6 +362,14 @@ def _int(value: Any) -> int:
     if type(value) is not int:
         raise ParseError(f"malformed certificate: {value!r} is not a JSON integer")
     return value
+
+
+def _fraction(value: Any) -> Fraction:
+    """A certificate rational: the ``str(Fraction)`` text, checked before it
+    is converted, since Fraction also takes exponents like "1e10000000"."""
+    if type(value) is not str or not _FRACTION_TEXT.fullmatch(value):
+        raise ParseError(f"malformed certificate: {value!r} is not a fraction 'a' or 'a/b'")
+    return Fraction(value)
 
 
 def _case_embed(

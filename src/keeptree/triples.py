@@ -1,5 +1,5 @@
-"""Connected-triple machinery: validation, enumeration, certified search,
-Hall refinement of fragments, and the safe-removal connectivity check.
+"""Connected-triple machinery: validation, enumeration, certified search
+and Hall refinement of fragments.
 
 A triple (s1, s2, f) with parameter p consists of two disjoint vertex sets
 with |s1 u s2| <= 2p-1 and a fragment f inducing a nontrivial connected
@@ -12,7 +12,6 @@ heuristics can never affect soundness.
 
 from __future__ import annotations
 
-import logging
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -23,7 +22,6 @@ from .connectivity import (
     _SplitFlow,
     _weaker_pairs,
     find_pair_below,
-    is_k_connected_after_removal,
     min_separator,
 )
 from .errors import (
@@ -54,10 +52,7 @@ __all__ = [
     "enumerate_triples",
     "find_triple",
     "hall_refine",
-    "removal_safety_check",
 ]
-
-log = logging.getLogger("keeptree")
 
 #: Cap on fragment candidates explored by the cut-descent stage.
 _FRAGMENT_BUDGET = 64
@@ -422,37 +417,3 @@ def hall_refine(
                 "refined fragment leaked outside the previous one"
             )
         current = find_triple(g, exclusion, comp, p, enforce_degree=enforce_hypotheses)
-
-
-def removal_safety_check(g: Graph, st: SaturatedTriple, r: Iterable[int], k: int) -> bool:
-    """Whether deleting ``r`` keeps the graph k-connected.
-
-    Preconditions pin the guaranteed regime: triangle-free host, minimum
-    degree at least 2p, p >= k, and r a (p-k+1)-subset of the unmatched part
-    of the fragment.  Under them the answer is always True; a False return
-    is loudly flagged as a violation diagnostic (prime suspects: invalid
-    inputs or an implementation bug) and still returned honestly.
-    """
-    p = st.triple.p
-    if k < 1:
-        raise ValueError("k must be positive")
-    if p < k:
-        raise PreconditionError(f"p = {p} is below k = {k}")
-    stats = degree_stats(g)
-    if stats is None or stats[0] < 2 * p:
-        raise PreconditionError(f"minimum degree below 2p = {2 * p}")
-    if not is_triangle_free(g):
-        raise PreconditionError("host graph is not triangle-free")
-    rs = check_vertex_set(g, r)
-    if not rs <= st.f_rest:
-        raise PreconditionError("r must avoid the matched part of the fragment")
-    if len(rs) != p - k + 1:
-        raise PreconditionError(f"|r| = {len(rs)} differs from p-k+1 = {p - k + 1}")
-    ok = is_k_connected_after_removal(g, rs, k)
-    if not ok:
-        log.warning(
-            "THEOREM-VIOLATION: removing %s dropped connectivity below %d",
-            sorted(rs),
-            k,
-        )
-    return ok

@@ -1,0 +1,61 @@
+"""Test oracles for the flow kernel: an exhaustive minimum separator, a check
+of disjoint-path witnesses, and a decoder for ``_SplitFlow.max_flow`` flows."""
+
+from itertools import combinations
+
+from keeptree.connectivity import _bits, _SplitFlow
+from keeptree.errors import DEFAULT_BRUTE_GUARD, GuardExceeded, resolve_guard
+from keeptree.graphs import Graph, component_containing
+
+
+def brute_min_separator(g: Graph, u: int, v: int, guard: int | None = None) -> frozenset[int]:
+    """Minimum {u, v}-separating set of a nonadjacent pair: the first of the
+    subsets, in increasing size, whose removal separates u from v."""
+    if g.has_edge(u, v):
+        raise ValueError(f"({u}, {v}) are adjacent: no separating set exists")
+    limit = resolve_guard(guard, DEFAULT_BRUTE_GUARD)
+    if g.n > limit:
+        raise GuardExceeded(f"brute separator guard: {g.n} > {limit}")
+    others = [w for w in range(g.n) if w not in (u, v)]
+    for size in range(len(others) + 1):
+        for cut in map(frozenset, combinations(others, size)):
+            if v not in component_containing(g, u, cut):
+                return cut
+    raise AssertionError(f"no separating set found for nonadjacent ({u}, {v})")
+
+
+def check_path_system(g: Graph, u: int, v: int, paths) -> list[str]:
+    """Structural problems of internally disjoint u-v paths (empty when valid)."""
+    problems: list[str] = []
+    internal_seen: set[int] = set()
+    for idx, path in enumerate(paths):
+        if len(path) < 2 or path[0] != u or path[-1] != v:
+            problems.append(f"path {idx} does not run from {u} to {v}")
+            continue
+        if len(set(path)) != len(path):
+            problems.append(f"path {idx} repeats a vertex")
+            continue
+        for a, b in zip(path, path[1:]):
+            if not g.has_edge(a, b):
+                problems.append(f"path {idx} uses the non-edge ({a}, {b})")
+                break
+        interior = set(path[1:-1])
+        overlap = interior & internal_seen
+        if overlap:
+            problems.append(f"path {idx} shares internal vertex {min(overlap)}")
+        internal_seen |= interior
+    return problems
+
+
+def max_flow_paths(g: Graph, u: int, v: int) -> tuple[int, list[tuple[int, ...]]]:
+    """The value of ``_SplitFlow(g).max_flow(u, v, g.n)`` and its flow decoded
+    into vertex paths, one per unit, by following each successor mask."""
+    value, flow, _ = _SplitFlow(g).max_flow(u, v, g.n)
+    paths = []
+    for y in _bits(flow[u]):
+        path = [u]
+        while y != v:
+            path.append(y)
+            y = flow[y].bit_length() - 1
+        paths.append((*path, v))
+    return value, paths

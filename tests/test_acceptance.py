@@ -14,13 +14,8 @@ from itertools import combinations
 
 import pytest
 
-from keeptree.connectivity import (
-    brute_min_separator,
-    is_k_connected_after_removal,
-    local_connectivity_value,
-)
+from keeptree.connectivity import _SplitFlow, is_k_connected_after_removal
 from keeptree.embed import bipartite_embed, embedding_errors, greedy_embed, sparse_embed
-from keeptree.errors import PreconditionError
 from keeptree.families import (
     complete_bipartite,
     cycle,
@@ -47,7 +42,7 @@ from keeptree.harness import (
 )
 from keeptree.matching import Matching, max_matching, saturating_matching_or_violator
 from keeptree.pipeline import Certificate
-from keeptree.triples import removal_safety_check
+from oracles import brute_min_separator
 
 
 def report_line(number: int, name: str, ok: bool, detail: str) -> None:
@@ -129,8 +124,8 @@ def test_criterion_04_menger_equivalence():
         for u, v in combinations(range(g.n), 2):
             if g.has_edge(u, v):
                 continue
-            flow = local_connectivity_value(g, u, v)
-            cut = brute_min_separator(g, u, v).cut
+            flow = _SplitFlow(g).max_flow(u, v, g.n)[0]
+            cut = brute_min_separator(g, u, v)
             assert flow == len(cut), (g.edges(), u, v)
             checked += 1
     for i in range(500):
@@ -139,8 +134,8 @@ def test_criterion_04_menger_equivalence():
         for u, v in combinations(range(n), 2):
             if g.has_edge(u, v):
                 continue
-            flow = local_connectivity_value(g, u, v)
-            cut = brute_min_separator(g, u, v).cut
+            flow = _SplitFlow(g).max_flow(u, v, g.n)[0]
+            cut = brute_min_separator(g, u, v)
             assert flow == len(cut), (g.edges(), u, v)
             checked += 1
     report_line(
@@ -224,14 +219,7 @@ def test_criterion_07_safe_removal_property(suite_run):
         rng = random.Random(7_000 + idx)
         for _ in range(100):
             removal = frozenset(rng.sample(rest, size))
-            try:
-                ok = removal_safety_check(g, cert.triple, removal, k)
-            except PreconditionError:
-                # One-vertex cells sit at minimum degree 2k-1 < 2p; the
-                # guaranteed-regime preconditions then reject the call and
-                # the connectivity property is checked directly.
-                ok = is_k_connected_after_removal(g, removal, k)
-            assert ok, (instance_id, sorted(removal))
+            assert is_k_connected_after_removal(g, removal, k), (instance_id, sorted(removal))
             samples += 1
     report_line(
         7,

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -111,6 +112,9 @@ class TestVerify:
         "field, value",
         [
             ("beta", "1/0"),
+            ("beta", "1e10000000"),
+            ("beta", "1e-10000000"),
+            ("beta", "3.5"),
             ("connectivity_after_removal", float("inf")),
             ("connectivity_after_removal", 3.5),
             ("connectivity_after_removal", "3"),
@@ -124,7 +128,9 @@ class TestVerify:
         data = json.loads(cert.read_text())
         data[field] = value  # json.dumps writes an infinite float as Infinity
         cert.write_text(json.dumps(data))
+        start = time.perf_counter()
         assert main(["verify", str(k44_file), str(cert)]) == 1
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize(
         "path, change",
@@ -233,6 +239,13 @@ class TestGen:
 
     def test_unknown_family_exit_1(self, capsys):
         assert main(["gen", "nonsense"]) == 1
+
+    @pytest.mark.parametrize(
+        "params", [["random-tree", "3.7", "1"], ["random-bipartite", "4", "4", "2.5", "1"]]
+    )
+    def test_non_integer_parameter_exit_1(self, params, capsys):
+        assert main(["gen", *params]) == 1
+        assert "integer" in capsys.readouterr().err
 
 
 class TestSuite:

@@ -5,20 +5,17 @@ from itertools import combinations
 import pytest
 
 from keeptree.connectivity import (
-    brute_min_separator,
-    check_path_system,
     connectivity_at_least,
     find_pair_below,
     global_connectivity,
     is_k_connected_after_removal,
-    local_connectivity,
     local_connectivity_value,
     min_separator,
-    set_connectivity,
 )
 from keeptree.errors import GuardExceeded
 from keeptree.families import complete_bipartite, random_graph
 from keeptree.graphs import Graph, degree_stats, induced_delete
+from oracles import brute_min_separator, check_path_system, max_flow_paths
 
 
 def random_graphs(count: int, max_n: int, base_seed: int):
@@ -32,50 +29,48 @@ def random_graphs(count: int, max_n: int, base_seed: int):
 
 class TestLocalConnectivity:
     def test_cycle_nonadjacent(self, c5):
-        value, ps = local_connectivity(c5, 0, 2)
-        assert value == 2 and len(ps.paths) == 2
-        assert not check_path_system(c5, ps)
+        value, paths = max_flow_paths(c5, 0, 2)
+        assert value == 2 and len(paths) == 2
+        assert not check_path_system(c5, 0, 2, paths)
 
     def test_path_endpoints(self, p3):
-        value, ps = local_connectivity(p3, 0, 2)
-        assert value == 1 and ps.paths == ((0, 1, 2),)
+        value, paths = max_flow_paths(p3, 0, 2)
+        assert value == 1 and paths == [(0, 1, 2)]
 
     def test_k33_same_side(self, k33):
-        value, _ = local_connectivity(k33, 0, 1)
+        value, _ = max_flow_paths(k33, 0, 1)
         assert value == 3
-        assert len(brute_min_separator(k33, 0, 1).cut) == 3
+        assert len(brute_min_separator(k33, 0, 1)) == 3
 
     def test_adjacent_pair_counts_direct_edge(self):
         g = Graph(2, [(0, 1)])
-        value, ps = local_connectivity(g, 0, 1)
-        assert value == 1 and ps.paths == ((0, 1),)
+        value, paths = max_flow_paths(g, 0, 1)
+        assert value == 1 and paths == [(0, 1)]
 
     def test_same_vertex_rejected(self, c5):
         with pytest.raises(ValueError):
-            local_connectivity(c5, 1, 1)
+            local_connectivity_value(c5, 1, 1)
 
     def test_witness_paths_always_validate(self):
         for g in random_graphs(60, 8, 50):
             for u, v in combinations(range(g.n), 2):
-                value, ps = local_connectivity(g, u, v)
-                assert not check_path_system(g, ps)
-                assert len(ps.paths) == value
+                value, paths = max_flow_paths(g, u, v)
+                assert not check_path_system(g, u, v, paths)
+                assert len(paths) == value
 
 
 class TestSetConnectivity:
     def test_singleton_unbounded(self, c5):
-        assert set_connectivity(c5, {3}) is None
-        assert set_connectivity(c5, set()) is None
-
-    def test_cycle(self, c5):
-        assert set_connectivity(c5, range(5)) == 2
+        # A set with no pair has no pair below any bound.
+        assert find_pair_below(c5, {3}, c5.n) is None
+        assert find_pair_below(c5, set(), c5.n) is None
 
     def test_k44_whole_set(self, k44):
         # Brute force: no subset of size < 4 separates any pair.
-        assert set_connectivity(k44, range(8)) == 4
+        assert find_pair_below(k44, range(8), 5)[2] == 4
         for u, v in combinations(range(8), 2):
             if not k44.has_edge(u, v):
-                assert len(brute_min_separator(k44, u, v).cut) == 4
+                assert len(brute_min_separator(k44, u, v)) == 4
 
     def test_find_pair_below(self, c5, k44):
         assert find_pair_below(k44, range(8), 4) is None
@@ -167,11 +162,10 @@ class TestRemoval:
 
 class TestSeparators:
     def test_path_middle(self, p3):
-        sep = brute_min_separator(p3, 0, 2)
-        assert sep.cut == {1}
+        assert brute_min_separator(p3, 0, 2) == {1}
 
     def test_cycle_pair(self, c5):
-        assert len(brute_min_separator(c5, 0, 2).cut) == 2
+        assert len(brute_min_separator(c5, 0, 2)) == 2
 
     def test_adjacent_rejected(self, c5):
         with pytest.raises(ValueError, match="adjacent"):
@@ -190,7 +184,7 @@ class TestSeparators:
                 if g.has_edge(u, v):
                     continue
                 cut = min_separator(g, u, v)
-                assert len(cut) == len(brute_min_separator(g, u, v).cut)
+                assert len(cut) == len(brute_min_separator(g, u, v))
                 h, _ = induced_delete(g, cut)
                 from keeptree.graphs import component_containing
 
@@ -203,5 +197,5 @@ class TestSeparators:
                 if g.has_edge(u, v):
                     continue
                 assert local_connectivity_value(g, u, v) == len(
-                    brute_min_separator(g, u, v).cut
+                    brute_min_separator(g, u, v)
                 )

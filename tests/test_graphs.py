@@ -36,7 +36,6 @@ from keeptree.graphs import (
     is_complete,
     is_connected,
     is_triangle_free,
-    min_degree_over,
     neighborhood_of_set,
     odd_cycle,
 )
@@ -107,27 +106,6 @@ class TestNeighborhoodOfSet:
     def test_invalid_vertex(self, c5):
         with pytest.raises(ValueError):
             neighborhood_of_set(c5, {7})
-
-
-class TestMinDegreeOver:
-    def test_star_leaves(self, star6):
-        assert min_degree_over(star6, range(1, 6)) == 1
-
-    def test_star_center(self, star6):
-        assert min_degree_over(star6, {0}) == 5
-
-    def test_empty_set_rejected(self, star6):
-        with pytest.raises(ValueError):
-            min_degree_over(star6, set())
-
-    @given(st.integers(0, 200))
-    @settings(max_examples=40, deadline=None)
-    def test_matches_direct_recount(self, seed):
-        g = random_graph(6, 0.5, seed)
-        w = [v for v in range(6) if (seed >> v) & 1]
-        if not w:
-            w = [0]
-        assert min_degree_over(g, w) == min(len(g.neighbors(v)) for v in w)
 
 
 def bfs_girth_oracle(g: Graph) -> int | None:

