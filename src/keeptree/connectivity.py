@@ -49,15 +49,17 @@ class _SplitFlow:
     internally disjoint paths in a simple graph.
     """
 
-    __slots__ = ("n", "adj")
+    __slots__ = ("n", "adj", "joined")
 
     def __init__(self, g: Graph):
         self.n = g.n
         self.adj = [sum(1 << y for y in g.neighbors(w)) for w in range(g.n)]
+        self.joined = 0  # the w with an arc out(w) -> in(n)
 
     def join_sink(self, w: int) -> None:
         """Edge from out(w) into the sink vertex n: flows to n may end at w."""
         self.adj[w] |= 1 << self.n
+        self.joined |= 1 << w
 
     def max_flow(
         self, u: int, v: int, limit: int
@@ -70,11 +72,20 @@ class _SplitFlow:
         which finds the sink unreachable, reaches from out(u).
 
         The arc out(u) -> in(v), if any, is filled first, as the first
-        phase would fill it.  The residual arcs are out(x) -> in(y) for y in
-        adj[x] & ~flow[x], out(w) -> in(w) for used w, in(y) -> out(y) for
-        free y, and in(y) -> out(pred[y]) for used y, where pred[y] sends y
-        its unit and ``used`` masks the vertices whose internal arc carries
-        flow.  So every in-node but the sink has one exit at most.
+        phase would fill it.  Then come the free short paths: u -> y -> v
+        through every y with arcs from out(u) and into in(v) (common
+        neighbours of a pair, or the neighbours of u joined to the sink
+        vertex), then u -> x -> y -> v through the lowest such y still free
+        for each other x in adj[u].  They are written as augments write
+        them, so the phases start from a feasible flow and may cancel a
+        greedy arc.  The capped value and the final residual source side
+        are those of every maximum flow, so neither depends on this start.
+
+        The residual arcs are out(x) -> in(y) for y in adj[x] & ~flow[x],
+        out(w) -> in(w) for used w, in(y) -> out(y) for free y, and in(y) ->
+        out(pred[y]) for used y, where pred[y] sends y its unit and ``used``
+        masks the vertices whose internal arc carries flow.  So every in-node
+        but the sink has one exit at most.
 
         Dinic phases: a BFS levels the residual network in alternating
         out- and in-masks, one OR per frontier vertex, and stops once the
@@ -94,6 +105,35 @@ class _SplitFlow:
         if limit > 0 and adj[u] & sink:
             value = 1
             flow[u] = sink
+        free = internal & ~sink & ~(1 << u)
+        starts = adj[u] & free
+        ends = (self.joined if v == n else adj[v]) & free
+        short, starts, ends = starts & ends, starts & ~ends, ends & ~starts
+        while short and value < limit:
+            low = short & -short
+            short ^= low
+            y = low.bit_length() - 1
+            flow[u] |= low
+            pred[y] = u
+            flow[y] = sink
+            used |= low
+            value += 1
+        while starts and value < limit:
+            low = starts & -starts
+            starts ^= low
+            x = low.bit_length() - 1
+            end = adj[x] & ends
+            if end:
+                end &= -end
+                ends ^= end
+                y = end.bit_length() - 1
+                flow[u] |= low
+                pred[x] = u
+                flow[x] = end
+                pred[y] = x
+                flow[y] = sink
+                used |= low | end
+                value += 1
         while value < limit:
             # ins[k]: the in-nodes at level 2k + 1 whose one exit is at level
             # 2k + 2.  Every out-node but the source is the exit of one

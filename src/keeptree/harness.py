@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable
@@ -299,12 +298,6 @@ class SuiteReport:
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
 
-    def by_id(self, instance_id: str) -> dict[str, Any]:
-        for rec in self.records:
-            if rec["instance_id"] == instance_id:
-                return rec
-        raise KeyError(instance_id)
-
 
 def run_suite(
     instances: Iterable[SuiteInstance],
@@ -325,6 +318,9 @@ def run_suite(
     guard = resolve_guard(oracle_guard, DEFAULT_BRUTE_GUARD)
     guards = [guard] * len(insts)
     if jobs > 1 and len(insts) > 1:
+        # Imported here: a sequential run never loads the process pool.
+        from concurrent.futures import ProcessPoolExecutor
+
         # The pool starts every worker up front: no more than one per instance.
         with ProcessPoolExecutor(max_workers=min(jobs, len(insts))) as pool:
             results = list(pool.map(_run_one, insts, guards))

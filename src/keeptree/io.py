@@ -7,7 +7,6 @@ endpoints.  Self-loops and duplicate edges are rejected.
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
 from pathlib import Path
 
 from .errors import ParseError
@@ -83,6 +82,8 @@ def parse_graphml(text: str) -> Graph:
 
     Node ids are mapped to 0..n-1 in document order.
     """
+    import xml.etree.ElementTree as ET  # only GraphML input needs the XML parser
+
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:

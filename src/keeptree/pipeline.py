@@ -430,6 +430,12 @@ def find_keeping_tree(
         saturated = hall_refine(g, base, enforce_hypotheses=False)
     except (SearchExhausted, PreconditionError) as exc:
         raise SearchExhausted(f"triple stage: {exc}") from exc
+    except TheoremViolation as exc:
+        # The refinement's guarantees rest on the hypotheses a forced run
+        # may fail, so there a violation only means the search gave out.
+        if not force:
+            raise
+        raise SearchExhausted(f"triple stage (forced): {exc}") from exc
 
     beta = report.beta
     host, back = induced_subgraph(g, saturated.f_rest)

@@ -1,6 +1,9 @@
 """Oracle, suite runner, corpora, manifests, and the tightness probe."""
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -104,9 +107,9 @@ class TestRunSuite:
             ),
         ]
         report = run_suite(instances)
-        assert report.by_id("ok")["status"] == "certified"
-        assert report.by_id("ok")["verified"] is True
-        skipped = report.by_id("skip")
+        ok, skipped = report.records  # sorted by instance id
+        assert ok["status"] == "certified"
+        assert ok["verified"] is True
         assert skipped["status"] == "skipped-hypothesis"
         assert "threshold" in skipped["detail"]
         assert report.aggregate["dominance_violations"] == 0
@@ -152,7 +155,7 @@ class TestRunSuite:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
         instances = [
             SuiteInstance("a", "k44", k44, path_tree(2), 1, None),
             SuiteInstance("b", "q3", q3, path_tree(2), 1, None),
@@ -160,6 +163,21 @@ class TestRunSuite:
         report = run_suite(instances, jobs=5000)
         assert workers == [2]
         assert report.to_json() == run_suite(instances, jobs=1).to_json()
+
+    def test_import_loads_no_process_pool_or_xml_parser(self):
+        """A sequential run needs no process pool and only GraphML input
+        needs the XML parser, so importing the package and its CLI loads
+        neither."""
+        code = (
+            "import sys, keeptree, keeptree.cli; "
+            "print(sorted({'concurrent.futures.process', 'xml.etree.ElementTree'} & set(sys.modules)))"
+        )
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_lowered_guard_fails_forced_instance_only(self, monkeypatch, k44, q3):
         # The forced girth run on Q3 needs the exhaustive embedding fallback,
@@ -172,9 +190,10 @@ class TestRunSuite:
             SuiteInstance("healthy", "k44", k44, path_tree(2), 1, None),
         ]
         report = run_suite(instances)
-        assert report.by_id("forced")["status"] == "failed-search"
-        assert "embedding stage (forced)" in report.by_id("forced")["detail"]
-        assert report.by_id("healthy")["status"] == "certified"
+        forced, healthy = report.records  # sorted by instance id
+        assert forced["status"] == "failed-search"
+        assert "embedding stage (forced)" in forced["detail"]
+        assert healthy["status"] == "certified"
 
     def test_hypotheses_evaluated_once_per_run(self, monkeypatch, k44, c6):
         counts = count_calls(

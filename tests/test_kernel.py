@@ -423,3 +423,51 @@ def test_path_system_after_a_cancelled_arc():
     value, paths = max_flow_paths(g, 1, 0)
     assert value == 2
     assert sorted(paths) == [(1, 5, 2, 4, 0), (1, 6, 3, 0)]
+
+
+def test_pre_routed_greedy_path_is_cancelled():
+    """Pre-routing takes 0-1-3-5, the lowest end for x = 1, and then finds no
+    free end for x = 2; the one phase left reaches in(3) from 2 and leaves it
+    back to out(1), so the maximum uses 1-4 and 2-3 instead."""
+    g = Graph(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (3, 5), (4, 5)])
+    value, paths = max_flow_paths(g, 0, 5)
+    assert value == bfs_max_flow(g, 0, 5, g.n)[0] == 2
+    assert check_path_system(g, 0, 5, paths) == []
+    assert sorted(paths) == [(0, 1, 4, 5), (0, 2, 3, 5)]
+    assert _SplitFlow(g).max_flow(0, 5, 1)[::2] == (1, None)
+
+
+def test_common_neighbours_beyond_limit():
+    """K_{2,5}: the pair (0, 1) has five common neighbours, so every limit up
+    to five is met by pre-routing alone and reports no residual reach."""
+    g = complete_bipartite(2, 5)
+    net = _SplitFlow(g)
+    for limit in range(6):
+        value, flow, reach = net.max_flow(0, 1, limit)
+        assert (value, reach) == (limit, None)
+        assert flow[0].bit_count() == limit
+    value, _, (seen_in, seen_out) = net.max_flow(0, 1, 6)
+    assert value == 5
+    ref_reach = bfs_max_flow(g, 0, 1, 6)[1]
+    assert {2 * w for w in _bits(seen_in)} | {2 * w + 1 for w in _bits(seen_out)} == ref_reach
+
+
+def test_fan_with_joined_neighbours():
+    """A fan flow from u pre-routes u-y-n through its joined neighbours and
+    u-x-y-n through joined vertices two steps away; every limit and the final
+    residual reach match the reference."""
+    g = HOSTS["random-bipartite"]()
+    n, u = g.n, 0
+    nbrs = sorted(g.neighbors(u))
+    second = sorted({y for x in nbrs for y in g.neighbors(x)} - {u})
+    joined = nbrs[: len(nbrs) // 2] + second[:3]
+    net = _SplitFlow(g)
+    for w in joined:
+        net.join_sink(w)
+    top, ref_reach = bfs_max_flow(g, u, n, n + 1, joined)
+    assert top > len(nbrs) // 2
+    assert [net.max_flow(u, n, limit)[0] for limit in range(n + 2)] == [
+        min(limit, top) for limit in range(n + 2)
+    ]
+    _, _, (seen_in, seen_out) = net.max_flow(u, n, n + 1)
+    assert {2 * w for w in _bits(seen_in)} | {2 * w + 1 for w in _bits(seen_out)} == ref_reach

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from keeptree.errors import HypothesisFailure, SearchExhausted
-from keeptree.families import complete_bipartite, cycle, hypercube, petersen
+from keeptree import pipeline
+from keeptree.errors import HypothesisFailure, SearchExhausted, TheoremViolation
+from keeptree.families import complete_bipartite, cycle, hypercube, petersen, random_bipartite
 from keeptree.graphs import Graph, Tree, degree_stats, find_triangle
 from keeptree.harness import full_suite, oracle_exists
 from keeptree.pipeline import (
@@ -173,6 +174,23 @@ class TestFindKeepingTree:
         monkeypatch.setenv("KEEPTREE_GUARD", "5")
         with pytest.raises(SearchExhausted, match=r"embedding stage \(forced\)"):
             find_keeping_tree(q3, tree_k2, 1, sel, force=True)
+
+    def test_forced_refinement_failure_is_search_exhausted(self, tree_p4):
+        # Below the threshold, Hall refinement consumes this host's whole
+        # fragment: the forced run reports the triple stage as exhausted.
+        g = random_bipartite(5, 5, 4, 1001)
+        with pytest.raises(SearchExhausted, match=r"^triple stage \(forced\): refinement consumed"):
+            find_keeping_tree(g, tree_p4, 1, force=True)
+
+    def test_triple_stage_violation_raises_unless_forced(self, monkeypatch, k44, tree_k2):
+        def violated(*args, **kwargs):
+            raise TheoremViolation("refinement consumed the whole fragment")
+
+        monkeypatch.setattr(pipeline, "hall_refine", violated)
+        with pytest.raises(TheoremViolation, match="consumed"):
+            find_keeping_tree(k44, tree_k2, 1)
+        with pytest.raises(SearchExhausted, match=r"^triple stage \(forced\): refinement consumed"):
+            find_keeping_tree(k44, tree_k2, 1, force=True)
 
     def test_single_vertex_tree_uniform_path(self, k33, tree_single):
         # delta = 3 = 2k-1 for k = 2: the relaxed triple search still applies.
