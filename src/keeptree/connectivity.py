@@ -7,6 +7,8 @@ direct edge counts as one path with no internal vertices).  On that kernel
 run the threshold tests (:func:`find_pair_below`,
 :func:`connectivity_at_least`), exact connectivity
 (:func:`global_connectivity`) and minimum separators (:func:`min_separator`).
+A query about a vertex subset of the host runs on the host's ids and
+masks, with no induced copy.
 """
 
 from __future__ import annotations
@@ -16,14 +18,7 @@ from math import comb
 from typing import Iterable, Iterator
 
 from .errors import TheoremViolation
-from .graphs import (
-    Graph,
-    check_vertex_set,
-    components,
-    induced_delete,
-    is_complete,
-    is_connected,
-)
+from .graphs import Graph, check_vertex_set
 
 __all__ = [
     "local_connectivity_value",
@@ -46,14 +41,20 @@ class _SplitFlow:
     with an in-copy only: :meth:`join_sink` adds arcs into it, and it has
     no way out, so no augmenting path of a pair flow passes through it.
     Every arc has capacity one, which never constrains the flow value for
-    internally disjoint paths in a simple graph.
+    internally disjoint paths in a simple graph.  Only the vertices of the
+    mask ``alive`` (default: all) have arcs, to their neighbours in
+    ``alive``: the network of the induced subgraph.
     """
 
-    __slots__ = ("n", "adj", "joined")
+    __slots__ = ("n", "alive", "adj", "joined")
 
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, alive: int | None = None):
         self.n = g.n
-        self.adj = [sum(1 << y for y in g.neighbors(w)) for w in range(g.n)]
+        self.alive = alive = (1 << g.n) - 1 if alive is None else alive
+        self.adj = [
+            sum(1 << y for y in g.neighbors(w)) & alive if alive >> w & 1 else 0
+            for w in range(g.n)
+        ]
         self.joined = 0  # the w with an arc out(w) -> in(n)
 
     def join_sink(self, w: int) -> None:
@@ -219,6 +220,13 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _mask(g: Graph, vertices: Iterable[int] | None) -> int:
+    """The mask of ``vertices`` (all of ``g`` when None), ids checked."""
+    if vertices is None:
+        return (1 << g.n) - 1
+    return sum(1 << v for v in check_vertex_set(g, vertices))
+
+
 def _check_pair(g: Graph, u: int, v: int) -> None:
     g.check_vertex(u)
     g.check_vertex(v)
@@ -252,39 +260,48 @@ def _weaker_pairs(
             yield a, b, value
 
 
-def find_pair_below(g: Graph, u_set: Iterable[int], bound: int) -> tuple[int, int, int] | None:
-    """A pair of ``u_set`` with fewer than ``bound`` disjoint paths, or None.
+def find_pair_below(
+    g: Graph, u_set: Iterable[int], bound: int, within: Iterable[int] | None = None
+) -> tuple[int, int, int] | None:
+    """A pair of ``u_set`` with fewer than ``bound`` disjoint paths in
+    G[within] (all of G by default), or None.
 
     Returns (a, b, value) with value the pair's exact local connectivity;
     see :func:`_pair_below` for which pair is reported.
     """
-    us = sorted(check_vertex_set(g, u_set))
-    if len(us) <= 1 or bound <= 0:
+    alive, us = _mask(g, within), _mask(g, u_set)
+    if us & ~alive:
+        raise ValueError("u_set is not inside within")
+    if us.bit_count() <= 1 or bound <= 0:
         return None
-    return _pair_below(g, us, bound)
+    return _pair_below(_SplitFlow(g, alive), list(_bits(us)), bound)
 
 
-def _pair_below(g: Graph, us: list[int], bound: int) -> tuple[int, int, int] | None:
-    """The threshold kernel behind :func:`find_pair_below` and
-    :func:`connectivity_at_least`: a pair of the sorted ``us`` (|us| >= 2,
-    bound >= 1) below ``bound``, or None.
+def _pair_below(net: _SplitFlow, us: list[int], bound: int) -> tuple[int, int, int] | None:
+    """The threshold kernel behind every threshold query: a pair of the
+    sorted ``us`` (|us| >= 2, bound >= 1, all in ``net.alive``) below
+    ``bound`` in the network's graph, or None.
 
     A proper subset runs Even's test.  The whole vertex set first takes the
-    complete/disconnected shortcuts, then whichever of Even's test and the
-    designated-vertex pairs needs fewer flows when every pair passes.
+    complete/disconnected shortcuts, and a connected graph passes bound 1;
+    then whichever of Even's test and the designated-vertex pairs needs
+    fewer flows when every pair passes.
     """
-    if len(us) == g.n:
-        trivial = _trivial_kappa(g)
+    count = net.alive.bit_count()
+    if len(us) == count:
+        trivial = _trivial_kappa(net)
         if trivial is not None:
             return trivial if trivial[2] < bound else None
-        pairs = _designated_pairs(g)
-        b = min(bound, g.n)
-        if len(pairs) <= comb(b, 2) + g.n - b:
-            return next(_weaker_pairs(_SplitFlow(g), pairs, bound), None)
-    return _even_test(g, us, bound)
+        if bound == 1:
+            return None
+        pairs = _designated_pairs(net)
+        b = min(bound, count)
+        if len(pairs) <= comb(b, 2) + count - b:
+            return next(_weaker_pairs(net, pairs, bound), None)
+    return _even_test(net, us, bound)
 
 
-def _even_test(g: Graph, us: list[int], bound: int) -> tuple[int, int, int] | None:
+def _even_test(net: _SplitFlow, us: list[int], bound: int) -> tuple[int, int, int] | None:
     """Even's threshold test (SIAM J. Comput. 4, 1975) on the sorted ``us``.
 
     The pairs among the first ``bound`` vertices are checked directly; then
@@ -296,9 +313,8 @@ def _even_test(g: Graph, us: list[int], bound: int) -> tuple[int, int, int] | No
     u_j in another component meets S.  Conversely a short fan is cut by
     fewer than ``bound`` elements, which miss some earlier vertex x, and
     (x, u_j) is the witness.  The pair flows, the fans and the witness scan
-    all run on one network; the fans end at its sink vertex.
+    all run on the caller's network; the fans end at its sink vertex.
     """
-    net = _SplitFlow(g)
     head = us[:bound]
     witness = next(_weaker_pairs(net, combinations(head, 2), bound), None)
     if witness is not None or len(us) <= bound:
@@ -319,111 +335,88 @@ def _even_test(g: Graph, us: list[int], bound: int) -> tuple[int, int, int] | No
     return None
 
 
-def _trivial_kappa(g: Graph) -> tuple[int, int, int] | None:
-    """(a, b, kappa(G)) for a pair attaining it when G (n >= 2) is complete or
-    disconnected, where no flow is needed; None otherwise."""
-    if is_complete(g):
-        return 0, 1, g.n - 1
-    comps = components(g)
-    if len(comps) > 1:
-        return min(comps[0]), min(comps[1]), 0
+def _trivial_kappa(net: _SplitFlow) -> tuple[int, int, int] | None:
+    """(a, b, kappa) for a pair attaining it when the network's graph (n >= 2)
+    is complete or disconnected, so no flow is needed; None otherwise.
+    Degrees are popcounts, and one mask BFS tests connectedness."""
+    alive, adj = net.alive, net.adj
+    count = alive.bit_count()
+    a = next(_bits(alive))
+    if all(adj[v].bit_count() == count - 1 for v in _bits(alive)):
+        return a, next(_bits(alive ^ 1 << a)), count - 1
+    seen = frontier = 1 << a
+    while frontier:
+        reach = 0
+        for x in _bits(frontier):
+            reach |= adj[x]
+        frontier = reach & ~seen
+        seen |= frontier
+    if seen != alive:
+        return a, next(_bits(alive & ~seen)), 0
     return None
 
 
-def _designated_pairs(g: Graph) -> list[tuple[int, int]]:
-    """Pairs whose minimum local connectivity is kappa(G) for a connected,
-    non-complete G: a minimum-degree vertex against each non-neighbor, then
-    the nonadjacent pairs of its neighbors."""
-    v0 = min(range(g.n), key=lambda v: (g.degree(v), v))
-    nb = g.neighbors(v0)
-    pairs = [(v0, w) for w in range(g.n) if w != v0 and w not in nb]
-    pairs += [(x, y) for x, y in combinations(sorted(nb), 2) if not g.has_edge(x, y)]
+def _designated_pairs(net: _SplitFlow) -> list[tuple[int, int]]:
+    """Pairs whose minimum local connectivity is kappa for the network's
+    connected, non-complete graph: a minimum-degree vertex against each
+    non-neighbor, then the nonadjacent pairs of its neighbors."""
+    alive, adj = net.alive, net.adj
+    v0 = min(_bits(alive), key=lambda v: adj[v].bit_count())
+    nb = adj[v0]
+    pairs = [(v0, w) for w in _bits(alive & ~nb & ~(1 << v0))]
+    pairs += [(x, y) for x, y in combinations(_bits(nb), 2) if not adj[x] >> y & 1]
     return pairs
 
 
-def global_connectivity(g: Graph) -> int:
-    """Vertex connectivity: n-1 for complete graphs, 0 when disconnected or n <= 1."""
-    if g.n <= 1:
+def global_connectivity(g: Graph, removed: Iterable[int] = ()) -> int:
+    """Vertex connectivity of G - ``removed``: n-1 for a complete graph on n
+    vertices, 0 when it is disconnected or has at most one vertex."""
+    alive = _mask(g, None) & ~_mask(g, removed)
+    if alive.bit_count() <= 1:
         return 0
-    trivial = _trivial_kappa(g)
+    net = _SplitFlow(g, alive)
+    trivial = _trivial_kappa(net)
     if trivial is not None:
         return trivial[2]
-    delta = min(g.degree(v) for v in g.vertices())
-    weaker = _weaker_pairs(_SplitFlow(g), _designated_pairs(g), delta)
+    delta = min(net.adj[v].bit_count() for v in _bits(alive))
+    weaker = _weaker_pairs(net, _designated_pairs(net), delta)
     return min((value for _, _, value in weaker), default=delta)
 
 
-def _has_articulation(g: Graph) -> bool:
-    """Iterative lowlink scan for cut vertices (graph assumed connected)."""
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    timer = 0
-    adj = [sorted(g.neighbors(v)) for v in range(n)]
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        root_children = 0
-        stack: list[tuple[int, int, int]] = [(root, -1, 0)]
-        while stack:
-            v, parent, i = stack.pop()
-            if i == 0:
-                disc[v] = low[v] = timer
-                timer += 1
-            advanced = False
-            while i < len(adj[v]):
-                w = adj[v][i]
-                i += 1
-                if disc[w] == -1:
-                    stack.append((v, parent, i))
-                    stack.append((w, v, 0))
-                    if v == root:
-                        root_children += 1
-                    advanced = True
-                    break
-                if w != parent:
-                    low[v] = min(low[v], disc[w])
-            if not advanced and parent != -1:
-                low[parent] = min(low[parent], low[v])
-                if parent != root and low[v] >= disc[parent]:
-                    return True
-        if root_children > 1:
-            return True
-    return False
-
-
 def connectivity_at_least(g: Graph, k: int) -> bool:
-    """Threshold test kappa(G) >= k with fast paths for k <= 2."""
-    if k <= 0:
-        return True
-    if g.n <= k:
-        return False
-    if k > 2:
-        return _pair_below(g, list(range(g.n)), k) is None
-    if not is_connected(g):
-        return False
-    return k == 1 or not _has_articulation(g)
+    """Threshold test kappa(G) >= k."""
+    return is_k_connected_after_removal(g, (), k)
 
 
 def is_k_connected_after_removal(g: Graph, r: Iterable[int], k: int) -> bool:
-    """True iff deleting ``r`` leaves a graph of connectivity at least ``k``."""
-    rs = check_vertex_set(g, r)
-    h, _ = induced_delete(g, rs)
-    return connectivity_at_least(h, k)
+    """True iff deleting ``r`` leaves a graph of connectivity at least ``k``:
+    more than k vertices and, for k >= 1, no pair of them below k."""
+    alive = _mask(g, None) & ~_mask(g, r)
+    if k <= 0:
+        return True
+    us = list(_bits(alive))
+    return len(us) > k and _pair_below(_SplitFlow(g, alive), us, k) is None
 
 
-def min_separator(g: Graph, u: int, v: int) -> frozenset[int]:
-    """A minimum {u, v}-separating set, read off the last BFS of a maximum
-    flow: the vertices whose in-copy is on its source side and whose
-    out-copy is not.  Uncapacitated edge arcs, which leave the flow of a
-    nonadjacent pair as it is, would add to that side only the in-copies of
-    u's flow successors (any other out(x) there was reached from its flow
-    head), so these count as on it and the cut holds internal arcs only.
+def min_separator(
+    g: Graph, u: int, v: int, within: Iterable[int] | None = None
+) -> frozenset[int]:
+    """A minimum {u, v}-separating set in G[within] (all of G by default),
+    read off the last BFS of a maximum flow: the vertices whose in-copy is
+    on its source side and whose out-copy is not.  Uncapacitated edge arcs,
+    which leave the flow of a nonadjacent pair as it is, would add to that
+    side only the in-copies of u's flow successors (any other out(x) there
+    was reached from its flow head), so these count as on it and the cut
+    holds internal arcs only.
     """
     _check_pair(g, u, v)
+    alive = _mask(g, within)
+    if not alive >> u & alive >> v & 1:
+        raise ValueError(f"({u}, {v}) is not inside within")
     if g.has_edge(u, v):
         raise ValueError(f"({u}, {v}) are adjacent: no separating set exists")
-    value, flow, (seen_in, seen_out) = _SplitFlow(g).max_flow(u, v, g.n)
+    net = _SplitFlow(g, alive)
+    value, flow, (seen_in, seen_out) = net.max_flow(u, v, alive.bit_count())
     cut = frozenset(_bits((seen_in | flow[u]) & ~seen_out))
     if len(cut) != value:
         raise TheoremViolation(

@@ -29,7 +29,6 @@ __all__ = [
     "components_excluding",
     "component_containing",
     "is_connected",
-    "is_complete",
 ]
 
 
@@ -302,11 +301,6 @@ def components(g: Graph) -> list[frozenset[int]]:
 def is_connected(g: Graph) -> bool:
     """True when the graph has at most one connected component."""
     return len(components(g)) <= 1
-
-
-def is_complete(g: Graph) -> bool:
-    """True when every pair of distinct vertices is adjacent."""
-    return g.edge_count == g.n * (g.n - 1) // 2
 
 
 class Tree:

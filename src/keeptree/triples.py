@@ -19,6 +19,8 @@ from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .connectivity import (
+    _bits,
+    _mask,
     _SplitFlow,
     _weaker_pairs,
     find_pair_below,
@@ -38,7 +40,6 @@ from .graphs import (
     component_containing,
     components_excluding,
     degree_stats,
-    induced_subgraph,
     is_triangle_free,
     neighborhood_of_set,
 )
@@ -152,18 +153,14 @@ def validate_triple(g: Graph, t: ConnectedTriple) -> CheckReport:
 
     conn_ok, conn_witness = True, "ok"
     if component_ok and not overlap:
-        u_set = s2 | f
-        if len(u_set) > 1:
-            sub, kept = induced_subgraph(g, union | f)
-            index = {old: new for new, old in enumerate(kept)}
-            witness = find_pair_below(sub, [index[x] for x in u_set], p + 1)
-            if witness is not None:
-                a, b, value = witness
-                conn_ok = False
-                conn_witness = (
-                    f"pair ({kept[a]}, {kept[b]}) has only {value} < p+1 = {p + 1} "
-                    f"disjoint paths inside the induced subgraph"
-                )
+        witness = find_pair_below(g, s2 | f, p + 1, within=union | f)
+        if witness is not None:
+            a, b, value = witness
+            conn_ok = False
+            conn_witness = (
+                f"pair ({a}, {b}) has only {value} < p+1 = {p + 1} "
+                f"disjoint paths inside the induced subgraph"
+            )
     else:
         conn_ok, conn_witness = False, "skipped: fragment/overlap conditions failed"
     checks.append(("connectivity", conn_ok, conn_witness))
@@ -256,14 +253,15 @@ def _descend_fragments(
     nontrivial components that remain inside the fragment.
     """
     boundary = neighborhood_of_set(g, fragment)
-    sub, kept = induced_subgraph(g, boundary | fragment)
+    within = boundary | fragment
+    net = _SplitFlow(g, _mask(g, within))
     nonadjacent = (
-        (a, b) for a, b in combinations(range(sub.n), 2) if not sub.has_edge(a, b)
+        (a, b) for a, b in combinations(_bits(net.alive), 2) if not net.adj[a] >> b & 1
     )
-    witness = next(_weaker_pairs(_SplitFlow(sub), nonadjacent, p + 1), None)
+    witness = next(_weaker_pairs(net, nonadjacent, p + 1), None)
     if witness is None:
         return []
-    cut = frozenset(kept[x] for x in min_separator(sub, witness[0], witness[1]))
+    cut = min_separator(g, witness[0], witness[1], within=within)
     removed = boundary | cut
     frags = [
         c

@@ -55,6 +55,13 @@ class TestFind:
         tree3.write_text("3\n0 1\n1 2\n")
         assert main(["find", str(small), str(tree3), "2", "--out", str(tmp_path / "c.json")]) == 2
 
+    @pytest.mark.parametrize("case", ["triangle-free", "girth:2"])
+    def test_order_below_k_plus_m_plus_one_exit_2(self, tmp_path, edge_tree_file, case, capsys):
+        single = tmp_path / "k1.txt"
+        single.write_text("1\n")
+        assert main(["find", str(edge_tree_file), str(single), "1", "--case", case]) == 2
+        assert "n = 2 below k + m + 1 = 3" in capsys.readouterr().err
+
     def test_force_search_failure_exit_3(self, tmp_path, k44_file):
         tree4 = tmp_path / "p4.txt"
         tree4.write_text("4\n0 1\n1 2\n2 3\n")

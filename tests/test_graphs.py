@@ -33,7 +33,6 @@ from keeptree.graphs import (
     girth,
     girth_at_least,
     induced_delete,
-    is_complete,
     is_connected,
     is_triangle_free,
     neighborhood_of_set,
@@ -335,10 +334,6 @@ class TestComponents:
         comps = components_excluding(c5, {0, 2})
         assert [sorted(c) for c in comps] == [[1], [3, 4]]
         assert [len(c) >= 2 for c in comps] == [False, True]
-
-    def test_is_complete(self, k4, c4):
-        assert is_complete(k4)
-        assert not is_complete(c4)
 
 
 class TestTree:

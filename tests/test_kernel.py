@@ -23,11 +23,12 @@ from keeptree.connectivity import (
     connectivity_at_least,
     find_pair_below,
     global_connectivity,
+    is_k_connected_after_removal,
     local_connectivity_value,
     min_separator,
 )
 from keeptree.families import complete_bipartite, petersen, random_bipartite, random_graph
-from keeptree.graphs import Graph, induced_subgraph
+from keeptree.graphs import Graph, induced_delete, induced_subgraph
 from keeptree.triples import ConnectedTriple, _descend_fragments, find_triple, validate_triple
 from oracles import check_path_system, max_flow_paths
 
@@ -60,11 +61,13 @@ def circulant(n: int, jumps: tuple[int, ...], seed: int) -> Graph:
     return Graph(n, [(perm[i], perm[(i + j) % n]) for i in range(n) for j in jumps])
 
 
+#: Built at import, before any counting fixture starts: building a random
+#: bipartite host runs its own connectivity check.
 HOSTS = {
-    "k44": lambda: complete_bipartite(4, 4),
-    "petersen": petersen,
-    "random-bipartite": lambda: random_bipartite(8, 8, 5, 7),
-    "two-block": lambda: two_block_host(6, 5, 3),
+    "k44": complete_bipartite(4, 4),
+    "petersen": petersen(),
+    "random-bipartite": random_bipartite(8, 8, 5, 7),
+    "two-block": two_block_host(6, 5, 3),
 }
 
 #: max_flow calls per (host, query).
@@ -108,9 +111,9 @@ def net_builds(monkeypatch):
     builds = []
     original = _SplitFlow.__init__
 
-    def counted(self, g):
+    def counted(self, g, alive=None):
         builds.append(g.n)
-        original(self, g)
+        original(self, g, alive)
 
     monkeypatch.setattr(_SplitFlow, "__init__", counted)
     return builds
@@ -119,10 +122,10 @@ def net_builds(monkeypatch):
 def pinned_triples() -> dict[str, tuple[Graph, ConnectedTriple, bool]]:
     """(host, triple, passes) with U = s2 u f a proper subset of the induced
     subgraph's vertices (s1 nonempty) or all of them (s1 empty)."""
-    g = HOSTS["two-block"]()
+    g = HOSTS["two-block"]
     labels = two_block_labels(6, 3)
     cut, f = frozenset({labels[12], labels[18]}), frozenset(labels[:12])
-    k44 = HOSTS["k44"]()
+    k44 = HOSTS["k44"]
     return {
         "pass-subset": (g, ConnectedTriple(2, cut, frozenset(), f), True),
         "pass-whole-set": (k44, ConnectedTriple(3, frozenset(), frozenset({0}), frozenset(range(1, 8))), True),
@@ -134,11 +137,11 @@ def pinned_triples() -> dict[str, tuple[Graph, ConnectedTriple, bool]]:
 class TestFlowWork:
     @pytest.mark.parametrize("host, query", sorted(WORK))
     def test_connectivity_queries(self, flow_calls, host, query):
-        QUERIES[query](HOSTS[host]())
+        QUERIES[query](HOSTS[host])
         assert len(flow_calls) == WORK[host, query]
 
     def test_find_triple_cut_descent(self, flow_calls):
-        g = HOSTS["two-block"]()
+        g = HOSTS["two-block"]
         t = find_triple(g, frozenset(), frozenset(range(g.n)), 2)
         # The whole host is only 2-connected, so the fragment had to descend.
         assert len(t.f) < g.n
@@ -147,7 +150,7 @@ class TestFlowWork:
 
     def test_validate_triple_with_s1(self, flow_calls):
         # The first block, cut off by the second block's cross-edge ends.
-        g = HOSTS["two-block"]()
+        g = HOSTS["two-block"]
         labels = two_block_labels(6, 3)
         t = ConnectedTriple(2, frozenset({labels[12], labels[18]}), frozenset(), frozenset(labels[:12]))
         assert validate_triple(g, t).passed
@@ -162,7 +165,7 @@ class TestNetworkBuilds:
 
     @pytest.mark.parametrize("host, query", sorted(WORK))
     def test_connectivity_queries(self, net_builds, host, query):
-        QUERIES[query](HOSTS[host]())
+        QUERIES[query](HOSTS[host])
         assert len(net_builds) == 1
 
     def test_short_fan_witness(self, net_builds, flow_calls):
@@ -180,19 +183,19 @@ class TestNetworkBuilds:
         assert len(net_builds) == 1
 
     def test_descend_fragments_with_witness(self, net_builds):
-        g = HOSTS["two-block"]()
+        g = HOSTS["two-block"]
         assert _descend_fragments(g, frozenset(range(g.n)), 2)
         assert len(net_builds) == 2  # the scan's network, then min_separator's
 
     def test_descend_fragments_without_witness(self, net_builds):
-        g = HOSTS["k44"]()
+        g = HOSTS["k44"]
         assert _descend_fragments(g, frozenset(range(g.n)), 2) == []
         assert len(net_builds) == 1
 
 
 @pytest.mark.parametrize("cut_in_s1", [True, False], ids=["subset", "whole-set"])
 def test_validate_triple_witness(cut_in_s1):
-    g = HOSTS["two-block"]()
+    g = HOSTS["two-block"]
     labels = two_block_labels(6, 3)
     cut, f = frozenset({labels[12], labels[18]}), frozenset(labels[:12])
     s1, s2 = (cut, frozenset()) if cut_in_s1 else (frozenset(), cut)
@@ -260,6 +263,60 @@ def test_matches_networkx(g):
         assert (witness is None) == (kappa >= k)
         if witness is not None:
             assert kappa <= witness[2] == local_connectivity_value(g, *witness[:2]) < k
+
+
+def kept_sets(g: Graph, rng: random.Random) -> list[frozenset[int]]:
+    """Vertex sets for the subset queries: random ones of every size, the
+    host minus a vertex's neighbourhood (disconnected unless nothing else is
+    left), at most four vertices, a greedy clique and the whole host."""
+    n = g.n
+    sets = [frozenset(rng.sample(range(n), rng.randint(2, n))) for _ in range(6)]
+    sets.append(frozenset(range(n)) - g.neighbors(rng.randrange(n)))
+    sets.append(frozenset(rng.sample(range(n), rng.randint(0, 4))))
+    clique: list[int] = []
+    for w in rng.sample(range(n), n):
+        if all(g.has_edge(w, c) for c in clique):
+            clique.append(w)
+    sets.append(frozenset(clique))
+    sets.append(frozenset(range(n)))
+    return sets
+
+
+@pytest.mark.parametrize("g", DIFFERENTIAL_HOSTS, ids=lambda g: f"n{g.n}-e{g.edge_count}")
+def test_subset_queries_match_induced_copies(g):
+    """Each query on a vertex subset of the host gives what the same query
+    gives on an induced copy, witnesses and cuts mapped back to host ids."""
+    rng = random.Random(g.n * 7919 + g.edge_count)
+    for keep in kept_sets(g, rng):
+        removed = frozenset(range(g.n)) - keep
+        rest, _ = induced_delete(g, removed)
+        kappa = global_connectivity(rest)
+        assert global_connectivity(g, removed) == kappa
+        for k in range(1, 5):
+            expected = connectivity_at_least(rest, k)
+            assert is_k_connected_after_removal(g, removed, k) == expected == (kappa >= k)
+        sub, kept = induced_subgraph(g, keep)
+        index = {v: i for i, v in enumerate(kept)}
+        for us in [kept] + [rng.sample(kept, rng.randint(0, sub.n)) for _ in range(3)]:
+            bound = rng.randint(1, 6)
+            expected = find_pair_below(sub, [index[u] for u in us], bound)
+            if expected is not None:
+                expected = (kept[expected[0]], kept[expected[1]], expected[2])
+            assert find_pair_below(g, us, bound, within=keep) == expected
+        pairs = [(a, b) for a, b in combinations(kept, 2) if not g.has_edge(a, b)]
+        for a, b in rng.sample(pairs, min(3, len(pairs))):
+            cut = min_separator(sub, index[a], index[b])
+            assert min_separator(g, a, b, within=keep) == {kept[x] for x in cut}
+
+
+def test_subset_queries_reject_vertices_outside():
+    g = HOSTS["k44"]
+    with pytest.raises(ValueError):
+        find_pair_below(g, [0, 5], 2, within=range(4))
+    with pytest.raises(ValueError):
+        min_separator(g, 0, 1, within=[0, 4, 5])
+    with pytest.raises(ValueError):
+        global_connectivity(g, [8])
 
 
 def bfs_max_flow(
@@ -416,9 +473,10 @@ def test_local_connectivity_path_systems():
 
 
 def test_path_system_after_a_cancelled_arc():
-    """The only two disjoint 1-0 paths.  The first phase takes (1, 5, 3, 0);
-    the second reaches in(3) from 6 and leaves it back to out(5), cancelling
-    the arc 5 -> 3, so decoding must follow 5's new successor."""
+    """The only two disjoint 1-0 paths.  Pre-routing takes (1, 5, 3, 0) before
+    the first phase; that phase reaches in(3) from 6 and leaves it back to
+    out(5), cancelling the arc 5 -> 3, so decoding must follow 5's new
+    successor."""
     g = Graph(7, [(0, 3), (0, 4), (1, 5), (1, 6), (2, 4), (2, 5), (3, 5), (3, 6)])
     value, paths = max_flow_paths(g, 1, 0)
     assert value == 2
@@ -456,7 +514,7 @@ def test_fan_with_joined_neighbours():
     """A fan flow from u pre-routes u-y-n through its joined neighbours and
     u-x-y-n through joined vertices two steps away; every limit and the final
     residual reach match the reference."""
-    g = HOSTS["random-bipartite"]()
+    g = HOSTS["random-bipartite"]
     n, u = g.n, 0
     nbrs = sorted(g.neighbors(u))
     second = sorted({y for x in nbrs for y in g.neighbors(x)} - {u})

@@ -123,6 +123,18 @@ class TestCheckHypotheses:
         assert not hard.passed and not hard.kappa_ok
         assert "connectivity below k = 1" in hard.failures
 
+    @pytest.mark.parametrize("case", [CASE_TRIANGLE_FREE, CASE_GIRTH])
+    def test_order_below_k_plus_m_plus_one_fails(self, tree_single, case):
+        # K2 with k = m = 1 meets the case thresholds, but G - v = K1 is not
+        # 1-connected: no answer exists, so the report must not pass.
+        k2 = Graph(2, [(0, 1)])
+        report = check_hypotheses(k2, tree_single, 1, CaseSelector(case))
+        assert report.kappa_ok and report.structural_ok and report.degree_ok
+        assert not report.passed
+        assert report.failures == ("n = 2 below k + m + 1 = 3",)
+        with pytest.raises(HypothesisFailure):
+            find_keeping_tree(k2, tree_single, 1, CaseSelector(case))
+
 
 class TestFindKeepingTree:
     def test_k44_single_edge(self, k44, tree_k2):
