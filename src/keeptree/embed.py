@@ -2,9 +2,10 @@
 
 Three constructive routes cover the hypotheses the pipeline meets: a greedy
 placement for hosts of minimum degree at least m-1, a bipartition-respecting
-greedy for bipartite hosts, and a complete backtracking search for sparse
-(girth-bounded) hosts.  A plain exhaustive search doubles as the oracle for
-all of them.
+greedy for bipartite hosts, and a degree-pruned search for sparse
+(girth-bounded) hosts.  All three take the first map of one complete
+backtracking search, which with every host vertex as a root candidate is
+also the exhaustive oracle.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import (
     DEFAULT_BRUTE_GUARD,
@@ -22,7 +23,7 @@ from .errors import (
     TheoremViolation,
     resolve_guard,
 )
-from .graphs import Graph, Tree, check_vertex_set, degree_stats, girth, girth_at_least
+from .graphs import Graph, Tree, bipartition, degree_stats, girth, girth_at_least
 
 __all__ = [
     "Embedding",
@@ -112,14 +113,6 @@ def _bfs_order(tree: Tree, root: int, key=None) -> tuple[list[int], list[int]]:
     return order, parent
 
 
-def _certify(host: Graph, tree: Tree, mapping: dict[int, int], **sides) -> Embedding:
-    emb = Embedding.from_dict(mapping)
-    problems = embedding_errors(host, tree, emb, **sides)
-    if problems:
-        raise TheoremViolation(f"constructed embedding is invalid: {problems[0]}")
-    return emb
-
-
 def greedy_embed(host: Graph, tree: Tree) -> Embedding:
     """Greedy embedding for hosts with minimum degree at least m-1.
 
@@ -127,7 +120,8 @@ def greedy_embed(host: Graph, tree: Tree) -> Embedding:
     the minimum-id host vertex and every child to the least-id unused
     neighbor of its parent's image.  With at most m-1 vertices placed and
     every image having at least m-1 neighbors, a free neighbor always
-    exists.
+    exists, so the first map of the complete search is this greedy one: in
+    BFS order a vertex's only tree neighbor placed before it is its parent.
     """
     m = tree.order
     stats = degree_stats(host)
@@ -138,67 +132,44 @@ def greedy_embed(host: Graph, tree: Tree) -> Embedding:
         raise PreconditionError(
             f"minimum degree {stats[0]} at vertex {offender} is below m-1 = {m - 1}"
         )
-    return _certify(host, tree, _greedy_place(host, tree, 0))
+    return _first_embedding(host, tree, *_bfs_order(tree, 0), [0], False)
 
 
 def _side_min_degree(host: Graph, side: frozenset[int]) -> int | None:
     return min((host.degree(v) for v in side), default=None)
 
 
-def bipartite_embed(
-    host: Graph,
-    u_side: Iterable[int],
-    v_side: Iterable[int],
-    tree: Tree,
-) -> tuple[Embedding, bool]:
-    """Bipartition-respecting embedding; returns (embedding, swapped).
+def bipartite_embed(host: Graph, tree: Tree) -> Embedding:
+    """Bipartition-respecting embedding into a bipartite host.
 
-    Tries the orientation mapping the tree part X into ``u_side`` first,
-    then the swapped one, and reports which was used.  An orientation is
-    usable when every ``u_side`` vertex has degree at least |Y| and every
-    ``v_side`` vertex degree at least |X|.
+    The host sides are those of :func:`bipartition`.  Tries the orientation
+    mapping the tree part X into the first side, then the swapped one.  An
+    orientation is usable when every vertex of X's side has degree at least
+    |Y| and every vertex of Y's side degree at least |X|.  Tree vertex 0
+    then maps to the least vertex of X's side and the rest greedily, as in
+    :func:`greedy_embed`.
     """
-    us = check_vertex_set(host, u_side)
-    vs = check_vertex_set(host, v_side)
-    if us & vs or (us | vs) != frozenset(host.vertices()):
-        raise ValueError("u_side and v_side must partition the host vertices")
-    for a, b in host.edges():
-        if (a in us) == (b in us):
-            raise ValueError(f"edge ({a}, {b}) does not cross the declared sides")
+    parts = bipartition(host)
+    if parts is None:
+        raise PreconditionError("host is not bipartite")
     reasons = []
-    for swapped in (False, True):
-        tu, tv = (us, vs) if not swapped else (vs, us)
+    for swap in (False, True):
+        tu, tv = parts[::-1] if swap else parts
         need_u, need_v = len(tree.part_y), len(tree.part_x)
         du, dv = _side_min_degree(host, tu), _side_min_degree(host, tv)
         if not tu:
-            reasons.append(f"swap={swapped}: no vertices available for the X part")
+            reasons.append(f"swap={swap}: no vertices available for the X part")
             continue
         if du is not None and du < need_u:
-            reasons.append(f"swap={swapped}: X-side degree {du} below |Y| = {need_u}")
+            reasons.append(f"swap={swap}: X-side degree {du} below |Y| = {need_u}")
             continue
         if dv is not None and dv < need_v:
-            reasons.append(f"swap={swapped}: Y-side degree {dv} below |X| = {need_v}")
+            reasons.append(f"swap={swap}: Y-side degree {dv} below |X| = {need_v}")
             continue
-        mapping = _greedy_place(host, tree, min(tu))
-        return _certify(host, tree, mapping, x_to=tu, y_to=tv), swapped
+        return _first_embedding(host, tree, *_bfs_order(tree, 0), [min(tu)], False)
     raise PreconditionError(
         "degree conditions fail in both orientations: " + "; ".join(reasons)
     )
-
-
-def _greedy_place(host: Graph, tree: Tree, root_image: int) -> dict[int, int]:
-    """Map tree vertex 0 to ``root_image``, then each vertex in BFS order to
-    the least-id unused neighbor of its parent's image."""
-    order, parent = _bfs_order(tree, 0)
-    mapping = {0: root_image}
-    used = {root_image}
-    for t in order[1:]:
-        free = sorted(host.neighbors(mapping[parent[t]]) - used)
-        if not free:
-            raise TheoremViolation(f"greedy placement ran out at tree vertex {t}")
-        mapping[t] = free[0]
-        used.add(free[0])
-    return mapping
 
 
 def _anchored_search(
@@ -267,6 +238,28 @@ def _anchored_search(
             stack.append(candidates(pos + 1))
 
 
+def _first_embedding(
+    host: Graph,
+    tree: Tree,
+    order: list[int],
+    parent: list[int],
+    root_candidates: list[int],
+    degree_prune: bool,
+) -> Embedding:
+    """The first map of :func:`_anchored_search`, re-checked."""
+    found = next(
+        _anchored_search(host, tree, order, parent, root_candidates, degree_prune), None
+    )
+    if found is None:
+        raise SearchExhausted(
+            "embedding search space exhausted: hypothesis violation or internal error"
+        )
+    problems = embedding_errors(host, tree, found)
+    if problems:
+        raise TheoremViolation(f"search produced an invalid embedding: {problems[0]}")
+    return found
+
+
 def sparse_embed(host: Graph, tree: Tree, t: int = 2) -> Embedding:
     """Embedding for hosts of girth at least 2t+1 via complete backtracking.
 
@@ -298,15 +291,7 @@ def sparse_embed(host: Graph, tree: Tree, t: int = 2) -> Embedding:
     root = min(range(m), key=lambda v: (-tree.graph.degree(v), v))
     order, parent = _bfs_order(tree, root, key=lambda v: (-tree.graph.degree(v), v))
     roots = [h for h in host.vertices() if host.degree(h) >= tree.graph.degree(root)]
-    found = next(_anchored_search(host, tree, order, parent, roots, True), None)
-    if found is None:
-        raise SearchExhausted(
-            "embedding search space exhausted: hypothesis violation or internal error"
-        )
-    problems = embedding_errors(host, tree, found)
-    if problems:
-        raise TheoremViolation(f"search produced an invalid embedding: {problems[0]}")
-    return found
+    return _first_embedding(host, tree, order, parent, roots, True)
 
 
 def iter_embeddings(host: Graph, tree: Tree, guard: int | None = None) -> Iterator[Embedding]:

@@ -31,7 +31,11 @@ class PreconditionError(KeeptreeError):
 
 
 class SearchExhausted(KeeptreeError):
-    """A complete or guarded search finished without finding a witness."""
+    """A complete or guarded search finished without finding a witness.
+
+    Raised by ``find_keeping_tree`` past its hypothesis gate, it carries the
+    run's report as ``report``, as does a ``TheoremViolation``.
+    """
 
 
 class HypothesisFailure(KeeptreeError):

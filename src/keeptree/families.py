@@ -330,12 +330,11 @@ def tree_canonical(t: Tree) -> str:
     return min(encode(c, -1) for c in _tree_centers(t))
 
 
-def enumerate_trees(m: int, dedup: bool = True, guard: int | None = None) -> list[Tree]:
-    """All trees of order m, one per isomorphism class by default.
+def enumerate_trees(m: int, guard: int | None = None) -> list[Tree]:
+    """All trees of order m, one per isomorphism class.
 
     Enumerates every decoding sequence (all labeled trees) and keeps the
-    first representative of each canonical form; ``dedup=False`` returns
-    every labeled tree.
+    first representative of each canonical form.
     """
     if m < 1:
         raise ValueError("tree order must be positive")
@@ -350,9 +349,6 @@ def enumerate_trees(m: int, dedup: bool = True, guard: int | None = None) -> lis
     seen: set[str] = set()
     for seq in product(range(m), repeat=m - 2):
         t = Tree(Graph(m, prufer_decode(list(seq), m)))
-        if not dedup:
-            out.append(t)
-            continue
         key = tree_canonical(t)
         if key not in seen:
             seen.add(key)

@@ -231,18 +231,17 @@ def _run_one(inst: SuiteInstance, oracle_guard: int) -> tuple[dict[str, Any], st
         record["removed_size"] = len(cert.embedding.image())
         record["kappa_after"] = cert.connectivity_after_removal
         cert_json = cert.canonical_json()
-    except HypothesisFailure as exc:
+    except (HypothesisFailure, SearchExhausted, TheoremViolation) as exc:
+        # find_keeping_tree attaches its hypothesis report to each of these.
         record.update(_hypothesis_fields(exc.report.as_json_dict()))
-        record["status"] = "skipped-hypothesis"
-        record["detail"] = "; ".join(exc.report.failures)
-    except (SearchExhausted, TheoremViolation) as exc:
-        # A run that fails past the gate carries no report: evaluate it here.
-        report = check_hypotheses(g, tree, inst.k, inst.sel or auto_case(g))
-        record.update(_hypothesis_fields(report.as_json_dict()))
-        record["status"] = (
-            "failed-search" if isinstance(exc, SearchExhausted) else "failed-violation"
-        )
-        record["detail"] = str(exc)
+        if isinstance(exc, HypothesisFailure):
+            record["status"] = "skipped-hypothesis"
+            record["detail"] = "; ".join(exc.report.failures)
+        else:
+            record["status"] = (
+                "failed-search" if isinstance(exc, SearchExhausted) else "failed-violation"
+            )
+            record["detail"] = str(exc)
 
     if g.n <= oracle_guard:
         found = oracle_exists(g, tree, inst.k, guard=oracle_guard)

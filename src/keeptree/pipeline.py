@@ -50,7 +50,7 @@ from .graphs import (
 )
 from .matching import Matching, check_matching
 from .report import CheckReport
-from .triples import ConnectedTriple, SaturatedTriple, find_triple, hall_refine, validate_triple
+from .triples import ConnectedTriple, SaturatedTriple, hall_refine, validate_triple
 
 __all__ = [
     "CASE_TRIANGLE_FREE",
@@ -377,21 +377,12 @@ def _fraction(value: Any) -> Fraction:
     return Fraction(value)
 
 
-def _case_embed(
-    g: Graph,
-    host: Graph,
-    tree: Tree,
-    sel: CaseSelector,
-) -> Embedding:
+def _case_embed(host: Graph, tree: Tree, sel: CaseSelector) -> Embedding:
     """Embed the tree into the fragment host using the case-matched embedder."""
     if sel.case == CASE_TRIANGLE_FREE:
         return greedy_embed(host, tree)
     if sel.case == CASE_BIPARTITE:
-        parts = bipartition(host)
-        if parts is None:
-            raise PreconditionError("fragment host is not bipartite")
-        emb, _ = bipartite_embed(host, parts[0], parts[1], tree)
-        return emb
+        return bipartite_embed(host, tree)
     return sparse_embed(host, tree, sel.t)
 
 
@@ -408,9 +399,9 @@ def find_keeping_tree(
     Unless ``force`` is set, the hypothesis report must pass.  Forced runs
     proceed best-effort below the thresholds and report which stage failed;
     certificates they emit are verified all the same.  The one-vertex tree
-    goes through the uniform path (p = k, single-vertex embedding) with the
-    triple-search degree precondition relaxed, since the hypotheses then
-    admit minimum degree 2k-1.
+    goes through the uniform path (p = k, single-vertex embedding).  Every
+    ``SearchExhausted`` or ``TheoremViolation`` raised past the gate carries
+    the run's hypothesis report as ``report``, as ``HypothesisFailure`` does.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -421,19 +412,35 @@ def find_keeping_tree(
         raise HypothesisFailure(
             f"hypotheses fail: {'; '.join(report.failures)}", report
         )
+    try:
+        return _certified_run(g, tree, k, sel, report, force)
+    except (SearchExhausted, TheoremViolation) as exc:
+        exc.report = report
+        raise
+
+
+def _certified_run(
+    g: Graph,
+    tree: Tree,
+    k: int,
+    sel: CaseSelector,
+    report: HypothesisReport,
+    force: bool,
+) -> Certificate:
+    """The stages past the gate: triple, refinement, embedding, final check
+    and self-verification."""
     m = tree.order
     p = k + m - 1
     comps = components(g)
     if not comps:
         raise SearchExhausted("triple stage: empty graph")
     start = max(comps, key=lambda comp: (len(comp), -min(comp)))
-    # Past the gate with m >= 2 the report passed: beta >= 1 gives delta >=
-    # threshold >= 2p, and no case admits triangles, so the triple search's
-    # own checks are off.  Forced runs and one-vertex trees are best-effort.
+    # A passed gate with m >= 2 gives delta >= threshold >= 2p and no
+    # triangle, the theorem's conditions for this stage; forced runs and
+    # one-vertex trees run it best-effort.
     try:
-        base = find_triple(g, frozenset(), start, p, enforce_degree=False)
-        saturated = hall_refine(g, base, enforce_hypotheses=False)
-    except (SearchExhausted, PreconditionError) as exc:
+        saturated = hall_refine(g, frozenset(), start, p)
+    except SearchExhausted as exc:
         raise SearchExhausted(f"triple stage: {exc}") from exc
     except TheoremViolation as exc:
         # The refinement's guarantees rest on the hypotheses a forced run
@@ -452,7 +459,7 @@ def find_keeping_tree(
             f"despite passing hypotheses"
         )
     try:
-        local = _case_embed(g, host, tree, sel)
+        local = _case_embed(host, tree, sel)
     except (PreconditionError, SearchExhausted) as exc:
         if not force:
             raise TheoremViolation(

@@ -39,8 +39,6 @@ from .graphs import (
     check_vertex_set,
     component_containing,
     components_excluding,
-    degree_stats,
-    is_triangle_free,
     neighborhood_of_set,
 )
 from .matching import Matching, find_tight_set, saturating_matching_or_violator
@@ -295,21 +293,16 @@ def _exhaustive_stage(
 
 
 def find_triple(
-    g: Graph,
-    s0: Iterable[int],
-    c: Iterable[int],
-    p: int,
-    enforce_degree: bool = True,
+    g: Graph, s0: Iterable[int], c: Iterable[int], p: int
 ) -> ConnectedTriple:
     """A certified connected triple whose fragment lies inside component ``c``.
 
-    Preconditions: minimum degree at least 2p (unless ``enforce_degree`` is
-    lowered for best-effort runs), |s0| <= 2p-1, and ``c`` a connected
-    component of g - s0.  The search is staged: fragment candidates grown
-    from ``c`` by cutting at low-connectivity pairs are tried with a few
-    boundary partitions first, then a bounded iterative-deepening
-    enumeration over the component's closed neighborhood.  Every candidate
-    is certified by :func:`validate_triple` before being returned.
+    Preconditions: |s0| <= 2p-1 and ``c`` a connected component of g - s0.
+    The search is staged: fragment candidates grown from ``c`` by cutting at
+    low-connectivity pairs are tried with a few boundary partitions first,
+    then a bounded iterative-deepening enumeration over the component's
+    closed neighborhood.  Every candidate is certified by
+    :func:`validate_triple` before being returned.
     """
     if p < 1:
         raise ValueError("triple parameter p must be positive")
@@ -317,11 +310,6 @@ def find_triple(
     cs = check_vertex_set(g, c)
     if len(s0s) > 2 * p - 1:
         raise PreconditionError(f"|s0| = {len(s0s)} exceeds 2p-1 = {2 * p - 1}")
-    if enforce_degree:
-        stats = degree_stats(g)
-        if stats is None or stats[0] < 2 * p:
-            have = "empty graph" if stats is None else f"minimum degree {stats[0]}"
-            raise PreconditionError(f"{have} is below 2p = {2 * p}")
     if cs not in components_excluding(g, s0s):
         raise PreconditionError("c is not a connected component of g - s0")
 
@@ -348,31 +336,20 @@ def find_triple(
 
 
 def hall_refine(
-    g: Graph,
-    t: ConnectedTriple,
-    enforce_hypotheses: bool = True,
+    g: Graph, s0: Iterable[int], c: Iterable[int], p: int
 ) -> SaturatedTriple:
-    """Shrink a triple until a matching between s1 and f saturates s1.
+    """A triple from :func:`find_triple` on (s0, c, p), shrunk until a
+    matching between s1 and f saturates s1.
 
     The loop alternates maximum matching with deficiency probing: whenever
     some nonempty S inside s1 has at most |S| neighbors in f (a strict Hall
     violator or a tight set blocking the surplus claim), the fragment is cut
     down to f minus those neighbors and the triple search re-run behind the
     smaller exclusion set.  The fragment shrinks strictly whenever the
-    neighborhood is nonempty, so the loop terminates; outputs are always
-    re-validated.
+    neighborhood is nonempty, so the loop terminates.  Every triple it
+    handles comes from :func:`find_triple`, which certifies it.
     """
-    report = validate_triple(g, t)
-    if not report.passed:
-        raise ValueError(f"input triple is invalid: {report.first_failure()}")
-    p = t.p
-    if enforce_hypotheses:
-        stats = degree_stats(g)
-        if stats is None or stats[0] < 2 * p:
-            raise PreconditionError(f"minimum degree below 2p = {2 * p}")
-        if not is_triangle_free(g):
-            raise PreconditionError("host graph is not triangle-free")
-    current = t
+    current = find_triple(g, s0, c, p)
     seen_states: set[tuple[frozenset[int], frozenset[int], frozenset[int]]] = set()
     while True:
         state = (current.s1, current.s2, current.f)
@@ -414,4 +391,4 @@ def hall_refine(
             raise TheoremViolation(
                 "refined fragment leaked outside the previous one"
             )
-        current = find_triple(g, exclusion, comp, p, enforce_degree=enforce_hypotheses)
+        current = find_triple(g, exclusion, comp, p)

@@ -268,8 +268,8 @@ def test_criterion_08_embedding_lemma_suites():
             nx, ny = len(tree.part_x), len(tree.part_y)
             if not ((du >= ny and dv >= nx) or (dv >= ny and du >= nx)):
                 continue
-            emb, swapped = bipartite_embed(host, parts[0], parts[1], tree)
-            u, v = parts if not swapped else parts[::-1]
+            emb = bipartite_embed(host, tree)
+            u, v = parts if emb.as_dict()[0] in parts[0] else parts[::-1]
             assert not embedding_errors(host, tree, emb, x_to=u, y_to=v)
             side_count += 1
 

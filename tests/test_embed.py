@@ -64,52 +64,54 @@ class TestGreedyEmbed:
                 assert exhaustive_embed(host, t) is not None
 
 
+def oriented_sides(host, tree, emb):
+    """The host sides, ordered so that the first holds the image of X."""
+    parts = bipartition(host)
+    return parts if emb.as_dict()[0] in parts[0] else parts[::-1]
+
+
 class TestBipartiteEmbed:
     def test_asymmetric_tree_into_k33(self, k33):
         # |X| = 2, |Y| = 3 spider; delta = 3 = max{|X|,|Y|}.
         t = Tree.from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
         assert (len(t.part_x), len(t.part_y)) in {(2, 3), (3, 2)}
-        emb, swapped = bipartite_embed(k33, frozenset(range(3)), frozenset(range(3, 6)), t)
-        u, v = (frozenset(range(3)), frozenset(range(3, 6)))
-        if swapped:
-            u, v = v, u
+        emb = bipartite_embed(k33, t)
+        u, v = oriented_sides(k33, t, emb)
         validate(k33, t, emb, x_to=u, y_to=v)
         assert exhaustive_embed(k33, t) is not None
 
     def test_single_edge_into_k2(self):
         g = Graph(2, [(0, 1)])
         t = Tree.from_edges(2, [(0, 1)])
-        emb, _ = bipartite_embed(g, frozenset({0}), frozenset({1}), t)
+        emb = bipartite_embed(g, t)
         validate(g, t, emb)
 
     def test_p4_into_c4(self, c4, tree_p4):
-        parts = bipartition(c4)
-        emb, swapped = bipartite_embed(c4, parts[0], parts[1], tree_p4)
-        u, v = parts if not swapped else parts[::-1]
+        emb = bipartite_embed(c4, tree_p4)
+        u, v = oriented_sides(c4, tree_p4, emb)
         validate(c4, tree_p4, emb, x_to=u, y_to=v)
         # Exhaustive search over the candidate maps agrees it exists.
         assert exhaustive_embed(c4, tree_p4) is not None
 
     def test_orientation_swap_used_when_needed(self):
-        # K_{2,4}: star K_{1,3} center must land on the degree-4 side.
-        g = complete_bipartite(2, 4)
+        # K_{4,2}: the star K_{1,3} centre must land on the degree-4 side,
+        # which is the second side of the bipartition.
+        g = complete_bipartite(4, 2)
+        assert bipartition(g)[1] == frozenset({4, 5})
         t = Tree.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-        emb, swapped = bipartite_embed(g, frozenset({0, 1}), frozenset(range(2, 6)), t)
-        d = emb.as_dict()
-        assert d[0] in {0, 1}
-        assert not swapped
+        d = bipartite_embed(g, t).as_dict()
+        assert d[0] == 4
+        assert sorted(d[leaf] for leaf in (1, 2, 3)) == [0, 1, 2]
 
     def test_fails_both_orientations(self):
         g = complete_bipartite(1, 1)
         t = Tree.from_edges(3, [(0, 1), (1, 2)])
         with pytest.raises(PreconditionError, match="both orientations"):
-            bipartite_embed(g, frozenset({0}), frozenset({1}), t)
+            bipartite_embed(g, t)
 
-    def test_rejects_non_crossing_sides(self, k33):
-        with pytest.raises(ValueError, match="cross"):
-            bipartite_embed(
-                k33, frozenset({0, 3}), frozenset({1, 2, 4, 5}), Tree(Graph(1))
-            )
+    def test_rejects_non_bipartite_host(self, c5, tree_k2):
+        with pytest.raises(PreconditionError, match="not bipartite"):
+            bipartite_embed(c5, tree_k2)
 
 
 class TestSparseEmbed:

@@ -1,6 +1,7 @@
 """Family generators: shapes, declared properties, reproducibility."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -177,7 +178,13 @@ class TestTrees:
         assert degrees == [2, 3]  # the path and the star
 
     def test_enumerate_labeled(self):
-        assert len(enumerate_trees(4, dedup=False)) == 16  # 4^2 decoding sequences
+        # The 4^2 decoding sequences of order 4 give 16 distinct labeled trees
+        # (Cayley), which fall into the two classes above.
+        decoded = {
+            frozenset(map(frozenset, prufer_decode(list(seq), 4)))
+            for seq in product(range(4), repeat=2)
+        }
+        assert len(decoded) == 16
 
     def test_guard(self):
         with pytest.raises(GuardExceeded):

@@ -216,6 +216,15 @@ class TestRunSuite:
         record, cert, _ = _run_one(skipped, 0)
         assert record["status"] == "skipped-hypothesis" and cert is None
         assert counts["check_hypotheses"] == 2 and counts["auto_case"] == 1
+        # A failure past the gate carries the pipeline's report.
+        forced = SuiteInstance(
+            "forced", "k44", k44, path_tree(4), 1,
+            CaseSelector(CASE_TRIANGLE_FREE), force=True,
+        )
+        record, cert, _ = _run_one(forced, 0)
+        assert record["status"] == "failed-search" and cert is None
+        assert record["threshold"] == "10" and not record["hypothesis_pass"]
+        assert counts["check_hypotheses"] == 3 and counts["auto_case"] == 1
 
     def test_forced_failure_record(self, k44):
         inst = SuiteInstance(

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from keeptree import pipeline
+from keeptree import pipeline, triples
 from keeptree.errors import HypothesisFailure, SearchExhausted, TheoremViolation
 from keeptree.families import complete_bipartite, cycle, hypercube, petersen, random_bipartite
 from keeptree.graphs import Graph, Tree, degree_stats, find_triangle
@@ -25,6 +25,7 @@ from keeptree.pipeline import (
     parse_case,
     verify_certificate,
 )
+from keeptree.triples import validate_triple
 
 
 def star_tree(m):
@@ -204,8 +205,39 @@ class TestFindKeepingTree:
         with pytest.raises(SearchExhausted, match=r"^triple stage \(forced\): refinement consumed"):
             find_keeping_tree(k44, tree_k2, 1, force=True)
 
+    def test_failures_past_the_gate_carry_the_report(self, monkeypatch, k44, tree_k2, tree_p4):
+        sel = CaseSelector(CASE_TRIANGLE_FREE)
+        with pytest.raises(SearchExhausted, match="triple stage") as exhausted:
+            find_keeping_tree(k44, tree_p4, 1, sel, force=True)
+        assert exhausted.value.report == check_hypotheses(k44, tree_p4, 1, sel)
+
+        def violated(*args, **kwargs):
+            raise TheoremViolation("refinement consumed the whole fragment")
+
+        monkeypatch.setattr(pipeline, "hall_refine", violated)
+        with pytest.raises(TheoremViolation) as violation:
+            find_keeping_tree(k44, tree_k2, 1)
+        assert violation.value.report.passed and violation.value.report.case == CASE_BIPARTITE
+
+    def test_triple_validated_by_search_and_self_verification_only(
+        self, monkeypatch, k44, tree_k2
+    ):
+        # find_triple certifies the triple that hall_refine starts from, and
+        # the self-verification re-checks the refined one: two validations.
+        calls = []
+
+        def counted(g, t):
+            calls.append(t)
+            return validate_triple(g, t)
+
+        monkeypatch.setattr(triples, "validate_triple", counted)
+        monkeypatch.setattr(pipeline, "validate_triple", counted)
+        find_keeping_tree(k44, tree_k2, 1)
+        assert len(calls) == 2
+
     def test_single_vertex_tree_uniform_path(self, k33, tree_single):
-        # delta = 3 = 2k-1 for k = 2: the relaxed triple search still applies.
+        # delta = 3 = 2k-1 < 2p for k = 2: the triple search has no degree
+        # precondition of its own and still applies.
         cert = find_keeping_tree(k33, tree_single, 2, CaseSelector(CASE_TRIANGLE_FREE))
         assert cert.p == 2 and cert.m == 1
         assert len(cert.embedding.image()) == 1
@@ -231,8 +263,8 @@ class TestFindKeepingTree:
         assert Fraction(degree_stats(host)[0]) >= cert.beta
 
     def test_passed_hypotheses_give_triple_preconditions(self):
-        # find_keeping_tree skips the triple search's own degree and
-        # triangle checks: a passed report with m >= 2 must imply both.
+        # The triple search has no degree or triangle check of its own: a
+        # passed report with m >= 2 must imply both.
         checked = 0
         for inst in full_suite():
             sel = inst.sel or auto_case(inst.graph)

@@ -167,21 +167,16 @@ class TestFindTriple:
         assert validate_triple(k44, t).passed
 
     def test_k44_p3_needs_relaxed_degree(self, k44):
-        # delta = 4 < 2p = 6: the strict precondition rejects the call, but
-        # the best-effort mode still finds the (certified) trivial triple.
-        with pytest.raises(PreconditionError):
-            find_triple(k44, frozenset(), frozenset(range(8)), 3)
-        t = find_triple(k44, frozenset(), frozenset(range(8)), 3, enforce_degree=False)
+        # delta = 4 < 2p = 6: the search has no degree precondition (the
+        # pipeline's hypothesis gate stands in for it) and still finds the
+        # certified trivial triple.
+        t = find_triple(k44, frozenset(), frozenset(range(8)), 3)
+        assert t == ConnectedTriple(3, frozenset(), frozenset(), frozenset(range(8)))
         assert validate_triple(k44, t).passed
 
     def test_s0_too_big(self, c6):
         with pytest.raises(PreconditionError, match="2p-1"):
             find_triple(c6, frozenset({0, 1}), frozenset(range(2, 6)), 1)
-
-    def test_degree_precondition(self):
-        g = Graph(6, [(0, i) for i in range(1, 6)])  # star, delta = 1 = 2p-1
-        with pytest.raises(PreconditionError, match="below 2p"):
-            find_triple(g, frozenset(), frozenset(range(6)), 1)
 
     def test_component_precondition(self, c6):
         with pytest.raises(PreconditionError, match="component"):
@@ -206,47 +201,47 @@ class TestFindTriple:
 
 
 class TestHallRefine:
+    """``hall_refine(g, s0, c, p)`` starts from ``find_triple(g, s0, c, p)``;
+    each test names the refinement branch its instance takes."""
+
     def test_fixed_point_empty_s1(self, k44):
-        t = ConnectedTriple(2, frozenset(), frozenset(), frozenset(range(8)))
-        st = hall_refine(k44, t)
-        assert st.triple == t
+        everything = frozenset(range(8))
+        st = hall_refine(k44, frozenset(), everything, 2)
+        assert st.triple == ConnectedTriple(2, frozenset(), frozenset(), everything)
         assert st.matching.size == 0 and st.f_m == frozenset()
 
-    def test_fixed_point_with_matching(self, k44):
-        t = ConnectedTriple(2, frozenset({0}), frozenset({4, 5}), frozenset({1, 2, 3, 6, 7}))
-        st = hall_refine(k44, t)
-        assert st.triple == t
-        assert st.matching.left_vertices() == {0}
+    def test_fixed_point_with_matching(self):
+        # The first triple's matching saturates s1 = {0, 3} with no tight set.
+        g = Graph(6, [(0, 1), (0, 5), (1, 2), (1, 4), (2, 3), (2, 5), (3, 4), (4, 5)])
+        s0, c = frozenset({0, 3}), frozenset({1, 2, 4, 5})
+        first = find_triple(g, s0, c, 2)
+        assert first.s1 == s0
+        st = hall_refine(g, s0, c, 2)
+        assert st.triple == first
+        assert st.matching.left_vertices() == s0
         assert st.f_m < st.triple.f
         assert len(st.triple.f) > len(st.triple.s1)
 
     def test_tight_set_triggers_descent(self, two_c4_bridge):
         # Vertex 0 attaches to the far cycle only through 4: {0} is tight,
         # so the fragment must shrink past it.
-        t = ConnectedTriple(1, frozenset({0}), frozenset(), frozenset({4, 5, 6, 7}))
-        assert validate_triple(two_c4_bridge, t).passed
-        st = hall_refine(two_c4_bridge, t)
+        s0, c = frozenset({0}), frozenset({4, 5, 6, 7})
+        assert find_triple(two_c4_bridge, s0, c, 1) == ConnectedTriple(1, s0, frozenset(), c)
+        st = hall_refine(two_c4_bridge, s0, c, 1)
         assert len(st.triple.f) < 4
         assert validate_triple(two_c4_bridge, st.triple).passed
         assert st.matching.left_vertices() == st.triple.s1
         assert st.f_rest
 
-    def test_rejects_invalid_input(self, c6):
-        bad = ConnectedTriple(1, frozenset({0}), frozenset(), frozenset(range(1, 6)))
-        with pytest.raises(ValueError, match="invalid"):
-            hall_refine(c6, bad)
-
-    def test_degree_hypothesis_enforced(self, k44):
-        t = ConnectedTriple(3, frozenset(), frozenset(), frozenset(range(8)))
-        with pytest.raises(PreconditionError, match="2p"):
-            hall_refine(k44, t)  # delta = 4 < 6
-
-    def test_triangle_free_enforced(self):
-        g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-        t = ConnectedTriple(1, frozenset(), frozenset(), frozenset(range(4)))
-        assert validate_triple(g, t).passed
-        with pytest.raises(PreconditionError, match="triangle"):
-            hall_refine(g, t)
+    def test_hall_violator_triggers_descent(self):
+        # s1 = {4, 5} has the single fragment neighbour 0, a strict Hall
+        # violator: the fragment shrinks to the component past 0.
+        g = Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (2, 3)])
+        s0, c = frozenset({4, 5}), frozenset({0, 1, 2, 3})
+        assert find_triple(g, s0, c, 2).s1 == s0
+        st = hall_refine(g, s0, c, 2)
+        assert st.triple == ConnectedTriple(2, frozenset(), frozenset({0}), frozenset({1, 2, 3}))
+        assert validate_triple(g, st.triple).passed
 
     def test_contradiction_branch_surfaces_loudly(self):
         # K4 minus the edge 0-1: a valid triple whose refinement swallows the
@@ -255,19 +250,23 @@ class TestHallRefine:
         from keeptree.errors import TheoremViolation
 
         g = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-        t = ConnectedTriple(2, frozenset({0, 1}), frozenset(), frozenset({2, 3}))
-        assert validate_triple(g, t).passed
         with pytest.raises(TheoremViolation, match="whole fragment"):
-            hall_refine(g, t, enforce_hypotheses=False)
+            hall_refine(g, frozenset({0, 1}), frozenset({2, 3}), 2)
+
+    def test_bad_inputs(self, c6):
+        with pytest.raises(PreconditionError, match="2p-1"):
+            hall_refine(c6, frozenset({0, 1}), frozenset(range(2, 6)), 1)
+        with pytest.raises(PreconditionError, match="component"):
+            hall_refine(c6, frozenset({0}), frozenset({1, 2}), 1)
 
     def test_outputs_always_validate(self, c6, k44, pete):
         cases = [
-            (c6, ConnectedTriple(1, frozenset(), frozenset({0}), frozenset(range(1, 6)))),
-            (k44, ConnectedTriple(2, frozenset(), frozenset(), frozenset(range(8)))),
-            (pete, ConnectedTriple(1, frozenset(), frozenset(), frozenset(range(10)))),
+            (c6, frozenset({0}), frozenset(range(1, 6)), 1),
+            (k44, frozenset(), frozenset(range(8)), 2),
+            (pete, frozenset(), frozenset(range(10)), 1),
         ]
-        for g, t in cases:
-            st = hall_refine(g, t)
+        for g, s0, c, p in cases:
+            st = hall_refine(g, s0, c, p)
             assert validate_triple(g, st.triple).passed
             assert len(st.triple.f) > len(st.triple.s1)
             assert st.f_rest
@@ -275,18 +274,13 @@ class TestHallRefine:
 
 
 class TestRemovalSafety:
-    def _saturated(self, k44):
-        t = ConnectedTriple(2, frozenset({0}), frozenset({4, 5}), frozenset({1, 2, 3, 6, 7}))
-        return hall_refine(k44, t)
-
     def test_single_vertex_removal_keeps_k(self, k44):
-        st = self._saturated(k44)
+        st = hall_refine(k44, frozenset(), frozenset(range(8)), 2)
         for v in sorted(st.f_rest):
             assert is_k_connected_after_removal(k44, {v}, 2)
 
     def test_random_conforming_instances_hold(self, two_c4_bridge):
-        t = find_triple(two_c4_bridge, frozenset(), frozenset(range(8)), 1)
-        st = hall_refine(two_c4_bridge, t)
+        st = hall_refine(two_c4_bridge, frozenset(), frozenset(range(8)), 1)
         for v in sorted(st.f_rest):
             assert is_k_connected_after_removal(two_c4_bridge, {v}, 1)
 
