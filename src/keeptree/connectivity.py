@@ -13,12 +13,12 @@ masks, with no induced copy.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import Iterable, Iterator
 
 from .errors import TheoremViolation
-from .graphs import Graph, check_vertex_set
+from .graphs import Graph, mask_bits, mask_component, vertex_mask
 
 __all__ = [
     "local_connectivity_value",
@@ -43,7 +43,8 @@ class _SplitFlow:
     Every arc has capacity one, which never constrains the flow value for
     internally disjoint paths in a simple graph.  Only the vertices of the
     mask ``alive`` (default: all) have arcs, to their neighbours in
-    ``alive``: the network of the induced subgraph.
+    ``alive``: the network of the induced subgraph, cut from the host's
+    cached ``g.masks``.
     """
 
     __slots__ = ("n", "alive", "adj", "joined")
@@ -51,10 +52,7 @@ class _SplitFlow:
     def __init__(self, g: Graph, alive: int | None = None):
         self.n = g.n
         self.alive = alive = (1 << g.n) - 1 if alive is None else alive
-        self.adj = [
-            sum(1 << y for y in g.neighbors(w)) & alive if alive >> w & 1 else 0
-            for w in range(g.n)
-        ]
+        self.adj = [m & alive if alive >> w & 1 else 0 for w, m in enumerate(g.masks)]
         self.joined = 0  # the w with an arc out(w) -> in(n)
 
     def join_sink(self, w: int) -> None:
@@ -212,21 +210,6 @@ class _SplitFlow:
         return value, flow, None
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _mask(g: Graph, vertices: Iterable[int] | None) -> int:
-    """The mask of ``vertices`` (all of ``g`` when None), ids checked."""
-    if vertices is None:
-        return (1 << g.n) - 1
-    return sum(1 << v for v in check_vertex_set(g, vertices))
-
-
 def _check_pair(g: Graph, u: int, v: int) -> None:
     g.check_vertex(u)
     g.check_vertex(v)
@@ -269,12 +252,12 @@ def find_pair_below(
     Returns (a, b, value) with value the pair's exact local connectivity;
     see :func:`_pair_below` for which pair is reported.
     """
-    alive, us = _mask(g, within), _mask(g, u_set)
+    alive, us = vertex_mask(g, within), vertex_mask(g, u_set)
     if us & ~alive:
         raise ValueError("u_set is not inside within")
     if us.bit_count() <= 1 or bound <= 0:
         return None
-    return _pair_below(_SplitFlow(g, alive), list(_bits(us)), bound)
+    return _pair_below(_SplitFlow(g, alive), list(mask_bits(us)), bound)
 
 
 def _pair_below(net: _SplitFlow, us: list[int], bound: int) -> tuple[int, int, int] | None:
@@ -294,9 +277,9 @@ def _pair_below(net: _SplitFlow, us: list[int], bound: int) -> tuple[int, int, i
             return trivial if trivial[2] < bound else None
         if bound == 1:
             return None
-        pairs = _designated_pairs(net)
+        pair_count, pairs = _designated_pairs(net)
         b = min(bound, count)
-        if len(pairs) <= comb(b, 2) + count - b:
+        if pair_count <= comb(b, 2) + count - b:
             return next(_weaker_pairs(net, pairs, bound), None)
     return _even_test(net, us, bound)
 
@@ -341,45 +324,45 @@ def _trivial_kappa(net: _SplitFlow) -> tuple[int, int, int] | None:
     Degrees are popcounts, and one mask BFS tests connectedness."""
     alive, adj = net.alive, net.adj
     count = alive.bit_count()
-    a = next(_bits(alive))
-    if all(adj[v].bit_count() == count - 1 for v in _bits(alive)):
-        return a, next(_bits(alive ^ 1 << a)), count - 1
-    seen = frontier = 1 << a
-    while frontier:
-        reach = 0
-        for x in _bits(frontier):
-            reach |= adj[x]
-        frontier = reach & ~seen
-        seen |= frontier
+    a = next(mask_bits(alive))
+    if all(adj[v].bit_count() == count - 1 for v in mask_bits(alive)):
+        return a, next(mask_bits(alive ^ 1 << a)), count - 1
+    seen = mask_component(adj, a, alive)
     if seen != alive:
-        return a, next(_bits(alive & ~seen)), 0
+        return a, next(mask_bits(alive & ~seen)), 0
     return None
 
 
-def _designated_pairs(net: _SplitFlow) -> list[tuple[int, int]]:
+def _designated_pairs(net: _SplitFlow) -> tuple[int, Iterator[tuple[int, int]]]:
     """Pairs whose minimum local connectivity is kappa for the network's
-    connected, non-complete graph: a minimum-degree vertex against each
-    non-neighbor, then the nonadjacent pairs of its neighbors."""
+    connected, non-complete graph: a minimum-degree vertex v0 against each
+    non-neighbor, then the nonadjacent pairs of its neighbors.  Returns
+    their count, from popcounts, and the pairs, generated lazily."""
     alive, adj = net.alive, net.adj
-    v0 = min(_bits(alive), key=lambda v: adj[v].bit_count())
+    v0 = min(mask_bits(alive), key=lambda v: adj[v].bit_count())
     nb = adj[v0]
-    pairs = [(v0, w) for w in _bits(alive & ~nb & ~(1 << v0))]
-    pairs += [(x, y) for x, y in combinations(_bits(nb), 2) if not adj[x] >> y & 1]
-    return pairs
+    d = nb.bit_count()
+    inner_edges = sum((adj[x] & nb).bit_count() for x in mask_bits(nb)) // 2
+    count = alive.bit_count() - d - 1 + comb(d, 2) - inner_edges
+    pairs = chain(
+        ((v0, w) for w in mask_bits(alive & ~nb & ~(1 << v0))),
+        ((x, y) for x, y in combinations(mask_bits(nb), 2) if not adj[x] >> y & 1),
+    )
+    return count, pairs
 
 
 def global_connectivity(g: Graph, removed: Iterable[int] = ()) -> int:
     """Vertex connectivity of G - ``removed``: n-1 for a complete graph on n
     vertices, 0 when it is disconnected or has at most one vertex."""
-    alive = _mask(g, None) & ~_mask(g, removed)
+    alive = vertex_mask(g, None) & ~vertex_mask(g, removed)
     if alive.bit_count() <= 1:
         return 0
     net = _SplitFlow(g, alive)
     trivial = _trivial_kappa(net)
     if trivial is not None:
         return trivial[2]
-    delta = min(net.adj[v].bit_count() for v in _bits(alive))
-    weaker = _weaker_pairs(net, _designated_pairs(net), delta)
+    delta = min(net.adj[v].bit_count() for v in mask_bits(alive))
+    weaker = _weaker_pairs(net, _designated_pairs(net)[1], delta)
     return min((value for _, _, value in weaker), default=delta)
 
 
@@ -391,10 +374,10 @@ def connectivity_at_least(g: Graph, k: int) -> bool:
 def is_k_connected_after_removal(g: Graph, r: Iterable[int], k: int) -> bool:
     """True iff deleting ``r`` leaves a graph of connectivity at least ``k``:
     more than k vertices and, for k >= 1, no pair of them below k."""
-    alive = _mask(g, None) & ~_mask(g, r)
+    alive = vertex_mask(g, None) & ~vertex_mask(g, r)
     if k <= 0:
         return True
-    us = list(_bits(alive))
+    us = list(mask_bits(alive))
     return len(us) > k and _pair_below(_SplitFlow(g, alive), us, k) is None
 
 
@@ -410,14 +393,14 @@ def min_separator(
     holds internal arcs only.
     """
     _check_pair(g, u, v)
-    alive = _mask(g, within)
+    alive = vertex_mask(g, within)
     if not alive >> u & alive >> v & 1:
         raise ValueError(f"({u}, {v}) is not inside within")
     if g.has_edge(u, v):
         raise ValueError(f"({u}, {v}) are adjacent: no separating set exists")
     net = _SplitFlow(g, alive)
     value, flow, (seen_in, seen_out) = net.max_flow(u, v, alive.bit_count())
-    cut = frozenset(_bits((seen_in | flow[u]) & ~seen_out))
+    cut = frozenset(mask_bits((seen_in | flow[u]) & ~seen_out))
     if len(cut) != value:
         raise TheoremViolation(
             f"residual cut size {len(cut)} differs from flow value {value}"

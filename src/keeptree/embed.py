@@ -57,18 +57,8 @@ class Embedding:
         return len(self.mapping)
 
 
-def embedding_errors(
-    host: Graph,
-    tree: Tree,
-    emb: Embedding,
-    x_to: frozenset[int] | None = None,
-    y_to: frozenset[int] | None = None,
-) -> list[str]:
-    """Structural problems of an embedding (empty list when valid).
-
-    When ``x_to``/``y_to`` are given, the tree bipartition must land inside
-    those host sides.
-    """
+def embedding_errors(host: Graph, tree: Tree, emb: Embedding) -> list[str]:
+    """Structural problems of an embedding (empty list when valid)."""
     problems: list[str] = []
     d = emb.as_dict()
     if sorted(d) != list(range(tree.order)):
@@ -84,14 +74,6 @@ def embedding_errors(
     for a, b in tree.graph.edges():
         if not host.has_edge(d[a], d[b]):
             problems.append(f"tree edge ({a}, {b}) maps to non-edge ({d[a]}, {d[b]})")
-    if x_to is not None:
-        for a in tree.part_x:
-            if d[a] not in x_to:
-                problems.append(f"image of {a} leaves the designated side")
-    if y_to is not None:
-        for a in tree.part_y:
-            if d[a] not in y_to:
-                problems.append(f"image of {a} leaves the designated side")
     return problems
 
 

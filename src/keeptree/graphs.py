@@ -5,12 +5,21 @@ induced subgraphs) are new values returned together with an id remapping, so
 anything computed downstream can be translated back into the original
 graph's numbering.  All functions here are pure and safe to call from any
 number of threads.
+
+``Graph.masks`` holds one neighbour bitmask per vertex (bit y of
+``masks[x]`` is set iff xy is an edge).  It is built from the frozen
+adjacency the first time it is read and then kept on the instance; it
+caches adjacency only, never a computed fact.  The lazy write stays
+thread-safe because it is idempotent: threads that race on a fresh graph
+each build an equal tuple from the same immutable adjacency, and whichever
+assignment lands last, every reader sees a complete table.  Girth,
+components and the flow networks of :mod:`keeptree.connectivity` run on it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Graph",
@@ -37,10 +46,11 @@ class Graph:
 
     Construction rejects self-loops, duplicate edges, and out-of-range
     endpoints.  Instances are immutable values: equality and hashing are
-    structural.
+    structural.  The lazily built ``masks`` table is no part of the value:
+    it takes no part in equality or hashing and is not pickled.
     """
 
-    __slots__ = ("n", "_adj", "_edge_count")
+    __slots__ = ("n", "_adj", "_edge_count", "_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -64,6 +74,16 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return self._edge_count
+
+    @property
+    def masks(self) -> tuple[int, ...]:
+        """Neighbour bitmask of every vertex, built on first use."""
+        try:
+            return self._masks
+        except AttributeError:
+            masks = tuple(sum(1 << y for y in nbrs) for nbrs in self._adj)
+            self._masks = masks
+            return masks
 
     def vertices(self) -> range:
         return range(self.n)
@@ -97,6 +117,9 @@ class Graph:
     def __hash__(self) -> int:
         return hash((self.n, self._adj))
 
+    def __getstate__(self):
+        return None, {"n": self.n, "_adj": self._adj, "_edge_count": self._edge_count}
+
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self._edge_count})"
 
@@ -107,6 +130,34 @@ def check_vertex_set(g: Graph, w: Iterable[int]) -> frozenset[int]:
     for v in ws:
         g.check_vertex(v)
     return ws
+
+
+def vertex_mask(g: Graph, vertices: Iterable[int] | None) -> int:
+    """The mask of ``vertices`` (all of ``g`` when None), ids checked."""
+    if vertices is None:
+        return (1 << g.n) - 1
+    return sum(1 << v for v in check_vertex_set(g, vertices))
+
+
+def mask_bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def mask_component(masks: Sequence[int], v: int, alive: int) -> int:
+    """Mask of the component of ``v`` among the vertices of the mask
+    ``alive`` (which holds v), by a BFS one level at a time."""
+    seen = frontier = 1 << v
+    while frontier:
+        reach = 0
+        for x in mask_bits(frontier):
+            reach |= masks[x]
+        frontier = reach & alive & ~seen
+        seen |= frontier
+    return seen
 
 
 def degree_stats(g: Graph) -> tuple[int, int] | None:
@@ -129,33 +180,37 @@ def neighborhood_of_set(g: Graph, w: Iterable[int]) -> frozenset[int]:
 def girth(g: Graph) -> int | None:
     """Length of a shortest cycle, or None when the graph is acyclic.
 
-    Computed exactly by one BFS per root: a non-tree edge (a, b) closes a
-    cycle of length at most dist(a) + dist(b) + 1, and a root on a shortest
-    cycle attains the girth.  A non-tree edge to an earlier level was already
-    seen from its other end, so each vertex a looks only at neighbors b with
-    dist(b) >= dist(a), and a root's BFS stops at the first a with
-    2 dist(a) + 1 >= best.  A triangle ends the search at once.
+    Computed exactly by one BFS per root on the neighbour masks, a level at
+    a time.  A level-d vertex with a neighbour in its own level gives a
+    closed walk of length 2d + 1 through the root, and a new level-(d + 1)
+    vertex reached from two level-d vertices one of length 2d + 2; either
+    walk holds a cycle at least that short, and a root on a shortest cycle
+    meets the first of them at exactly the girth.  So a root's BFS ends at
+    its first such level, or once 2d + 1 >= best, and a triangle ends the
+    search at once.
     """
-    best: int | None = None
+    masks = g.masks
+    best = g.n + 1  # longer than any cycle
     for root in range(g.n):
-        dist = [-1] * g.n
-        dist[root] = 0
-        queue = deque([root])
-        while queue:
-            a = queue.popleft()
-            if best is not None and 2 * dist[a] + 1 >= best:
+        seen = frontier = 1 << root
+        depth = 0
+        while frontier and 2 * depth + 1 < best:
+            reach = twice = 0
+            for x in mask_bits(frontier):
+                twice |= reach & masks[x]
+                reach |= masks[x]
+            if reach & frontier:
+                best = 2 * depth + 1
+                if best == 3:
+                    return best
                 break
-            for b in g.neighbors(a):
-                if dist[b] == -1:
-                    dist[b] = dist[a] + 1
-                    queue.append(b)
-                elif dist[b] >= dist[a]:
-                    cand = dist[a] + dist[b] + 1
-                    if best is None or cand < best:
-                        best = cand
-                        if best == 3:
-                            return best
-    return best
+            if twice & ~seen:
+                best = 2 * depth + 2
+                break
+            frontier = reach & ~seen
+            seen |= frontier
+            depth += 1
+    return None if best > g.n else best
 
 
 def girth_at_least(girth_value: int | None, bound: int | float) -> bool:
@@ -261,19 +316,11 @@ def induced_delete(g: Graph, w: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
 
 def component_containing(g: Graph, v: int, excluded: Iterable[int] = ()) -> frozenset[int]:
     """Connected component of ``v`` in the graph minus ``excluded`` (original ids)."""
-    ex = check_vertex_set(g, excluded)
+    alive = vertex_mask(g, None) & ~vertex_mask(g, excluded)
     g.check_vertex(v)
-    if v in ex:
+    if not alive >> v & 1:
         raise ValueError(f"vertex {v} is excluded")
-    seen = {v}
-    queue = deque([v])
-    while queue:
-        a = queue.popleft()
-        for b in g.neighbors(a):
-            if b not in seen and b not in ex:
-                seen.add(b)
-                queue.append(b)
-    return frozenset(seen)
+    return frozenset(mask_bits(mask_component(g.masks, v, alive)))
 
 
 def components_excluding(g: Graph, excluded: Iterable[int] = ()) -> list[frozenset[int]]:
@@ -281,15 +328,12 @@ def components_excluding(g: Graph, excluded: Iterable[int] = ()) -> list[frozens
 
     Components are sorted by their minimum vertex id.
     """
-    ex = check_vertex_set(g, excluded)
-    seen: set[int] = set()
+    alive = vertex_mask(g, None) & ~vertex_mask(g, excluded)
     out: list[frozenset[int]] = []
-    for start in range(g.n):
-        if start in ex or start in seen:
-            continue
-        comp = component_containing(g, start, ex)
-        seen |= comp
-        out.append(comp)
+    while alive:
+        comp = mask_component(g.masks, next(mask_bits(alive)), alive)
+        alive &= ~comp
+        out.append(frozenset(mask_bits(comp)))
     return out
 
 

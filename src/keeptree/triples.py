@@ -19,8 +19,6 @@ from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .connectivity import (
-    _bits,
-    _mask,
     _SplitFlow,
     _weaker_pairs,
     find_pair_below,
@@ -39,7 +37,9 @@ from .graphs import (
     check_vertex_set,
     component_containing,
     components_excluding,
+    mask_bits,
     neighborhood_of_set,
+    vertex_mask,
 )
 from .matching import Matching, find_tight_set, saturating_matching_or_violator
 from .report import CheckReport
@@ -252,9 +252,9 @@ def _descend_fragments(
     """
     boundary = neighborhood_of_set(g, fragment)
     within = boundary | fragment
-    net = _SplitFlow(g, _mask(g, within))
+    net = _SplitFlow(g, vertex_mask(g, within))
     nonadjacent = (
-        (a, b) for a, b in combinations(_bits(net.alive), 2) if not net.adj[a] >> b & 1
+        (a, b) for a, b in combinations(mask_bits(net.alive), 2) if not net.adj[a] >> b & 1
     )
     witness = next(_weaker_pairs(net, nonadjacent, p + 1), None)
     if witness is None:

@@ -1,11 +1,13 @@
-"""Test oracles for the flow kernel: an exhaustive minimum separator, a check
-of disjoint-path witnesses, and a decoder for ``_SplitFlow.max_flow`` flows."""
+"""Test oracles: for the flow kernel an exhaustive minimum separator, a check
+of disjoint-path witnesses and a decoder for ``_SplitFlow.max_flow`` flows;
+for embeddings a check that the tree's parts land on given host sides."""
 
 from itertools import combinations
 
-from keeptree.connectivity import _bits, _SplitFlow
+from keeptree.connectivity import _SplitFlow
+from keeptree.embed import Embedding
 from keeptree.errors import DEFAULT_BRUTE_GUARD, GuardExceeded, resolve_guard
-from keeptree.graphs import Graph, component_containing
+from keeptree.graphs import Graph, Tree, component_containing, mask_bits
 
 
 def brute_min_separator(g: Graph, u: int, v: int, guard: int | None = None) -> frozenset[int]:
@@ -52,10 +54,22 @@ def max_flow_paths(g: Graph, u: int, v: int) -> tuple[int, list[tuple[int, ...]]
     into vertex paths, one per unit, by following each successor mask."""
     value, flow, _ = _SplitFlow(g).max_flow(u, v, g.n)
     paths = []
-    for y in _bits(flow[u]):
+    for y in mask_bits(flow[u]):
         path = [u]
         while y != v:
             path.append(y)
             y = flow[y].bit_length() - 1
         paths.append((*path, v))
     return value, paths
+
+
+def side_errors(tree: Tree, emb: Embedding, x_to: frozenset[int], y_to: frozenset[int]) -> list[str]:
+    """The tree vertices whose image leaves its designated host side:
+    ``part_x`` must land inside ``x_to`` and ``part_y`` inside ``y_to``."""
+    d = emb.as_dict()
+    return [
+        f"image of {a} leaves the designated side"
+        for part, side in ((tree.part_x, x_to), (tree.part_y, y_to))
+        for a in sorted(part)
+        if d[a] not in side
+    ]

@@ -42,7 +42,7 @@ from keeptree.harness import (
 )
 from keeptree.matching import Matching, max_matching, saturating_matching_or_violator
 from keeptree.pipeline import Certificate
-from oracles import brute_min_separator
+from oracles import brute_min_separator, side_errors
 
 
 def report_line(number: int, name: str, ok: bool, detail: str) -> None:
@@ -270,7 +270,7 @@ def test_criterion_08_embedding_lemma_suites():
                 continue
             emb = bipartite_embed(host, tree)
             u, v = parts if emb.as_dict()[0] in parts[0] else parts[::-1]
-            assert not embedding_errors(host, tree, emb, x_to=u, y_to=v)
+            assert not embedding_errors(host, tree, emb) + side_errors(tree, emb, u, v)
             side_count += 1
 
     sparse_hosts = [cycle(n) for n in range(5, 13)] + [petersen()]

@@ -21,10 +21,15 @@ from keeptree.families import (
     random_graph,
 )
 from keeptree.graphs import Graph, Tree, bipartition, degree_stats
+from oracles import side_errors
 
 
-def validate(host, tree, emb, **sides):
-    problems = embedding_errors(host, tree, emb, **sides)
+def validate(host, tree, emb, sides=None):
+    """Assert a valid embedding; with ``sides`` (x_to, y_to), also that the
+    tree's parts land on those host sides."""
+    problems = embedding_errors(host, tree, emb)
+    if sides is not None:
+        problems += side_errors(tree, emb, *sides)
     assert not problems, problems
 
 
@@ -76,8 +81,7 @@ class TestBipartiteEmbed:
         t = Tree.from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
         assert (len(t.part_x), len(t.part_y)) in {(2, 3), (3, 2)}
         emb = bipartite_embed(k33, t)
-        u, v = oriented_sides(k33, t, emb)
-        validate(k33, t, emb, x_to=u, y_to=v)
+        validate(k33, t, emb, oriented_sides(k33, t, emb))
         assert exhaustive_embed(k33, t) is not None
 
     def test_single_edge_into_k2(self):
@@ -88,8 +92,7 @@ class TestBipartiteEmbed:
 
     def test_p4_into_c4(self, c4, tree_p4):
         emb = bipartite_embed(c4, tree_p4)
-        u, v = oriented_sides(c4, tree_p4, emb)
-        validate(c4, tree_p4, emb, x_to=u, y_to=v)
+        validate(c4, tree_p4, emb, oriented_sides(c4, tree_p4, emb))
         # Exhaustive search over the candidate maps agrees it exists.
         assert exhaustive_embed(c4, tree_p4) is not None
 
@@ -183,12 +186,8 @@ class TestValidator:
 
     def test_side_respect(self, c4, tree_k2):
         emb = Embedding.from_dict({0: 0, 1: 1})
-        assert not embedding_errors(
-            c4, tree_k2, emb, x_to=frozenset({0, 2}), y_to=frozenset({1, 3})
-        )
-        assert embedding_errors(
-            c4, tree_k2, emb, x_to=frozenset({1, 3}), y_to=frozenset({0, 2})
-        )
+        assert not side_errors(tree_k2, emb, frozenset({0, 2}), frozenset({1, 3}))
+        assert side_errors(tree_k2, emb, frozenset({1, 3}), frozenset({0, 2}))
 
     def test_wrong_domain(self, c4, tree_p3):
         emb = Embedding.from_dict({0: 0, 1: 1})

@@ -1,6 +1,7 @@
 """Graph-core: construction invariants, basic quantities, and their oracles."""
 
 import math
+import pickle
 import random
 from collections import deque
 from itertools import combinations
@@ -16,7 +17,6 @@ from keeptree.families import (
     gen_tree,
     heawood,
     hoffman_singleton,
-    hypercube,
     petersen,
     projective_incidence,
     random_bipartite,
@@ -27,6 +27,7 @@ from keeptree.graphs import (
     Graph,
     Tree,
     bipartition,
+    component_containing,
     components,
     components_excluding,
     degree_stats,
@@ -69,6 +70,28 @@ class TestConstruction:
     def test_value_equality(self):
         assert Graph(3, [(0, 1)]) == Graph(3, [(1, 0)])
         assert Graph(3, [(0, 1)]) != Graph(3, [(0, 2)])
+
+
+class TestMasks:
+    def test_masks_match_neighbors(self):
+        for g in random_graphs(40, 20, 300) + [petersen(), Graph(0), Graph(3)]:
+            assert len(g.masks) == g.n
+            for v in g.vertices():
+                assert g.masks[v] == sum(1 << w for w in g.neighbors(v))
+
+    def test_masks_built_once(self, pete):
+        assert pete.masks is pete.masks
+
+    def test_value_unchanged_by_masks(self):
+        for g in random_graphs(20, 15, 700) + [petersen()]:
+            twin = Graph(g.n, g.edges())
+            before = (hash(g), pickle.dumps(g))
+            g.masks  # builds the cache
+            assert (hash(g), pickle.dumps(g)) == before
+            assert g == twin and twin == g and hash(twin) == hash(g)
+            copy = pickle.loads(pickle.dumps(g))
+            assert copy == g and hash(copy) == hash(g)
+            assert copy.masks == g.masks
 
 
 class TestDegreeStats:
@@ -199,6 +222,32 @@ class TestGirth:
             assert values[-1] == networkx_girth(g), g.edges()
         # The corpus reaches acyclic graphs, triangles and long cycles.
         assert None in values and 3 in values and max(v for v in values if v) >= 8
+
+    def test_named_hosts(self, pete):
+        forest = Graph(7, [(0, 1), (1, 2), (1, 3), (4, 5)])
+        assert girth(forest) is None and networkx_girth(forest) is None
+        assert girth(Graph(0)) is None and girth(Graph(1)) is None
+        assert girth(pete) == 5
+        assert girth(cycle(7)) == 7
+        # C7 beside C4, and C7 beside a path: the shorter cycle of any part.
+        c7_c4 = Graph(11, cycle(7).edges() + [(7 + u, 7 + v) for u, v in cycle(4).edges()])
+        assert girth(c7_c4) == 4
+        c7_path = Graph(10, cycle(7).edges() + [(7, 8), (8, 9)])
+        assert girth(c7_path) == 7
+
+    def test_matches_networkx_on_gnp(self):
+        rng = random.Random(77)
+        seen = set()
+        for _ in range(300):
+            n = rng.randint(1, 40)
+            g = random_graph(n, min(1.0, rng.uniform(0.3, 3.0) / n), rng.randrange(1 << 30))
+            if rng.random() < 0.3:  # a disconnected host: two parts side by side
+                h = random_graph(rng.randint(1, 12), rng.uniform(0.1, 0.5), rng.randrange(1 << 30))
+                g = Graph(g.n + h.n, g.edges() + [(g.n + u, g.n + v) for u, v in h.edges()])
+            value = girth(g)
+            assert value == networkx_girth(g), g.edges()
+            seen.add(value)
+        assert None in seen and {3, 4, 5} <= seen
 
 
 class TestTriangleFree:
@@ -334,6 +383,21 @@ class TestComponents:
         comps = components_excluding(c5, {0, 2})
         assert [sorted(c) for c in comps] == [[1], [3, 4]]
         assert [len(c) >= 2 for c in comps] == [False, True]
+
+    def test_match_networkx_with_exclusions(self):
+        rng = random.Random(5)
+        for g in random_graphs(60, 30, 1200) + [petersen(), cycle(7)]:
+            excluded = set(rng.sample(range(g.n), rng.randint(0, g.n // 2)))
+            nxg = nx.Graph()
+            nxg.add_nodes_from(v for v in range(g.n) if v not in excluded)
+            nxg.add_edges_from((u, v) for u, v in g.edges() if u in nxg and v in nxg)
+            expected = sorted((frozenset(c) for c in nx.connected_components(nxg)), key=min)
+            assert components_excluding(g, excluded) == expected
+            for comp in expected:
+                for v in comp:
+                    assert component_containing(g, v, excluded) == comp
+        with pytest.raises(ValueError, match="excluded"):
+            component_containing(cycle(5), 1, {1})
 
 
 class TestTree:

@@ -10,8 +10,8 @@ import pytest
 from keeptree import graphs, harness, pipeline
 from keeptree.connectivity import connectivity_at_least
 from keeptree.errors import GuardExceeded, ParseError
-from keeptree.families import complete_bipartite, cycle, enumerate_trees, petersen
-from keeptree.graphs import Graph, Tree, degree_stats, is_triangle_free
+from keeptree.families import complete_bipartite, enumerate_trees
+from keeptree.graphs import Tree, degree_stats, is_triangle_free
 from keeptree.harness import (
     SuiteInstance,
     _run_one,

@@ -17,7 +17,6 @@ import networkx as nx
 import pytest
 
 from keeptree.connectivity import (
-    _bits,
     _SplitFlow,
     _weaker_pairs,
     connectivity_at_least,
@@ -28,7 +27,7 @@ from keeptree.connectivity import (
     min_separator,
 )
 from keeptree.families import complete_bipartite, petersen, random_bipartite, random_graph
-from keeptree.graphs import Graph, induced_delete, induced_subgraph
+from keeptree.graphs import Graph, induced_delete, induced_subgraph, mask_bits
 from keeptree.triples import ConnectedTriple, _descend_fragments, find_triple, validate_triple
 from oracles import check_path_system, max_flow_paths
 
@@ -428,7 +427,7 @@ def test_max_flow_matches_bfs_reference(chunk):
             value, _, (seen_in, seen_out) = fan.max_flow(u, sink, n + 1)
             ref_value, ref_reach = bfs_max_flow(g, u, sink, n + 1, joined + [u])
             assert value == ref_value
-            split_ids = {2 * w for w in _bits(seen_in)} | {2 * w + 1 for w in _bits(seen_out)}
+            split_ids = {2 * w for w in mask_bits(seen_in)} | {2 * w + 1 for w in mask_bits(seen_out)}
             assert split_ids == ref_reach
             assert fan.max_flow(u, sink, value)[2] is None
         # The cut of a network with uncapacitated edge arcs, for nonadjacent pairs.
@@ -507,7 +506,7 @@ def test_common_neighbours_beyond_limit():
     value, _, (seen_in, seen_out) = net.max_flow(0, 1, 6)
     assert value == 5
     ref_reach = bfs_max_flow(g, 0, 1, 6)[1]
-    assert {2 * w for w in _bits(seen_in)} | {2 * w + 1 for w in _bits(seen_out)} == ref_reach
+    assert {2 * w for w in mask_bits(seen_in)} | {2 * w + 1 for w in mask_bits(seen_out)} == ref_reach
 
 
 def test_fan_with_joined_neighbours():
@@ -528,4 +527,4 @@ def test_fan_with_joined_neighbours():
         min(limit, top) for limit in range(n + 2)
     ]
     _, _, (seen_in, seen_out) = net.max_flow(u, n, n + 1)
-    assert {2 * w for w in _bits(seen_in)} | {2 * w + 1 for w in _bits(seen_out)} == ref_reach
+    assert {2 * w for w in mask_bits(seen_in)} | {2 * w + 1 for w in mask_bits(seen_out)} == ref_reach

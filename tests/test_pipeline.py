@@ -8,7 +8,7 @@ import pytest
 
 from keeptree import pipeline, triples
 from keeptree.errors import HypothesisFailure, SearchExhausted, TheoremViolation
-from keeptree.families import complete_bipartite, cycle, hypercube, petersen, random_bipartite
+from keeptree.families import complete_bipartite, cycle, hypercube, random_bipartite
 from keeptree.graphs import Graph, Tree, degree_stats, find_triangle
 from keeptree.harness import full_suite, oracle_exists
 from keeptree.pipeline import (

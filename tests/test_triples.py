@@ -3,8 +3,8 @@
 import pytest
 
 from keeptree.connectivity import is_k_connected_after_removal
-from keeptree.errors import GuardExceeded, PreconditionError, SearchExhausted
-from keeptree.families import complete_bipartite, cycle, petersen
+from keeptree.errors import GuardExceeded, PreconditionError
+from keeptree.families import complete_bipartite
 from keeptree.graphs import Graph
 from keeptree.matching import Matching
 from keeptree.triples import (
