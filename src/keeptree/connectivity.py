@@ -44,7 +44,7 @@ class _SplitFlow:
     internally disjoint paths in a simple graph.  Only the vertices of the
     mask ``alive`` (default: all) have arcs, to their neighbours in
     ``alive``: the network of the induced subgraph, cut from the host's
-    cached ``g.masks``.
+    ``g.masks``.
     """
 
     __slots__ = ("n", "alive", "adj", "joined")
@@ -396,7 +396,7 @@ def min_separator(
     alive = vertex_mask(g, within)
     if not alive >> u & alive >> v & 1:
         raise ValueError(f"({u}, {v}) is not inside within")
-    if g.has_edge(u, v):
+    if g.masks[u] >> v & 1:
         raise ValueError(f"({u}, {v}) are adjacent: no separating set exists")
     net = _SplitFlow(g, alive)
     value, flow, (seen_in, seen_out) = net.max_flow(u, v, alive.bit_count())

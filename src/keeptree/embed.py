@@ -23,7 +23,7 @@ from .errors import (
     TheoremViolation,
     resolve_guard,
 )
-from .graphs import Graph, Tree, bipartition, degree_stats, girth, girth_at_least
+from .graphs import Graph, Tree, bipartition, degree_stats, girth, girth_at_least, mask_bits
 
 __all__ = [
     "Embedding",
@@ -72,7 +72,7 @@ def embedding_errors(host: Graph, tree: Tree, emb: Embedding) -> list[str]:
             problems.append(f"host vertex {h} out of range")
             return problems
     for a, b in tree.graph.edges():
-        if not host.has_edge(d[a], d[b]):
+        if not host.masks[d[a]] >> d[b] & 1:
             problems.append(f"tree edge ({a}, {b}) maps to non-edge ({d[a]}, {d[b]})")
     return problems
 
@@ -86,7 +86,7 @@ def _bfs_order(tree: Tree, root: int, key=None) -> tuple[list[int], list[int]]:
     queue = deque([root])
     while queue:
         a = queue.popleft()
-        children = sorted((b for b in g.neighbors(a) if b not in seen), key=key)
+        children = sorted((b for b in mask_bits(g.masks[a]) if b not in seen), key=key)
         for b in children:
             seen.add(b)
             parent[b] = a
@@ -110,7 +110,7 @@ def greedy_embed(host: Graph, tree: Tree) -> Embedding:
     if stats is None:
         raise PreconditionError("empty host graph")
     if stats[0] < m - 1:
-        offender = min(v for v in host.vertices() if host.degree(v) == stats[0])
+        offender = min(v for v, nbrs in enumerate(host.masks) if nbrs.bit_count() == stats[0])
         raise PreconditionError(
             f"minimum degree {stats[0]} at vertex {offender} is below m-1 = {m - 1}"
         )
@@ -118,7 +118,7 @@ def greedy_embed(host: Graph, tree: Tree) -> Embedding:
 
 
 def _side_min_degree(host: Graph, side: frozenset[int]) -> int | None:
-    return min((host.degree(v) for v in side), default=None)
+    return min((host.masks[v].bit_count() for v in side), default=None)
 
 
 def bipartite_embed(host: Graph, tree: Tree) -> Embedding:
@@ -170,7 +170,7 @@ def _anchored_search(
     cannot accommodate the tree vertex's full neighborhood; it never rules
     out a valid embedding.
     """
-    tg = tree.graph
+    hm, tm = host.masks, tree.graph.masks
     m = tree.order
     image = [-1] * m
     used: set[int] = set()
@@ -180,17 +180,17 @@ def _anchored_search(
         if pos == 0:
             cand = root_candidates
         else:
-            cand = sorted(host.neighbors(image[parent[t]]) - used)
+            cand = mask_bits(hm[image[parent[t]]])
         good = []
         for h in cand:
             if h in used:
                 continue
-            if degree_prune and host.degree(h) < tg.degree(t):
+            if degree_prune and hm[h].bit_count() < tm[t].bit_count():
                 continue
             ok = True
-            for tn in tg.neighbors(t):
+            for tn in mask_bits(tm[t]):
                 hn = image[tn]
-                if hn != -1 and not host.has_edge(hn, h):
+                if hn != -1 and not hm[hn] >> h & 1:
                     ok = False
                     break
             if ok:
@@ -270,9 +270,11 @@ def sparse_embed(host: Graph, tree: Tree, t: int = 2) -> Embedding:
         raise PreconditionError(
             f"maximum host degree {stats[1]} is below the tree's {tree.max_degree}"
         )
-    root = min(range(m), key=lambda v: (-tree.graph.degree(v), v))
-    order, parent = _bfs_order(tree, root, key=lambda v: (-tree.graph.degree(v), v))
-    roots = [h for h in host.vertices() if host.degree(h) >= tree.graph.degree(root)]
+    tm = tree.graph.masks
+    root = min(range(m), key=lambda v: (-tm[v].bit_count(), v))
+    order, parent = _bfs_order(tree, root, key=lambda v: (-tm[v].bit_count(), v))
+    root_degree = tm[root].bit_count()
+    roots = [h for h, nbrs in enumerate(host.masks) if nbrs.bit_count() >= root_degree]
     return _first_embedding(host, tree, order, parent, roots, True)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import DEFAULT_TREE_GUARD, GuardExceeded, resolve_guard
-from .graphs import Graph, Tree, find_triangle, induced_delete
+from .graphs import Graph, Tree, find_triangle, induced_delete, mask_bits
 from .connectivity import connectivity_at_least
 
 __all__ = [
@@ -300,7 +300,7 @@ def _tree_centers(t: Tree) -> list[int]:
     g = t.graph
     if g.n <= 2:
         return list(range(g.n))
-    degree = {v: g.degree(v) for v in range(g.n)}
+    degree = {v: nbrs.bit_count() for v, nbrs in enumerate(g.masks)}
     layer = sorted(v for v in degree if degree[v] == 1)
     remaining = g.n
     while remaining > 2:
@@ -309,7 +309,7 @@ def _tree_centers(t: Tree) -> list[int]:
         for v in layer:
             del degree[v]
         for v in layer:
-            for w in g.neighbors(v):
+            for w in mask_bits(g.masks[v]):
                 if w in degree:
                     degree[w] -= 1
                     if degree[w] == 1:
@@ -323,7 +323,7 @@ def tree_canonical(t: Tree) -> str:
 
     def encode(v: int, parent: int) -> str:
         parts = sorted(
-            encode(w, v) for w in t.graph.neighbors(v) if w != parent
+            encode(w, v) for w in mask_bits(t.graph.masks[v]) if w != parent
         )
         return "(" + "".join(parts) + ")"
 

@@ -1,19 +1,12 @@
 """Immutable undirected simple graphs, trees, and basic structure queries.
 
-Vertices are dense integer ids ``0..n-1``.  Derived graphs (vertex deletion,
-induced subgraphs) are new values returned together with an id remapping, so
-anything computed downstream can be translated back into the original
-graph's numbering.  All functions here are pure and safe to call from any
-number of threads.
-
-``Graph.masks`` holds one neighbour bitmask per vertex (bit y of
-``masks[x]`` is set iff xy is an edge).  It is built from the frozen
-adjacency the first time it is read and then kept on the instance; it
-caches adjacency only, never a computed fact.  The lazy write stays
-thread-safe because it is idempotent: threads that race on a fresh graph
-each build an equal tuple from the same immutable adjacency, and whichever
-assignment lands last, every reader sees a complete table.  Girth,
-components and the flow networks of :mod:`keeptree.connectivity` run on it.
+Vertices are dense integer ids ``0..n-1``.  A graph is its neighbour
+bitmasks: bit y of ``Graph.masks[x]`` is set iff xy is an edge, built once
+at construction and the only adjacency kept.  Derived graphs (vertex
+deletion, induced subgraphs) are new values returned together with an id
+remapping, so anything computed downstream can be translated back into the
+original graph's numbering.  All functions here are pure and safe to call
+from any number of threads.
 """
 
 from __future__ import annotations
@@ -42,48 +35,34 @@ __all__ = [
 
 
 class Graph:
-    """Undirected simple graph on vertices ``0..n-1`` with frozen adjacency.
+    """Undirected simple graph on vertices ``0..n-1`` held as one neighbour
+    bitmask per vertex.
 
     Construction rejects self-loops, duplicate edges, and out-of-range
     endpoints.  Instances are immutable values: equality and hashing are
-    structural.  The lazily built ``masks`` table is no part of the value:
-    it takes no part in equality or hashing and is not pickled.
+    structural.
     """
 
-    __slots__ = ("n", "_adj", "_edge_count", "_masks")
+    __slots__ = ("n", "masks", "edge_count")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        adj: list[set[int]] = [set() for _ in range(n)]
+        masks = [0] * n
         count = 0
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if v in adj[u]:
+            if masks[u] >> v & 1:
                 raise ValueError(f"duplicate edge ({u}, {v})")
-            adj[u].add(v)
-            adj[v].add(u)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
             count += 1
         self.n = n
-        self._adj = tuple(frozenset(s) for s in adj)
-        self._edge_count = count
-
-    @property
-    def edge_count(self) -> int:
-        return self._edge_count
-
-    @property
-    def masks(self) -> tuple[int, ...]:
-        """Neighbour bitmask of every vertex, built on first use."""
-        try:
-            return self._masks
-        except AttributeError:
-            masks = tuple(sum(1 << y for y in nbrs) for nbrs in self._adj)
-            self._masks = masks
-            return masks
+        self.masks = tuple(masks)
+        self.edge_count = count
 
     def vertices(self) -> range:
         return range(self.n)
@@ -94,34 +73,33 @@ class Graph:
 
     def neighbors(self, v: int) -> frozenset[int]:
         self.check_vertex(v)
-        return self._adj[v]
+        return frozenset(mask_bits(self.masks[v]))
 
     def degree(self, v: int) -> int:
         self.check_vertex(v)
-        return len(self._adj[v])
+        return self.masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         self.check_vertex(u)
         self.check_vertex(v)
-        return v in self._adj[u]
+        return bool(self.masks[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, in sorted order."""
-        return [(u, v) for u in range(self.n) for v in sorted(self._adj[u]) if u < v]
+        return [
+            (u, v) for u, m in enumerate(self.masks) for v in mask_bits(m >> (u + 1) << (u + 1))
+        ]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self._adj == other._adj
+        return self.n == other.n and self.masks == other.masks
 
     def __hash__(self) -> int:
-        return hash((self.n, self._adj))
-
-    def __getstate__(self):
-        return None, {"n": self.n, "_adj": self._adj, "_edge_count": self._edge_count}
+        return hash((self.n, self.masks))
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, edges={self._edge_count})"
+        return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
 def check_vertex_set(g: Graph, w: Iterable[int]) -> frozenset[int]:
@@ -164,17 +142,17 @@ def degree_stats(g: Graph) -> tuple[int, int] | None:
     """Minimum and maximum degree, or None for the empty graph."""
     if g.n == 0:
         return None
-    degrees = [g.degree(v) for v in g.vertices()]
+    degrees = [m.bit_count() for m in g.masks]
     return min(degrees), max(degrees)
 
 
 def neighborhood_of_set(g: Graph, w: Iterable[int]) -> frozenset[int]:
     """Union of the neighborhoods of ``w``, excluding ``w`` itself."""
-    ws = check_vertex_set(g, w)
-    out: set[int] = set()
-    for v in ws:
-        out |= g.neighbors(v)
-    return frozenset(out - ws)
+    ws = vertex_mask(g, w)
+    out = 0
+    for v in mask_bits(ws):
+        out |= g.masks[v]
+    return frozenset(mask_bits(out & ~ws))
 
 
 def girth(g: Graph) -> int | None:
@@ -220,10 +198,11 @@ def girth_at_least(girth_value: int | None, bound: int | float) -> bool:
 
 def find_triangle(g: Graph) -> tuple[int, int, int] | None:
     """Some triangle as a sorted vertex triple, or None."""
+    masks = g.masks
     for u, v in g.edges():
-        common = g.neighbors(u) & g.neighbors(v)
+        common = masks[u] & masks[v]
         if common:
-            return tuple(sorted((u, v, min(common))))  # type: ignore[return-value]
+            return tuple(sorted((u, v, next(mask_bits(common)))))  # type: ignore[return-value]
     return None
 
 
@@ -236,24 +215,32 @@ def _two_color(g: Graph) -> tuple[list[int], list[int], tuple[int, int] | None]:
     """BFS 2-coloring (component minimum gets color 0) with the BFS parents.
 
     Stops at the first edge whose endpoints share a color and returns it as
-    the third item (None when the coloring is proper).
+    the third item (None when the coloring is proper).  ``side[c]`` is the
+    mask of the vertices colored c, so a dequeued vertex finds its clash
+    (lowest first) and its uncolored neighbours with one AND each.
     """
+    masks = g.masks
     color = [-1] * g.n
     parent = [-1] * g.n
+    side = [0, 0]
     for start in range(g.n):
         if color[start] != -1:
             continue
         color[start] = 0
+        side[0] |= 1 << start
         queue = deque([start])
         while queue:
             a = queue.popleft()
-            for b in sorted(g.neighbors(a)):
-                if color[b] == -1:
-                    color[b] = color[a] ^ 1
-                    parent[b] = a
-                    queue.append(b)
-                elif color[b] == color[a]:
-                    return color, parent, (a, b)
+            c = color[a]
+            clash = masks[a] & side[c]
+            if clash:
+                return color, parent, (a, next(mask_bits(clash)))
+            fresh = masks[a] & ~(side[0] | side[1])
+            side[c ^ 1] |= fresh
+            for b in mask_bits(fresh):
+                color[b] = c ^ 1
+                parent[b] = a
+                queue.append(b)
     return color, parent, None
 
 
@@ -297,21 +284,19 @@ def _cycle_through(parent: list[int], a: int, b: int) -> list[int]:
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Induced subgraph on ``keep`` plus the remap (new id -> original id)."""
-    kept = sorted(check_vertex_set(g, keep))
+    above = vertex_mask(g, keep)
+    kept = tuple(mask_bits(above))
     index = {old: new for new, old in enumerate(kept)}
-    edges = [
-        (index[u], index[v])
-        for u in kept
-        for v in sorted(g.neighbors(u))
-        if u < v and v in index
-    ]
-    return Graph(len(kept), edges), tuple(kept)
+    edges: list[tuple[int, int]] = []
+    for u in kept:
+        above ^= 1 << u  # the kept vertices after u
+        edges += [(index[u], index[v]) for v in mask_bits(g.masks[u] & above)]
+    return Graph(len(kept), edges), kept
 
 
 def induced_delete(g: Graph, w: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Graph minus ``w`` plus the remap (new id -> original id)."""
-    ws = check_vertex_set(g, w)
-    return induced_subgraph(g, set(g.vertices()) - ws)
+    return induced_subgraph(g, mask_bits(vertex_mask(g, None) & ~vertex_mask(g, w)))
 
 
 def component_containing(g: Graph, v: int, excluded: Iterable[int] = ()) -> frozenset[int]:
@@ -366,7 +351,7 @@ class Tree:
         self.graph = graph
         self.order = graph.n
         self.part_x, self.part_y = parts
-        self.max_degree = max(graph.degree(v) for v in graph.vertices())
+        self.max_degree = max(m.bit_count() for m in graph.masks)
 
     @classmethod
     def from_edges(cls, order: int, edges: Iterable[tuple[int, int]]) -> "Tree":

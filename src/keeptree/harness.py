@@ -21,7 +21,6 @@ from .connectivity import is_k_connected_after_removal
 from .embed import Embedding, iter_embeddings
 from .errors import (
     DEFAULT_BRUTE_GUARD,
-    GuardExceeded,
     HypothesisFailure,
     ParseError,
     SearchExhausted,
@@ -38,7 +37,7 @@ from .families import (
     projective_incidence,
     random_bipartite,
 )
-from .graphs import Graph, Tree, degree_stats, is_connected
+from .graphs import Graph, Tree, degree_stats
 from .pipeline import (
     CASE_BIPARTITE,
     CASE_GIRTH,
@@ -59,7 +58,6 @@ __all__ = [
     "oracle_exists",
     "run_suite",
     "tightness_probe",
-    "small_connected_graphs",
     "corpus_triangle_free",
     "corpus_bipartite",
     "corpus_girth",
@@ -102,27 +100,6 @@ def oracle_exists(g: Graph, tree: Tree, k: int, guard: int | None = None) -> Emb
         if is_k_connected_after_removal(g, emb.image(), k):
             return emb
     return None
-
-
-def small_connected_graphs(max_n: int = 7) -> list[Graph]:
-    """All connected graphs with 1..max_n vertices, one per isomorphism class.
-
-    Backed by the graph atlas shipped with networkx (complete up to 7
-    vertices); atlas node labels are already 0..n-1.
-    """
-    if max_n > 7:
-        raise GuardExceeded("the atlas only covers graphs up to 7 vertices")
-    import networkx as nx
-
-    out = []
-    for nxg in nx.graph_atlas_g():
-        n = nxg.number_of_nodes()
-        if n == 0 or n > max_n:
-            continue
-        g = Graph(n, list(nxg.edges()))
-        if is_connected(g):
-            out.append(g)
-    return out
 
 
 @dataclass(frozen=True)
@@ -306,7 +283,9 @@ def run_suite(
     """Run the pipeline over a corpus and merge results by instance id.
 
     Instances are independent; with ``jobs > 1`` they run in a process pool
-    and the merged report is identical to a sequential run.
+    and the merged report is identical to a sequential run.  Duplicate ids,
+    an instance with k < 1 and ``jobs < 1`` raise ValueError before any
+    instance runs.
     """
     insts = list(instances)
     ids = [inst.instance_id for inst in insts]
@@ -314,6 +293,9 @@ def run_suite(
         raise ValueError("instance ids must be unique")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    for inst in insts:
+        if inst.k < 1:
+            raise ValueError(f"instance {inst.instance_id}: k must be positive, got {inst.k}")
     guard = resolve_guard(oracle_guard, DEFAULT_BRUTE_GUARD)
     guards = [guard] * len(insts)
     if jobs > 1 and len(insts) > 1:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import TheoremViolation
-from .graphs import Graph, check_vertex_set, neighborhood_of_set
+from .graphs import Graph, mask_bits, neighborhood_of_set, vertex_mask
 
 __all__ = [
     "Matching",
@@ -61,7 +61,7 @@ def check_matching(g: Graph, left: Iterable[int], right: Iterable[int], m: Match
             problems.append(f"left endpoint {a} outside the left set")
         if b not in rs:
             problems.append(f"right endpoint {b} outside the right set")
-        if not (0 <= a < g.n and 0 <= b < g.n) or not g.has_edge(a, b):
+        if not (0 <= a < g.n and 0 <= b < g.n) or not g.masks[a] >> b & 1:
             problems.append(f"({a}, {b}) is not an edge of the host graph")
         if a in seen or b in seen:
             problems.append(f"vertex reused by edge ({a}, {b})")
@@ -70,22 +70,22 @@ def check_matching(g: Graph, left: Iterable[int], right: Iterable[int], m: Match
     return problems
 
 
-def _check_sides(g: Graph, left: Iterable[int], right: Iterable[int]):
-    ls = check_vertex_set(g, left)
-    rs = check_vertex_set(g, right)
-    if ls & rs:
-        raise ValueError(f"left and right sets overlap at {sorted(ls & rs)[0]}")
-    return ls, rs
+def _check_sides(g: Graph, left: Iterable[int], right: Iterable[int]) -> tuple[int, int]:
+    """The masks of the two sides, ids checked and the sides disjoint."""
+    lm, rm = vertex_mask(g, left), vertex_mask(g, right)
+    if lm & rm:
+        raise ValueError(f"left and right sets overlap at {next(mask_bits(lm & rm))}")
+    return lm, rm
 
 
 def max_matching(g: Graph, left: Iterable[int], right: Iterable[int]) -> Matching:
     """Maximum-cardinality matching on the induced left-right bipartite structure."""
-    ls, rs = _check_sides(g, left, right)
+    lm, rm = _check_sides(g, left, right)
     pair_left: dict[int, int] = {}
     pair_right: dict[int, int] = {}
 
     def try_augment(a: int, visited: set[int]) -> bool:
-        for b in sorted(g.neighbors(a) & rs):
+        for b in mask_bits(g.masks[a] & rm):
             if b in visited:
                 continue
             visited.add(b)
@@ -95,17 +95,17 @@ def max_matching(g: Graph, left: Iterable[int], right: Iterable[int]) -> Matchin
                 return True
         return False
 
-    for a in sorted(ls):
+    for a in mask_bits(lm):
         try_augment(a, set())
     m = Matching(tuple(sorted(pair_left.items())))
-    problems = check_matching(g, ls, rs, m)
+    problems = check_matching(g, mask_bits(lm), mask_bits(rm), m)
     if problems:
         raise TheoremViolation(f"matching failed its own invariants: {problems}")
     return m
 
 
 def _partner_closure(
-    g: Graph, rs: frozenset[int], pair_right: dict[int, int], start: Iterable[int]
+    g: Graph, rm: int, pair_right: dict[int, int], start: Iterable[int]
 ) -> set[int] | None:
     """The least left set holding ``start`` and closed under the partners of
     its right neighbours, or None once one of those neighbours is unmatched.
@@ -113,7 +113,7 @@ def _partner_closure(
     subset = set(start)
     queue = list(subset)
     while queue:
-        for b in g.neighbors(queue.pop()) & rs:
+        for b in mask_bits(g.masks[queue.pop()] & rm):
             partner = pair_right.get(b)
             if partner is None:
                 return None
@@ -133,21 +133,21 @@ def saturating_matching_or_violator(
     matching, and its neighborhood deficiency is recounted from the graph
     before returning.
     """
-    ls, rs = _check_sides(g, left, right)
-    m = max_matching(g, ls, rs)
-    if m.size == len(ls):
+    lm, rm = _check_sides(g, left, right)
+    m = max_matching(g, mask_bits(lm), mask_bits(rm))
+    if m.size == lm.bit_count():
         return m
     pair_right = {b: a for a, b in m.edges}
-    subset = _partner_closure(g, rs, pair_right, ls - m.left_vertices())
+    subset = _partner_closure(g, rm, pair_right, set(mask_bits(lm)) - m.left_vertices())
     if subset is None:
         raise TheoremViolation("an unmatched right vertex is alternating-reachable")
-    neighborhood = neighborhood_of_set(g, subset) & rs
-    if len(neighborhood) >= len(subset):
+    size = sum(1 for v in neighborhood_of_set(g, subset) if rm >> v & 1)
+    if size >= len(subset):
         raise TheoremViolation(
             f"extracted violator {sorted(subset)} fails the recount: "
-            f"|N(S)| = {len(neighborhood)} >= |S| = {len(subset)}"
+            f"|N(S)| = {size} >= |S| = {len(subset)}"
         )
-    return HallViolator(frozenset(subset), len(neighborhood))
+    return HallViolator(frozenset(subset), size)
 
 
 def find_tight_set(
@@ -160,12 +160,12 @@ def find_tight_set(
     matched partners; hitting an unmatched right vertex proves no tight set
     contains the probe vertex.
     """
-    ls, rs = _check_sides(g, left, right)
+    lm, rm = _check_sides(g, left, right)
     pair_right = {b: a for a, b in m.edges}
-    if m.left_vertices() != ls:
+    if m.left_vertices() != frozenset(mask_bits(lm)):
         raise ValueError("tight-set probing needs a matching saturating the left side")
-    for probe in sorted(ls):
-        subset = _partner_closure(g, rs, pair_right, {probe})
+    for probe in mask_bits(lm):
+        subset = _partner_closure(g, rm, pair_right, {probe})
         if subset is not None:
             return frozenset(subset)
     return None

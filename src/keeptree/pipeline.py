@@ -231,7 +231,7 @@ def check_hypotheses(
     else:
         degree_ok = Fraction(delta) >= threshold
         if not degree_ok:
-            offender = min(v for v in g.vertices() if g.degree(v) == delta)
+            offender = min(v for v, nbrs in enumerate(g.masks) if nbrs.bit_count() == delta)
             failures.append(
                 f"minimum degree {delta} (vertex {offender}) below threshold {threshold}"
             )

@@ -97,7 +97,8 @@ def validate_triple(g: Graph, t: ConnectedTriple) -> CheckReport:
         raise ValueError("triple parameter p must be positive")
     s1 = check_vertex_set(g, t.s1)
     s2 = check_vertex_set(g, t.s2)
-    f = check_vertex_set(g, t.f)
+    fmask = vertex_mask(g, t.f)
+    f = frozenset(t.f)
     p = t.p
     checks: list[tuple[str, bool, str]] = []
 
@@ -118,7 +119,7 @@ def validate_triple(g: Graph, t: ConnectedTriple) -> CheckReport:
 
     degree_ok, degree_witness = True, "ok"
     for v in sorted(s1):
-        load = len(g.neighbors(v) & f)
+        load = (g.masks[v] & fmask).bit_count()
         if load > p:
             degree_ok = False
             degree_witness = f"vertex {v} has {load} > p = {p} neighbors in f"
@@ -200,7 +201,7 @@ def _valid_triples(
         for subset in combinations(universe, size):
             sset = frozenset(subset)
             fragments = [
-                frag
+                (frag, vertex_mask(g, frag))
                 for frag in components_excluding(g, sset)
                 if len(frag) >= 2 and frag <= within
             ]
@@ -209,8 +210,8 @@ def _valid_triples(
             for mask in range(1 << size):
                 s1 = frozenset(subset[i] for i in range(size) if mask >> i & 1)
                 s2 = sset - s1
-                for f in fragments:
-                    if any(len(g.neighbors(v) & f) > p for v in s1):
+                for f, fmask in fragments:
+                    if any((g.masks[v] & fmask).bit_count() > p for v in s1):
                         continue
                     cand = ConnectedTriple(p, s1, s2, f)
                     if validate_triple(g, cand).passed:
@@ -221,8 +222,9 @@ def _boundary_splits(
     g: Graph, boundary: frozenset[int], fragment: frozenset[int], p: int
 ):
     """Candidate (s1, s2) partitions of a fragment boundary, best-first."""
+    fmask = vertex_mask(g, fragment)
     eligible = frozenset(
-        v for v in boundary if len(g.neighbors(v) & fragment) <= p
+        v for v in boundary if (g.masks[v] & fmask).bit_count() <= p
     )
     seen: set[frozenset[int]] = set()
     ordered: list[tuple[frozenset[int], frozenset[int]]] = [

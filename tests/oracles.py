@@ -1,13 +1,35 @@
 """Test oracles: for the flow kernel an exhaustive minimum separator, a check
 of disjoint-path witnesses and a decoder for ``_SplitFlow.max_flow`` flows;
-for embeddings a check that the tree's parts land on given host sides."""
+for embeddings a check that the tree's parts land on given host sides; and
+every small connected graph, from the networkx graph atlas."""
 
 from itertools import combinations
+
+import networkx as nx
 
 from keeptree.connectivity import _SplitFlow
 from keeptree.embed import Embedding
 from keeptree.errors import DEFAULT_BRUTE_GUARD, GuardExceeded, resolve_guard
-from keeptree.graphs import Graph, Tree, component_containing, mask_bits
+from keeptree.graphs import Graph, Tree, component_containing, is_connected, mask_bits
+
+
+def small_connected_graphs(max_n: int = 7) -> list[Graph]:
+    """All connected graphs with 1..max_n vertices, one per isomorphism class.
+
+    Backed by the graph atlas shipped with networkx (complete up to 7
+    vertices); atlas node labels are already 0..n-1.
+    """
+    if max_n > 7:
+        raise GuardExceeded("the atlas only covers graphs up to 7 vertices")
+    out = []
+    for nxg in nx.graph_atlas_g():
+        n = nxg.number_of_nodes()
+        if n == 0 or n > max_n:
+            continue
+        g = Graph(n, list(nxg.edges()))
+        if is_connected(g):
+            out.append(g)
+    return out
 
 
 def brute_min_separator(g: Graph, u: int, v: int, guard: int | None = None) -> frozenset[int]:

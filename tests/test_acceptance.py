@@ -34,15 +34,10 @@ from keeptree.graphs import (
     girth_at_least,
     neighborhood_of_set,
 )
-from keeptree.harness import (
-    corpus_girth,
-    full_suite,
-    run_suite,
-    small_connected_graphs,
-)
+from keeptree.harness import corpus_girth, full_suite, run_suite
 from keeptree.matching import Matching, max_matching, saturating_matching_or_violator
 from keeptree.pipeline import Certificate
-from oracles import brute_min_separator, side_errors
+from oracles import brute_min_separator, side_errors, small_connected_graphs
 
 
 def report_line(number: int, name: str, ok: bool, detail: str) -> None:

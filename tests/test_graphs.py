@@ -39,6 +39,7 @@ from keeptree.graphs import (
     neighborhood_of_set,
     odd_cycle,
 )
+from oracles import small_connected_graphs
 
 
 def random_graphs(count: int, max_n: int, base_seed: int):
@@ -79,19 +80,42 @@ class TestMasks:
             for v in g.vertices():
                 assert g.masks[v] == sum(1 << w for w in g.neighbors(v))
 
-    def test_masks_built_once(self, pete):
-        assert pete.masks is pete.masks
-
-    def test_value_unchanged_by_masks(self):
-        for g in random_graphs(20, 15, 700) + [petersen()]:
-            twin = Graph(g.n, g.edges())
-            before = (hash(g), pickle.dumps(g))
-            g.masks  # builds the cache
-            assert (hash(g), pickle.dumps(g)) == before
-            assert g == twin and twin == g and hash(twin) == hash(g)
+    def test_value_independent_of_edge_order(self):
+        for i, g in enumerate(random_graphs(20, 15, 700) + [petersen()]):
+            edges = g.edges()
+            shuffled = list(edges)
+            random.Random(i).shuffle(shuffled)
+            reversed_flipped = [(v, u) for u, v in reversed(edges)]
+            for twin in (Graph(g.n, shuffled), Graph(g.n, reversed_flipped)):
+                assert twin == g and g == twin and hash(twin) == hash(g)
+                assert twin.edges() == edges and twin.edge_count == g.edge_count
             copy = pickle.loads(pickle.dumps(g))
             assert copy == g and hash(copy) == hash(g)
-            assert copy.masks == g.masks
+            assert copy.masks == g.masks and copy.edge_count == g.edge_count
+
+    def test_accessors_match_networkx(self):
+        """Seeded G(n, p) against networkx, with masks wider than 64 bits."""
+        cases = [(0, 0.5), (1, 0.5), (2, 1.0), (9, 0.4), (70, 0.1), (97, 0.3), (130, 0.05)]
+        for i, (n, p) in enumerate(cases):
+            rng = random.Random(3100 + i)
+            edges = [
+                (u, v) if rng.random() < 0.5 else (v, u)
+                for u, v in combinations(range(n), 2)
+                if rng.random() < p
+            ]
+            rng.shuffle(edges)
+            g = Graph(n, edges)
+            ref = nx.Graph()
+            ref.add_nodes_from(range(n))
+            ref.add_edges_from(edges)
+            assert g.edges() == sorted(tuple(sorted(e)) for e in ref.edges())
+            assert g.edge_count == ref.number_of_edges()
+            for u in range(n):
+                assert g.degree(u) == ref.degree(u)
+                assert g.neighbors(u) == frozenset(ref.neighbors(u))
+                assert [g.has_edge(u, v) for v in range(n)] == [
+                    ref.has_edge(u, v) for v in range(n)
+                ]
 
 
 class TestDegreeStats:
@@ -264,8 +288,6 @@ class TestTriangleFree:
         # Exhaustive over all labeled graphs on up to 5 vertices, every
         # connected isomorphism class on up to 7, and a seeded random
         # sample at 8.
-        from keeptree.harness import small_connected_graphs
-
         for n in range(6):
             pairs = list(combinations(range(n), 2))
             for mask in range(1 << len(pairs)):
@@ -318,8 +340,6 @@ class TestBipartition:
                 assert (u in parts[0]) != (v in parts[0])
 
     def test_agreement_with_odd_walk_oracle(self):
-        from keeptree.harness import small_connected_graphs
-
         for g in small_connected_graphs(7):
             assert (bipartition(g) is None) == has_odd_closed_walk(g)
         for g in random_graphs(150, 8, 4100):

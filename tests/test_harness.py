@@ -21,7 +21,6 @@ from keeptree.harness import (
     oracle_exists,
     parse_manifest,
     run_suite,
-    small_connected_graphs,
     tightness_probe,
 )
 from keeptree.pipeline import (
@@ -31,6 +30,7 @@ from keeptree.pipeline import (
     auto_case,
     degree_threshold,
 )
+from oracles import small_connected_graphs
 
 
 def path_tree(m):
@@ -75,20 +75,6 @@ class TestOracle:
             oracle_exists(k44, tree_k2, k)
 
 
-class TestSmallGraphCorpus:
-    def test_counts_per_order(self):
-        graphs = small_connected_graphs(7)
-        by_n = {}
-        for g in graphs:
-            by_n[g.n] = by_n.get(g.n, 0) + 1
-        # Connected graphs up to isomorphism on 1..7 vertices.
-        assert by_n == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
-
-    def test_guard_beyond_atlas(self):
-        with pytest.raises(GuardExceeded):
-            small_connected_graphs(8)
-
-
 class TestRunSuite:
     def test_empty_corpus(self):
         report = run_suite([])
@@ -125,6 +111,17 @@ class TestRunSuite:
         inst = SuiteInstance("x", "f", k44, path_tree(2), 1, None)
         with pytest.raises(ValueError, match="jobs"):
             run_suite([inst], jobs=jobs)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_k_below_one_rejected_before_any_run(self, monkeypatch, k44, jobs):
+        counts = count_calls(monkeypatch, pipeline.check_hypotheses)
+        instances = [
+            SuiteInstance("good", "f", k44, path_tree(2), 1, None),
+            SuiteInstance("zero", "f", k44, path_tree(2), 0, None),
+        ]
+        with pytest.raises(ValueError, match="instance zero: k must be positive"):
+            run_suite(instances, jobs=jobs)
+        assert counts["check_hypotheses"] == 0
 
     def test_jobs_match_sequential(self, k44, q3):
         instances = [

@@ -1,4 +1,5 @@
-"""Every imported name in ``src/`` and ``tests/`` is used.
+"""Every imported name in ``src/`` and ``tests/`` is used, and ``src/``
+imports nothing outside the standard library.
 
 No linter runs over the repository, so this stdlib-only AST scan is what
 catches an import left behind.  A name counts as used when it appears as a
@@ -7,6 +8,7 @@ every import of an ``__init__.py`` (the package's re-exports) count as used.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,3 +49,36 @@ def test_no_unused_imports():
         for line, name in unused_imports(path.read_text())
     ]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def foreign_imports(source: str) -> list[tuple[int, str]]:
+    """(line, module) of each absolute import of ``source``, at any depth,
+    whose top-level package is neither keeptree nor in the standard library."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        for module in modules:
+            top = module.split(".")[0]
+            if top != "keeptree" and top not in sys.stdlib_module_names:
+                found.append((node.lineno, module))
+    return found
+
+
+def test_foreign_scanner_finds_third_party():
+    source = "import os\nfrom . import x\ndef f():\n    import networkx as nx\n    from scipy.sparse import y\n"
+    assert foreign_imports(source) == [(4, "networkx"), (5, "scipy.sparse")]
+
+
+def test_src_imports_only_stdlib():
+    paths = sorted((ROOT / "src").rglob("*.py"))
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {module}"
+        for path in paths
+        for line, module in foreign_imports(path.read_text())
+    ]
+    assert not found, "imports outside keeptree and the standard library:\n" + "\n".join(found)
