@@ -9,6 +9,14 @@ run the threshold tests (:func:`find_pair_below`,
 (:func:`global_connectivity`) and minimum separators (:func:`min_separator`).
 A query about a vertex subset of the host runs on the host's ids and
 masks, with no induced copy.
+
+Threshold tests and exact connectivity share one scan with a running bound,
+Even's test (:func:`_even_drops`) or the designated-vertex pairs: a
+threshold test stops at its first pair below the bound, and exact
+connectivity runs from the minimum degree down to its last drop.  Exact
+connectivity takes the designated pairs only when the designated vertex's
+neighbourhood has an edge; otherwise it runs Even's test with the vertices
+ordered by degree, highest first.
 """
 
 from __future__ import annotations
@@ -281,41 +289,62 @@ def _pair_below(net: _SplitFlow, us: list[int], bound: int) -> tuple[int, int, i
         b = min(bound, count)
         if pair_count <= comb(b, 2) + count - b:
             return next(_weaker_pairs(net, pairs, bound), None)
-    return _even_test(net, us, bound)
+    return next(_even_drops(net, us, bound), None)
 
 
-def _even_test(net: _SplitFlow, us: list[int], bound: int) -> tuple[int, int, int] | None:
-    """Even's threshold test (SIAM J. Comput. 4, 1975) on the sorted ``us``.
+def _even_drops(net: _SplitFlow, us: list[int], bound: int) -> Iterator[tuple[int, int, int]]:
+    """Even's test (SIAM J. Comput. 4, 1975) on ``us`` with a running bound:
+    yields (a, b, value) whenever a pair of ``us`` has fewer than ``bound``
+    disjoint paths in the network's graph, and the bound then drops to that
+    value.  The first yield answers the threshold query; the last one, if
+    any, is the minimum over all pairs of ``us``.
 
-    The pairs among the first ``bound`` vertices are checked directly; then
-    each later vertex u_j runs one fan flow, capped at ``bound``, to a sink
-    joined to every earlier vertex.  A separator S of fewer than ``bound``
-    elements (vertices, or one edge for an adjacent pair) that splits two
-    vertices of ``us`` either splits two of the first ``bound`` or leaves
-    those outside S in one component; then every fan path from the first
-    u_j in another component meets S.  Conversely a short fan is cut by
-    fewer than ``bound`` elements, which miss some earlier vertex x, and
-    (x, u_j) is the witness.  The pair flows, the fans and the witness scan
-    all run on the caller's network; the fans end at its sink vertex.
+    The pairs among the head, the first ``bound`` vertices at the start, are
+    checked in ``combinations`` order; then each later vertex u_j runs one fan
+    flow to a sink joined to every earlier vertex, and a short fan is
+    followed by a witness scan of (x, u_j) over the earlier x.  Every flow
+    is capped at the current bound, and the scan ends once it reaches zero.
+    The pair flows, the fans and the witness scan all run on the caller's
+    network; the fans end at its sink vertex.
+
+    Soundness.  Caps only fall, so every flow ran at a cap of at least the
+    final bound b.  Let S be a separator of fewer than b elements (vertices,
+    or one edge for an adjacent pair) that splits two vertices of ``us``.
+    If it splits two head vertices, their pair check gave at most |S| < b.
+    Otherwise the head vertices outside S, which exist because the head has
+    more than |S| vertices, lie in one component C, and the first u_j in
+    another component has every earlier vertex in C or S.  Then every fan
+    path from u_j meets S, so the fan is short: at most |S| < b.  A short
+    fan is cut by as many elements as its value (vertices, or edges at u_j),
+    which miss some earlier vertex x, since there are at least as many
+    earlier vertices as the head; so (x, u_j) is no stronger than the fan,
+    and the witness scan, which checks every earlier x, drops the bound to
+    the fan's value or below.  Either way the bound fell below b, so no such
+    S exists and no pair of ``us`` is below the final bound.  Conversely, a
+    fan is short only if some pair (x, u_j) is: passing pair checks imply
+    the fan condition.
     """
     head = us[:bound]
-    witness = next(_weaker_pairs(net, combinations(head, 2), bound), None)
-    if witness is not None or len(us) <= bound:
-        return witness
+    for a, b, value in _weaker_pairs(net, combinations(head, 2), bound):
+        bound = value
+        yield a, b, value
     for x in head:
         net.join_sink(x)
-    for j in range(bound, len(us)):
+    for j in range(len(head), len(us)):
+        if bound <= 0:
+            return
         u = us[j]
         if net.max_flow(u, net.n, bound)[0] < bound:
-            witness = next(_weaker_pairs(net, ((x, u) for x in us[:j]), bound), None)
-            if witness is None:
+            fan = bound
+            for a, b, value in _weaker_pairs(net, ((x, u) for x in us[:j]), bound):
+                bound = value
+                yield a, b, value
+            if bound == fan:
                 raise TheoremViolation(
-                    f"fan from {u} has fewer than {bound} paths, "
-                    f"but every earlier vertex has {bound}"
+                    f"fan from {u} has fewer than {fan} paths, "
+                    f"but every earlier vertex has {fan}"
                 )
-            return witness
         net.join_sink(u)
-    return None
 
 
 def _trivial_kappa(net: _SplitFlow) -> tuple[int, int, int] | None:
@@ -353,7 +382,18 @@ def _designated_pairs(net: _SplitFlow) -> tuple[int, Iterator[tuple[int, int]]]:
 
 def global_connectivity(g: Graph, removed: Iterable[int] = ()) -> int:
     """Vertex connectivity of G - ``removed``: n-1 for a complete graph on n
-    vertices, 0 when it is disconnected or has at most one vertex."""
+    vertices, 0 when it is disconnected or has at most one vertex.
+
+    Otherwise one scan from bound delta, the minimum degree, finds it as its
+    last drop.  The scan is the designated pairs when the designated
+    vertex's neighbourhood has an edge, since they skip every adjacent pair
+    there.  Otherwise they would make exactly one flow fewer than Even's
+    test, and the scan is Even's test with the vertices ordered by degree,
+    highest first (ties by id), whose flows are cheaper: head pairs share
+    many neighbours, and fans end at a sink joined to many earlier
+    vertices, so the kernel's free short paths settle most of them before
+    any Dinic phase.
+    """
     alive = vertex_mask(g, None) & ~vertex_mask(g, removed)
     if alive.bit_count() <= 1:
         return 0
@@ -361,9 +401,15 @@ def global_connectivity(g: Graph, removed: Iterable[int] = ()) -> int:
     trivial = _trivial_kappa(net)
     if trivial is not None:
         return trivial[2]
-    delta = min(net.adj[v].bit_count() for v in mask_bits(alive))
-    weaker = _weaker_pairs(net, _designated_pairs(net)[1], delta)
-    return min((value for _, _, value in weaker), default=delta)
+    adj = net.adj
+    delta = min(adj[v].bit_count() for v in mask_bits(alive))
+    pair_count, pairs = _designated_pairs(net)
+    if pair_count < comb(delta, 2) + alive.bit_count() - delta - 1:  # an edge in N(v0)
+        drops = _weaker_pairs(net, pairs, delta)
+    else:
+        us = sorted(mask_bits(alive), key=lambda v: -adj[v].bit_count())
+        drops = _even_drops(net, us, delta)
+    return min((value for _, _, value in drops), default=delta)
 
 
 def connectivity_at_least(g: Graph, k: int) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import TheoremViolation
-from .graphs import Graph, mask_bits, neighborhood_of_set, vertex_mask
+from .graphs import Graph, mask_bits, vertex_mask
 
 __all__ = [
     "Matching",
@@ -80,7 +80,11 @@ def _check_sides(g: Graph, left: Iterable[int], right: Iterable[int]) -> tuple[i
 
 def max_matching(g: Graph, left: Iterable[int], right: Iterable[int]) -> Matching:
     """Maximum-cardinality matching on the induced left-right bipartite structure."""
-    lm, rm = _check_sides(g, left, right)
+    return _max_matching(g, *_check_sides(g, left, right))
+
+
+def _max_matching(g: Graph, lm: int, rm: int) -> Matching:
+    """:func:`max_matching` between the checked, disjoint side masks."""
     pair_left: dict[int, int] = {}
     pair_right: dict[int, int] = {}
 
@@ -134,14 +138,17 @@ def saturating_matching_or_violator(
     before returning.
     """
     lm, rm = _check_sides(g, left, right)
-    m = max_matching(g, mask_bits(lm), mask_bits(rm))
+    m = _max_matching(g, lm, rm)
     if m.size == lm.bit_count():
         return m
     pair_right = {b: a for a, b in m.edges}
     subset = _partner_closure(g, rm, pair_right, set(mask_bits(lm)) - m.left_vertices())
     if subset is None:
         raise TheoremViolation("an unmatched right vertex is alternating-reachable")
-    size = sum(1 for v in neighborhood_of_set(g, subset) if rm >> v & 1)
+    reach = 0
+    for v in subset:
+        reach |= g.masks[v]
+    size = (reach & rm).bit_count()
     if size >= len(subset):
         raise TheoremViolation(
             f"extracted violator {sorted(subset)} fails the recount: "

@@ -38,6 +38,7 @@ from .graphs import (
     component_containing,
     components_excluding,
     mask_bits,
+    mask_component,
     neighborhood_of_set,
     vertex_mask,
 )
@@ -95,31 +96,26 @@ def validate_triple(g: Graph, t: ConnectedTriple) -> CheckReport:
     """
     if t.p < 1:
         raise ValueError("triple parameter p must be positive")
-    s1 = check_vertex_set(g, t.s1)
-    s2 = check_vertex_set(g, t.s2)
-    fmask = vertex_mask(g, t.f)
-    f = frozenset(t.f)
+    s1, s2, f = (vertex_mask(g, w) for w in (t.s1, t.s2, t.f))
     p = t.p
     checks: list[tuple[str, bool, str]] = []
 
     overlap = s1 & s2
-    checks.append(
-        ("disjoint", not overlap, f"s1 and s2 share {sorted(overlap)}" if overlap else "ok")
-    )
+    shared = f"s1 and s2 share {list(mask_bits(overlap))}" if overlap else "ok"
+    checks.append(("disjoint", not overlap, shared))
     union = s1 | s2
+    size = union.bit_count()
     checks.append(
         (
             "size",
-            len(union) <= 2 * p - 1,
-            f"|s1 u s2| = {len(union)} exceeds 2p-1 = {2 * p - 1}"
-            if len(union) > 2 * p - 1
-            else "ok",
+            size <= 2 * p - 1,
+            f"|s1 u s2| = {size} exceeds 2p-1 = {2 * p - 1}" if size > 2 * p - 1 else "ok",
         )
     )
 
     degree_ok, degree_witness = True, "ok"
-    for v in sorted(s1):
-        load = (g.masks[v] & fmask).bit_count()
+    for v in mask_bits(s1):
+        load = (g.masks[v] & f).bit_count()
         if load > p:
             degree_ok = False
             degree_witness = f"vertex {v} has {load} > p = {p} neighbors in f"
@@ -131,28 +127,29 @@ def validate_triple(g: Graph, t: ConnectedTriple) -> CheckReport:
         component_ok, component_witness = False, "f is empty"
     elif f & union:
         component_ok = False
-        component_witness = f"f meets s1 u s2 at {min(f & union)}"
+        component_witness = f"f meets s1 u s2 at {next(mask_bits(f & union))}"
     else:
-        comp = component_containing(g, min(f), union)
+        comp = mask_component(g.masks, next(mask_bits(f)), vertex_mask(g, None) & ~union)
         if comp != f:
             component_ok = False
-            witness = min(comp.symmetric_difference(f))
+            witness = next(mask_bits(comp ^ f))
             component_witness = (
                 f"f is not a full component of g - (s1 u s2); differs at {witness}"
             )
     checks.append(("component", component_ok, component_witness))
 
+    order = f.bit_count()
     checks.append(
         (
             "nontrivial",
-            len(f) >= 2,
-            "ok" if len(f) >= 2 else f"f has {len(f)} < 2 vertices",
+            order >= 2,
+            "ok" if order >= 2 else f"f has {order} < 2 vertices",
         )
     )
 
     conn_ok, conn_witness = True, "ok"
     if component_ok and not overlap:
-        witness = find_pair_below(g, s2 | f, p + 1, within=union | f)
+        witness = find_pair_below(g, mask_bits(s2 | f), p + 1, within=mask_bits(union | f))
         if witness is not None:
             a, b, value = witness
             conn_ok = False

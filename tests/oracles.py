@@ -1,5 +1,6 @@
-"""Test oracles: for the flow kernel an exhaustive minimum separator, a check
-of disjoint-path witnesses and a decoder for ``_SplitFlow.max_flow`` flows;
+"""Test oracles: for the flow kernel an exhaustive minimum separator and
+vertex connectivity, a check of disjoint-path witnesses and a decoder for
+``_SplitFlow.max_flow`` flows;
 for embeddings a check that the tree's parts land on given host sides; and
 every small connected graph, from the networkx graph atlas."""
 
@@ -46,6 +47,20 @@ def brute_min_separator(g: Graph, u: int, v: int, guard: int | None = None) -> f
             if v not in component_containing(g, u, cut):
                 return cut
     raise AssertionError(f"no separating set found for nonadjacent ({u}, {v})")
+
+
+def brute_connectivity(g: Graph, removed: frozenset[int] = frozenset()) -> int:
+    """Vertex connectivity of G - ``removed`` by exhaustion: the size of the
+    first subset, in increasing size, whose deletion leaves at least two
+    vertices in more than one component; one less than the vertex count
+    (0 at most one vertex) when none does."""
+    rest = [v for v in range(g.n) if v not in removed]
+    for size in range(len(rest) - 1):
+        for cut in map(frozenset, combinations(rest, size)):
+            left = [v for v in rest if v not in cut]
+            if len(component_containing(g, left[0], removed | cut)) < len(left):
+                return size
+    return max(len(rest) - 1, 0)
 
 
 def check_path_system(g: Graph, u: int, v: int, paths) -> list[str]:

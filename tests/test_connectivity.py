@@ -15,7 +15,13 @@ from keeptree.connectivity import (
 from keeptree.errors import GuardExceeded
 from keeptree.families import complete_bipartite, random_graph
 from keeptree.graphs import Graph, degree_stats, induced_delete
-from oracles import brute_min_separator, check_path_system, max_flow_paths
+from oracles import (
+    brute_connectivity,
+    brute_min_separator,
+    check_path_system,
+    max_flow_paths,
+    small_connected_graphs,
+)
 
 
 def random_graphs(count: int, max_n: int, base_seed: int):
@@ -122,6 +128,16 @@ class TestGlobalConnectivity:
                 not g.has_edge(u, v) for u, v in combinations(range(g.n), 2)
             ) else g.n - 1
             assert kappa == pair_min
+
+    def test_small_graphs_match_brute(self):
+        # Every connected graph on up to 7 vertices, whole and with each
+        # vertex removed: both the designated pairs and Even's scan.
+        for g in small_connected_graphs(7):
+            for removed in [frozenset()] + [frozenset({v}) for v in range(g.n)]:
+                assert global_connectivity(g, removed) == brute_connectivity(g, removed), (
+                    g.edges(),
+                    removed,
+                )
 
     def test_threshold_consistency(self):
         for g in random_graphs(60, 8, 321):

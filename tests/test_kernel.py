@@ -17,6 +17,7 @@ import networkx as nx
 import pytest
 
 from keeptree.connectivity import (
+    _even_drops,
     _SplitFlow,
     _weaker_pairs,
     connectivity_at_least,
@@ -53,6 +54,34 @@ def two_block_host(half: int, degree: int, seed: int) -> Graph:
     return Graph(2 * n1, [(perm[u], perm[v]) for u, v in edges])
 
 
+def lopsided_two_block_host(
+    cross: list[tuple[int, int]], seed: int
+) -> tuple[Graph, frozenset[int]]:
+    """A random-bipartite block of minimum degree 8 and one of 6 vertices a
+    side, labels shuffled, with the dense block's labels.  Each cross edge
+    (i, j) joins the dense vertex of the i-th highest degree (ties by id) to
+    sparse vertex j.  With at most one cross edge at a sparse vertex, every
+    dense vertex has a higher degree than any sparse one."""
+    a = random_bipartite(10, 10, 8, seed)
+    b = random_bipartite(6, 6, 4, seed + 1)
+    n1 = a.n
+    by_degree = sorted(range(n1), key=lambda v: -a.masks[v].bit_count())
+    edges = a.edges() + [(u + n1, v + n1) for u, v in b.edges()]
+    edges += [(by_degree[i], n1 + j) for i, j in cross]
+    perm = list(range(n1 + b.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(n1 + b.n, [(perm[u], perm[v]) for u, v in edges]), frozenset(perm[:n1])
+
+
+def degree_scan(g: Graph, dense: frozenset[int]) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """Exact connectivity's vertex order on a lopsided host, highest degree
+    first, and the drops of Even's scan from bound delta along it."""
+    degree = [m.bit_count() for m in g.masks]
+    assert min(degree[v] for v in dense) > max(degree[v] for v in range(g.n) if v not in dense)
+    us = sorted(range(g.n), key=lambda v: -degree[v])
+    return us, list(_even_drops(_SplitFlow(g), us, min(degree)))
+
+
 def circulant(n: int, jumps: tuple[int, ...], seed: int) -> Graph:
     """The circulant graph C_n(jumps) with shuffled labels."""
     perm = list(range(n))
@@ -67,22 +96,31 @@ HOSTS = {
     "petersen": petersen(),
     "random-bipartite": random_bipartite(8, 8, 5, 7),
     "two-block": two_block_host(6, 5, 3),
+    # Minimum degree 4 at v0, whose neighbourhood has two edges.
+    "random-graph": random_graph(12, 0.5, 1),
 }
 
-#: max_flow calls per (host, query).
+#: max_flow calls per (host, query).  Exact connectivity scans the
+#: designated pairs only on "random-graph", where they skip the two edges in
+#: N(v0); the triangle-free hosts run Even's scan from bound delta, which
+#: makes C(delta, 2) + n - delta flows when no fan is short, one more than
+#: the designated pairs would.
 WORK = {
-    ("k44", "global"): 9,
+    ("k44", "global"): 10,
     ("k44", "pair-below-all"): 8,
     ("k44", "pair-below-subset"): 3,
-    ("petersen", "global"): 9,
+    ("petersen", "global"): 10,
     ("petersen", "pair-below-all"): 9,
     ("petersen", "pair-below-subset"): 4,
-    ("random-bipartite", "global"): 20,
+    ("random-bipartite", "global"): 21,
     ("random-bipartite", "pair-below-all"): 16,
     ("random-bipartite", "pair-below-subset"): 6,
-    ("two-block", "global"): 28,
+    ("two-block", "global"): 29,
     ("two-block", "pair-below-all"): 1,
     ("two-block", "pair-below-subset"): 2,
+    ("random-graph", "global"): 11,
+    ("random-graph", "pair-below-all"): 11,
+    ("random-graph", "pair-below-subset"): 4,
 }
 
 QUERIES = {
@@ -262,6 +300,41 @@ def test_matches_networkx(g):
         assert (witness is None) == (kappa >= k)
         if witness is not None:
             assert kappa <= witness[2] == local_connectivity_value(g, *witness[:2]) < k
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_exact_connectivity_past_the_head(flow_calls, k, seed):
+    """The head, the delta vertices of highest degree, lies in the dense
+    block, so every head pair passes; the first sparse vertex's fan is cut
+    by the k cross edges, and its witness scan drops the bound to kappa.
+    Exact connectivity runs that scan, flow for flow, and its caps only
+    fall: the fans past the drop are capped at kappa."""
+    g, dense = lopsided_two_block_host([(i, i) for i in range(k)], seed)
+    flow_calls.clear()  # the generator's own connectivity checks
+    us, drops = degree_scan(g, dense)
+    assert [value for _, _, value in drops] == [k]
+    a, b, _ = drops[0]
+    assert b not in dense and us.index(a) < us.index(b)
+    assert set(us[: us.index(b)]) == dense  # the first sparse vertex
+    scan = flow_calls[:]
+    limits = [limit for _, _, limit in scan]
+    assert limits == sorted(limits, reverse=True) and limits[-1] == k
+    flow_calls.clear()
+    assert global_connectivity(g) == nx.node_connectivity(nx.Graph(g.edges())) == k
+    assert flow_calls == scan
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_witness_scan_continues_past_its_first_drop(seed):
+    """The dense vertex of highest degree, first in the scan, is a cut vertex
+    with two edges into the sparse block: the witness scan meets it first, at
+    2, and the next dense vertex at 1."""
+    g, dense = lopsided_two_block_host([(0, 0), (0, 1)], seed)
+    us, drops = degree_scan(g, dense)
+    u = next(v for v in us if v not in dense)
+    assert drops == [(us[0], u, 2), (us[1], u, 1)]
+    assert global_connectivity(g) == nx.node_connectivity(nx.Graph(g.edges())) == 1
 
 
 def kept_sets(g: Graph, rng: random.Random) -> list[frozenset[int]]:
