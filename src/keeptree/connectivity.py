@@ -11,18 +11,16 @@ A query about a vertex subset of the host runs on the host's ids and
 masks, with no induced copy.
 
 Threshold tests and exact connectivity share one scan with a running bound,
-Even's test (:func:`_even_drops`) or the designated-vertex pairs: a
-threshold test stops at its first pair below the bound, and exact
-connectivity runs from the minimum degree down to its last drop.  Exact
-connectivity takes the designated pairs only when the designated vertex's
-neighbourhood has an edge; otherwise it runs Even's test with the vertices
-ordered by degree, highest first.
+Even's test (:func:`_even_drops`): a threshold test stops at its first pair
+below the bound, and exact connectivity runs from the minimum degree down
+to its last drop, with the vertices ordered by degree, highest first.  Most
+of their flows are settled by the kernel's pre-routed short paths, which it
+counts on masks before it allocates any flow state.
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations
-from math import comb
+from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import TheoremViolation
@@ -70,23 +68,27 @@ class _SplitFlow:
 
     def max_flow(
         self, u: int, v: int, limit: int
-    ) -> tuple[int, list[int], tuple[int, int] | None]:
-        """Max flow from out(u) to in(v), capped at ``limit``; returns
+    ) -> tuple[int, list[int] | None, tuple[int, int] | None]:
+        """Max flow from out(u) to in(v), capped at ``limit`` >= 0; returns
         ``(value, flow, reach)``.  ``flow[x]`` is the mask of the y with flow
         on out(x) -> in(y) (one bit at most unless x = u).  ``reach`` is None
         when the flow stopped at ``limit``, else the masks ``(seen_in,
         seen_out)`` of the vertices whose in- and out-copies the last BFS,
-        which finds the sink unreachable, reaches from out(u).
+        which finds the sink unreachable, reaches from out(u).  When the
+        pre-routed paths alone reach ``limit``, the result is ``(limit,
+        None, None)``: no flow is written.
 
-        The arc out(u) -> in(v), if any, is filled first, as the first
+        Pre-routing takes the arc out(u) -> in(v), if any, as the first
         phase would fill it.  Then come the free short paths: u -> y -> v
         through every y with arcs from out(u) and into in(v) (common
         neighbours of a pair, or the neighbours of u joined to the sink
         vertex), then u -> x -> y -> v through the lowest such y still free
-        for each other x in adj[u].  They are written as augments write
-        them, so the phases start from a feasible flow and may cancel a
-        greedy arc.  The capped value and the final residual source side
-        are those of every maximum flow, so neither depends on this start.
+        for each other x in adj[u].  These paths are first counted on masks
+        alone.  Only a count short of ``limit`` allocates the flow state and
+        writes them as augments write them, so the phases start from a
+        feasible flow and may cancel a greedy arc.  The capped value and the
+        final residual source side are those of every maximum flow, so
+        neither depends on this start.
 
         The residual arcs are out(x) -> in(y) for y in adj[x] & ~flow[x],
         out(w) -> in(w) for used w, in(y) -> out(y) for free y, and in(y) ->
@@ -106,26 +108,35 @@ class _SplitFlow:
         n, adj = self.n, self.adj
         sink = 1 << v
         internal = (1 << n) - 1  # every vertex but the sink vertex n
-        flow = [0] * n
-        pred = [0] * n
-        used = value = 0
-        if limit > 0 and adj[u] & sink:
-            value = 1
-            flow[u] = sink
         free = internal & ~sink & ~(1 << u)
         starts = adj[u] & free
         ends = (self.joined if v == n else adj[v]) & free
         short, starts, ends = starts & ends, starts & ~ends, ends & ~starts
-        while short and value < limit:
+        # Count the pre-routed paths first: a flow they settle allocates
+        # nothing.
+        value = (adj[u] >> v & 1) + short.bit_count()
+        rest, left = starts, ends
+        while rest and value < limit:
+            low = rest & -rest
+            rest ^= low
+            end = adj[low.bit_length() - 1] & left
+            if end:
+                left ^= end & -end
+                value += 1
+        if value >= limit:
+            return limit, None, None
+        # Short of the cap: write the same paths, all of them.
+        flow = [0] * n
+        pred = [0] * n
+        flow[u] = adj[u] & sink | short
+        used = short
+        while short:
             low = short & -short
             short ^= low
             y = low.bit_length() - 1
-            flow[u] |= low
             pred[y] = u
             flow[y] = sink
-            used |= low
-            value += 1
-        while starts and value < limit:
+        while starts:
             low = starts & -starts
             starts ^= low
             x = low.bit_length() - 1
@@ -140,7 +151,6 @@ class _SplitFlow:
                 pred[y] = x
                 flow[y] = sink
                 used |= low | end
-                value += 1
         while value < limit:
             # ins[k]: the in-nodes at level 2k + 1 whose one exit is at level
             # 2k + 2.  Every out-node but the source is the exit of one
@@ -228,6 +238,8 @@ def _check_pair(g: Graph, u: int, v: int) -> None:
 def local_connectivity_value(g: Graph, u: int, v: int, limit: int | None = None) -> int:
     """Path count only; optionally capped at ``limit`` for threshold checks."""
     _check_pair(g, u, v)
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be nonnegative, got {limit}")
     cap = g.n if limit is None else limit
     return _SplitFlow(g).max_flow(u, v, cap)[0]
 
@@ -273,22 +285,16 @@ def _pair_below(net: _SplitFlow, us: list[int], bound: int) -> tuple[int, int, i
     sorted ``us`` (|us| >= 2, bound >= 1, all in ``net.alive``) below
     ``bound`` in the network's graph, or None.
 
-    A proper subset runs Even's test.  The whole vertex set first takes the
-    complete/disconnected shortcuts, and a connected graph passes bound 1;
-    then whichever of Even's test and the designated-vertex pairs needs
-    fewer flows when every pair passes.
+    The whole vertex set first takes the complete/disconnected shortcuts,
+    and a connected graph passes bound 1.  Otherwise, and for every proper
+    subset, Even's test answers.
     """
-    count = net.alive.bit_count()
-    if len(us) == count:
+    if len(us) == net.alive.bit_count():
         trivial = _trivial_kappa(net)
         if trivial is not None:
             return trivial if trivial[2] < bound else None
         if bound == 1:
             return None
-        pair_count, pairs = _designated_pairs(net)
-        b = min(bound, count)
-        if pair_count <= comb(b, 2) + count - b:
-            return next(_weaker_pairs(net, pairs, bound), None)
     return next(_even_drops(net, us, bound), None)
 
 
@@ -362,37 +368,15 @@ def _trivial_kappa(net: _SplitFlow) -> tuple[int, int, int] | None:
     return None
 
 
-def _designated_pairs(net: _SplitFlow) -> tuple[int, Iterator[tuple[int, int]]]:
-    """Pairs whose minimum local connectivity is kappa for the network's
-    connected, non-complete graph: a minimum-degree vertex v0 against each
-    non-neighbor, then the nonadjacent pairs of its neighbors.  Returns
-    their count, from popcounts, and the pairs, generated lazily."""
-    alive, adj = net.alive, net.adj
-    v0 = min(mask_bits(alive), key=lambda v: adj[v].bit_count())
-    nb = adj[v0]
-    d = nb.bit_count()
-    inner_edges = sum((adj[x] & nb).bit_count() for x in mask_bits(nb)) // 2
-    count = alive.bit_count() - d - 1 + comb(d, 2) - inner_edges
-    pairs = chain(
-        ((v0, w) for w in mask_bits(alive & ~nb & ~(1 << v0))),
-        ((x, y) for x, y in combinations(mask_bits(nb), 2) if not adj[x] >> y & 1),
-    )
-    return count, pairs
-
-
 def global_connectivity(g: Graph, removed: Iterable[int] = ()) -> int:
     """Vertex connectivity of G - ``removed``: n-1 for a complete graph on n
     vertices, 0 when it is disconnected or has at most one vertex.
 
-    Otherwise one scan from bound delta, the minimum degree, finds it as its
-    last drop.  The scan is the designated pairs when the designated
-    vertex's neighbourhood has an edge, since they skip every adjacent pair
-    there.  Otherwise they would make exactly one flow fewer than Even's
-    test, and the scan is Even's test with the vertices ordered by degree,
-    highest first (ties by id), whose flows are cheaper: head pairs share
-    many neighbours, and fans end at a sink joined to many earlier
-    vertices, so the kernel's free short paths settle most of them before
-    any Dinic phase.
+    Otherwise Even's test from bound delta, the minimum degree, finds it as
+    its last drop, with the vertices ordered by degree, highest first (ties
+    by id).  That order makes the flows cheap: head pairs share many
+    neighbours, and fans end at a sink joined to many earlier vertices, so
+    the kernel's free short paths settle most of them before it allocates.
     """
     alive = vertex_mask(g, None) & ~vertex_mask(g, removed)
     if alive.bit_count() <= 1:
@@ -403,13 +387,8 @@ def global_connectivity(g: Graph, removed: Iterable[int] = ()) -> int:
         return trivial[2]
     adj = net.adj
     delta = min(adj[v].bit_count() for v in mask_bits(alive))
-    pair_count, pairs = _designated_pairs(net)
-    if pair_count < comb(delta, 2) + alive.bit_count() - delta - 1:  # an edge in N(v0)
-        drops = _weaker_pairs(net, pairs, delta)
-    else:
-        us = sorted(mask_bits(alive), key=lambda v: -adj[v].bit_count())
-        drops = _even_drops(net, us, delta)
-    return min((value for _, _, value in drops), default=delta)
+    us = sorted(mask_bits(alive), key=lambda v: -adj[v].bit_count())
+    return min((value for _, _, value in _even_drops(net, us, delta)), default=delta)
 
 
 def connectivity_at_least(g: Graph, k: int) -> bool:

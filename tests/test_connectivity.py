@@ -57,6 +57,11 @@ class TestLocalConnectivity:
         with pytest.raises(ValueError):
             local_connectivity_value(c5, 1, 1)
 
+    def test_limits(self, c5):
+        assert [local_connectivity_value(c5, 0, 2, limit) for limit in range(4)] == [0, 1, 2, 2]
+        with pytest.raises(ValueError, match="nonnegative"):
+            local_connectivity_value(c5, 0, 2, -1)
+
     def test_witness_paths_always_validate(self):
         for g in random_graphs(60, 8, 50):
             for u, v in combinations(range(g.n), 2):
@@ -131,7 +136,7 @@ class TestGlobalConnectivity:
 
     def test_small_graphs_match_brute(self):
         # Every connected graph on up to 7 vertices, whole and with each
-        # vertex removed: both the designated pairs and Even's scan.
+        # vertex removed, triangles and all: Even's degree-ordered scan.
         for g in small_connected_graphs(7):
             for removed in [frozenset()] + [frozenset({v}) for v in range(g.n)]:
                 assert global_connectivity(g, removed) == brute_connectivity(g, removed), (

@@ -1,10 +1,11 @@
 """The flow kernel: pinned flow work and differential checks against a
 one-path-per-BFS reference kernel on its own arc lists and networkx.
 
-The work pins count ``_SplitFlow.max_flow`` calls and ``_SplitFlow`` builds,
-which are deterministic, so a change that makes the connectivity scans do
-more (or different) flow work, or build more networks for it, fails here
-without relying on wall time.
+The work pins count ``_SplitFlow.max_flow`` calls, how many of them
+pre-routing settles without allocating a flow, and ``_SplitFlow`` builds.
+These are deterministic, so a change that makes the connectivity scans do
+more (or different) flow work, loses the settling fast path, or builds
+more networks fails here without relying on wall time.
 """
 
 import random
@@ -15,6 +16,7 @@ from math import comb
 
 import networkx as nx
 import pytest
+from networkx.algorithms.connectivity import local_node_connectivity
 
 from keeptree.connectivity import (
     _even_drops,
@@ -27,8 +29,16 @@ from keeptree.connectivity import (
     local_connectivity_value,
     min_separator,
 )
-from keeptree.families import complete_bipartite, petersen, random_bipartite, random_graph
-from keeptree.graphs import Graph, induced_delete, induced_subgraph, mask_bits
+from keeptree.families import (
+    FamilySpec,
+    complete_bipartite,
+    gen_graph,
+    petersen,
+    random_bipartite,
+    random_graph,
+)
+from keeptree.graphs import Graph, Tree, induced_delete, induced_subgraph, mask_bits
+from keeptree.pipeline import CaseSelector, find_keeping_tree
 from keeptree.triples import ConnectedTriple, _descend_fragments, find_triple, validate_triple
 from oracles import check_path_system, max_flow_paths
 
@@ -100,17 +110,15 @@ HOSTS = {
     "random-graph": random_graph(12, 0.5, 1),
 }
 
-#: max_flow calls per (host, query).  Exact connectivity scans the
-#: designated pairs only on "random-graph", where they skip the two edges in
-#: N(v0); the triangle-free hosts run Even's scan from bound delta, which
-#: makes C(delta, 2) + n - delta flows when no fan is short, one more than
-#: the designated pairs would.
+#: max_flow calls per (host, query).  Every query runs Even's scan: exact
+#: connectivity from bound delta makes C(delta, 2) + n - delta flows when no
+#: fan is short, and a threshold query at bound b C(b, 2) + n - b.
 WORK = {
     ("k44", "global"): 10,
     ("k44", "pair-below-all"): 8,
     ("k44", "pair-below-subset"): 3,
     ("petersen", "global"): 10,
-    ("petersen", "pair-below-all"): 9,
+    ("petersen", "pair-below-all"): 10,
     ("petersen", "pair-below-subset"): 4,
     ("random-bipartite", "global"): 21,
     ("random-bipartite", "pair-below-all"): 16,
@@ -118,8 +126,29 @@ WORK = {
     ("two-block", "global"): 29,
     ("two-block", "pair-below-all"): 1,
     ("two-block", "pair-below-subset"): 2,
-    ("random-graph", "global"): 11,
-    ("random-graph", "pair-below-all"): 11,
+    ("random-graph", "global"): 14,
+    ("random-graph", "pair-below-all"): 12,
+    ("random-graph", "pair-below-subset"): 4,
+}
+
+#: The calls of each WORK query that pre-routing settles, returning no flow;
+#: the rest allocate one.  Petersen has girth 5, so its pairs have no common
+#: neighbours, and the two-block host's cut leaves flows short of their caps.
+SETTLED = {
+    ("k44", "global"): 10,
+    ("k44", "pair-below-all"): 8,
+    ("k44", "pair-below-subset"): 3,
+    ("petersen", "global"): 6,
+    ("petersen", "pair-below-all"): 6,
+    ("petersen", "pair-below-subset"): 3,
+    ("random-bipartite", "global"): 21,
+    ("random-bipartite", "pair-below-all"): 16,
+    ("random-bipartite", "pair-below-subset"): 5,
+    ("two-block", "global"): 26,
+    ("two-block", "pair-below-all"): 0,
+    ("two-block", "pair-below-subset"): 1,
+    ("random-graph", "global"): 14,
+    ("random-graph", "pair-below-all"): 12,
     ("random-graph", "pair-below-subset"): 4,
 }
 
@@ -132,12 +161,15 @@ QUERIES = {
 
 @pytest.fixture
 def flow_calls(monkeypatch):
+    """Every max_flow call as (u, v, limit, settled): ``settled`` is True
+    when pre-routing met the limit and the call returned no flow."""
     calls = []
     original = _SplitFlow.max_flow
 
     def counted(self, u, v, limit):
-        calls.append((u, v, limit))
-        return original(self, u, v, limit)
+        result = original(self, u, v, limit)
+        calls.append((u, v, limit, result[1] is None))
+        return result
 
     monkeypatch.setattr(_SplitFlow, "max_flow", counted)
     return calls
@@ -176,6 +208,18 @@ class TestFlowWork:
     def test_connectivity_queries(self, flow_calls, host, query):
         QUERIES[query](HOSTS[host])
         assert len(flow_calls) == WORK[host, query]
+        assert sum(call[3] for call in flow_calls) == SETTLED[host, query]
+
+    def test_dense_remainder(self, flow_calls):
+        """Exact connectivity of a dense host minus its first certificate's
+        image: C(17, 2) + 52 - 17 flows, most settled before any allocation."""
+        g = random_bipartite(28, 28, 19, 1)
+        tree = Tree(gen_graph(FamilySpec("path", (4,))))
+        image = find_keeping_tree(g, tree, 2, CaseSelector("triangle-free")).removed()
+        flow_calls.clear()
+        assert global_connectivity(g, image) == 17
+        settled = sum(call[3] for call in flow_calls)
+        assert (settled, len(flow_calls) - settled) == (144, 27)
 
     def test_find_triple_cut_descent(self, flow_calls):
         g = HOSTS["two-block"]
@@ -210,7 +254,7 @@ class TestNetworkBuilds:
         # passes, the fan from 2 is short, and the scan names (0, 2).
         g = Graph(5, [(0, 3), (3, 1), (1, 4), (4, 0), (2, 3)])
         assert find_pair_below(g, [0, 1, 2], 2) == (0, 2, 1)
-        assert [(u, v) for u, v, _ in flow_calls] == [(0, 1), (2, g.n), (0, 2)]
+        assert [(u, v) for u, v, _, _ in flow_calls] == [(0, 1), (2, g.n), (0, 2)]
         assert len(net_builds) == 1
 
     @pytest.mark.parametrize("name", sorted(pinned_triples()))
@@ -318,7 +362,7 @@ def test_exact_connectivity_past_the_head(flow_calls, k, seed):
     assert b not in dense and us.index(a) < us.index(b)
     assert set(us[: us.index(b)]) == dense  # the first sparse vertex
     scan = flow_calls[:]
-    limits = [limit for _, _, limit in scan]
+    limits = [limit for _, _, limit, _ in scan]
     assert limits == sorted(limits, reverse=True) and limits[-1] == k
     flow_calls.clear()
     assert global_connectivity(g) == nx.node_connectivity(nx.Graph(g.edges())) == k
@@ -446,6 +490,11 @@ def bfs_max_flow(
     return value, set(parent)
 
 
+def split_ids(seen_in: int, seen_out: int) -> set[int]:
+    """A residual reach from the kernel in :func:`bfs_max_flow`'s node ids."""
+    return {2 * w for w in mask_bits(seen_in)} | {2 * w + 1 for w in mask_bits(seen_out)}
+
+
 def seeded_kernel_hosts(count: int, seed: int) -> list[Graph]:
     """``count`` seeded hosts with 6 to 40 vertices: random graphs of any
     density, random-bipartite hosts and two-block hosts of connectivity 2."""
@@ -500,8 +549,7 @@ def test_max_flow_matches_bfs_reference(chunk):
             value, _, (seen_in, seen_out) = fan.max_flow(u, sink, n + 1)
             ref_value, ref_reach = bfs_max_flow(g, u, sink, n + 1, joined + [u])
             assert value == ref_value
-            split_ids = {2 * w for w in mask_bits(seen_in)} | {2 * w + 1 for w in mask_bits(seen_out)}
-            assert split_ids == ref_reach
+            assert split_ids(seen_in, seen_out) == ref_reach
             assert fan.max_flow(u, sink, value)[2] is None
         # The cut of a network with uncapacitated edge arcs, for nonadjacent pairs.
         for a, b in rng.sample(list(combinations(range(n), 2)), 4):
@@ -569,17 +617,86 @@ def test_pre_routed_greedy_path_is_cancelled():
 
 def test_common_neighbours_beyond_limit():
     """K_{2,5}: the pair (0, 1) has five common neighbours, so every limit up
-    to five is met by pre-routing alone and reports no residual reach."""
+    to five is met by counting them, and the call writes no flow.  Above
+    five the flow is written in full, one path through each common
+    neighbour, and the residual reach matches the reference."""
     g = complete_bipartite(2, 5)
     net = _SplitFlow(g)
     for limit in range(6):
-        value, flow, reach = net.max_flow(0, 1, limit)
-        assert (value, reach) == (limit, None)
-        assert flow[0].bit_count() == limit
-    value, _, (seen_in, seen_out) = net.max_flow(0, 1, 6)
+        assert net.max_flow(0, 1, limit) == (limit, None, None)
+    value, flow, (seen_in, seen_out) = net.max_flow(0, 1, 6)
     assert value == 5
-    ref_reach = bfs_max_flow(g, 0, 1, 6)[1]
-    assert {2 * w for w in mask_bits(seen_in)} | {2 * w + 1 for w in mask_bits(seen_out)} == ref_reach
+    assert flow[0] == 0b1111100
+    assert all(flow[y] == 1 << 1 for y in range(2, 7))
+    assert split_ids(seen_in, seen_out) == bfs_max_flow(g, 0, 1, 6)[1]
+
+
+@pytest.mark.parametrize("adjacent", [False, True], ids=["nonadjacent", "adjacent"])
+def test_pair_flow_with_both_ends_joined(adjacent):
+    """A pair flow on a fan network whose two ends are both joined to the
+    sink vertex n, so both of their masks carry bit n.  Pre-routing counts
+    the direct arc if any, the common neighbours 2 and 3 and the greedy
+    paths 0-4-5-1 and 0-6-7-1, and nothing else: at one past the
+    connectivity neither bit n nor a second count of the direct arc may
+    settle the flow."""
+    edges = [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 5), (5, 1), (0, 6), (6, 7), (7, 1)]
+    g = Graph(8, edges + [(0, 1)] * adjacent)
+    top = 4 + adjacent
+    joined = (0, 1, 2, 5)
+    net = _SplitFlow(g)
+    for w in joined:
+        net.join_sink(w)
+    assert (net.adj[0] & net.adj[1]) >> g.n & 1
+    assert bfs_max_flow(g, 0, 1, g.n, joined)[0] == top
+    for limit in range(g.n + 2):
+        value, flow, _ = net.max_flow(0, 1, limit)
+        assert value == min(limit, top)
+        assert (flow is None) == (limit <= top)
+    _, _, (seen_in, seen_out) = net.max_flow(0, 1, top + 1)
+    assert split_ids(seen_in, seen_out) == bfs_max_flow(g, 0, 1, top + 1, joined)[1]
+
+
+#: Near-complete bipartite hosts, n = 40-120: most flows are settled by
+#: pre-routing even at caps close to the connectivity.
+SETTLING_HOSTS = [
+    random_bipartite(a, a, d, s)
+    for a, d, s in ((20, 18, 81), (30, 27, 82), (40, 37, 83), (50, 46, 84), (60, 57, 85))
+]
+
+
+@pytest.mark.parametrize("g", SETTLING_HOSTS, ids=lambda g: f"n{g.n}-e{g.edge_count}")
+def test_capped_values_where_pre_routing_settles(g):
+    """At every limit 0..n+1, a pair flow is min(limit, c) with c from
+    networkx: local connectivity for a nonadjacent pair, one more than it
+    in G - uv for an adjacent one.  The pairs are one side's (nonadjacent,
+    many common neighbours) and the two sides' (mostly adjacent, greedy
+    u-x-y-v paths).  A fan flow with half the vertices joined matches
+    :func:`bfs_max_flow` at every limit."""
+    rng = random.Random(g.n)
+    n, a = g.n, g.n // 2
+    nxg = nx.Graph(g.edges())
+    net = _SplitFlow(g)
+    pairs = [tuple(rng.sample(range(a), 2)) for _ in range(2)]
+    pairs += [(rng.randrange(a), rng.randrange(a, n)) for _ in range(3)]
+    for u, v in pairs:
+        if g.has_edge(u, v):
+            rest = nxg.copy()
+            rest.remove_edge(u, v)
+            c = 1 + local_node_connectivity(rest, u, v)
+        else:
+            c = local_node_connectivity(nxg, u, v)
+        assert [net.max_flow(u, v, limit)[0] for limit in range(n + 2)] == [
+            min(limit, c) for limit in range(n + 2)
+        ]
+    u = rng.randrange(n)
+    joined = rng.sample([w for w in range(n) if w != u], n // 2)
+    fan = _SplitFlow(g)
+    for w in joined:
+        fan.join_sink(w)
+    top = bfs_max_flow(g, u, n, n + 1, joined)[0]
+    assert [fan.max_flow(u, n, limit)[0] for limit in range(n + 2)] == [
+        min(limit, top) for limit in range(n + 2)
+    ]
 
 
 def test_fan_with_joined_neighbours():
@@ -600,4 +717,4 @@ def test_fan_with_joined_neighbours():
         min(limit, top) for limit in range(n + 2)
     ]
     _, _, (seen_in, seen_out) = net.max_flow(u, n, n + 1)
-    assert {2 * w for w in mask_bits(seen_in)} | {2 * w + 1 for w in mask_bits(seen_out)} == ref_reach
+    assert split_ids(seen_in, seen_out) == ref_reach
