@@ -423,11 +423,17 @@ def min_separator(
         raise ValueError(f"({u}, {v}) is not inside within")
     if g.masks[u] >> v & 1:
         raise ValueError(f"({u}, {v}) are adjacent: no separating set exists")
-    net = _SplitFlow(g, alive)
-    value, flow, (seen_in, seen_out) = net.max_flow(u, v, alive.bit_count())
-    cut = frozenset(mask_bits((seen_in | flow[u]) & ~seen_out))
-    if len(cut) != value:
+    return frozenset(mask_bits(_min_cut(_SplitFlow(g, alive), u, v)))
+
+
+def _min_cut(net: _SplitFlow, u: int, v: int) -> int:
+    """The mask of :func:`min_separator`'s cut for the nonadjacent pair
+    (u, v) of ``net.alive``, by one uncapped flow on the caller's network
+    (which must have no sink joins)."""
+    value, flow, (seen_in, seen_out) = net.max_flow(u, v, net.alive.bit_count())
+    cut = (seen_in | flow[u]) & ~seen_out
+    if cut.bit_count() != value:
         raise TheoremViolation(
-            f"residual cut size {len(cut)} differs from flow value {value}"
+            f"residual cut size {cut.bit_count()} differs from flow value {value}"
         )
     return cut

@@ -138,6 +138,25 @@ def mask_component(masks: Sequence[int], v: int, alive: int) -> int:
     return seen
 
 
+def mask_components(masks: Sequence[int], alive: int) -> list[int]:
+    """Masks of the components among the vertices of the mask ``alive``,
+    by their lowest vertex."""
+    out: list[int] = []
+    while alive:
+        comp = mask_component(masks, (alive & -alive).bit_length() - 1, alive)
+        alive ^= comp
+        out.append(comp)
+    return out
+
+
+def mask_neighbours(masks: Sequence[int], w: int) -> int:
+    """Mask of the vertices outside the mask ``w`` adjacent to one in it."""
+    out = 0
+    for v in mask_bits(w):
+        out |= masks[v]
+    return out & ~w
+
+
 def degree_stats(g: Graph) -> tuple[int, int] | None:
     """Minimum and maximum degree, or None for the empty graph."""
     if g.n == 0:
@@ -148,11 +167,7 @@ def degree_stats(g: Graph) -> tuple[int, int] | None:
 
 def neighborhood_of_set(g: Graph, w: Iterable[int]) -> frozenset[int]:
     """Union of the neighborhoods of ``w``, excluding ``w`` itself."""
-    ws = vertex_mask(g, w)
-    out = 0
-    for v in mask_bits(ws):
-        out |= g.masks[v]
-    return frozenset(mask_bits(out & ~ws))
+    return frozenset(mask_bits(mask_neighbours(g.masks, vertex_mask(g, w))))
 
 
 def girth(g: Graph) -> int | None:
@@ -314,12 +329,7 @@ def components_excluding(g: Graph, excluded: Iterable[int] = ()) -> list[frozens
     Components are sorted by their minimum vertex id.
     """
     alive = vertex_mask(g, None) & ~vertex_mask(g, excluded)
-    out: list[frozenset[int]] = []
-    while alive:
-        comp = mask_component(g.masks, next(mask_bits(alive)), alive)
-        alive &= ~comp
-        out.append(frozenset(mask_bits(comp)))
-    return out
+    return [frozenset(mask_bits(c)) for c in mask_components(g.masks, alive)]
 
 
 def components(g: Graph) -> list[frozenset[int]]:

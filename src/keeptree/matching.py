@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import TheoremViolation
-from .graphs import Graph, mask_bits, vertex_mask
+from .graphs import Graph, mask_bits, mask_neighbours, vertex_mask
 
 __all__ = [
     "Matching",
@@ -145,10 +145,7 @@ def saturating_matching_or_violator(
     subset = _partner_closure(g, rm, pair_right, set(mask_bits(lm)) - m.left_vertices())
     if subset is None:
         raise TheoremViolation("an unmatched right vertex is alternating-reachable")
-    reach = 0
-    for v in subset:
-        reach |= g.masks[v]
-    size = (reach & rm).bit_count()
+    size = (mask_neighbours(g.masks, sum(1 << v for v in subset)) & rm).bit_count()
     if size >= len(subset):
         raise TheoremViolation(
             f"extracted violator {sorted(subset)} fails the recount: "

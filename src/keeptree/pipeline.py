@@ -326,22 +326,17 @@ class Certificate:
             tree_edges = tuple(
                 (_int(u), _int(v)) for u, v in data["tree"]["edges"]
             )
-            embedding = Embedding(
-                tuple(sorted((_int(a), _int(b)) for a, b in data["tree_image"]))
-            )
+            image = [(_int(a), _int(b)) for a, b in data["tree_image"]]
+            embedding = Embedding(tuple(sorted(_unique("tree_image", image))))
             tr = data["triple"]
-            triple = ConnectedTriple(
-                _int(tr["p"]),
-                frozenset(_int(v) for v in tr["s1"]),
-                frozenset(_int(v) for v in tr["s2"]),
-                frozenset(_int(v) for v in tr["f"]),
+            s1, s2, f, f_m = (
+                frozenset(_unique(name, [_int(v) for v in tr[name]]))
+                for name in ("s1", "s2", "f", "f_m")
             )
             matching = Matching(
                 tuple(sorted((_int(a), _int(b)) for a, b in tr["matching"]))
             )
-            saturated = SaturatedTriple(
-                triple, matching, frozenset(_int(v) for v in tr["f_m"])
-            )
+            saturated = SaturatedTriple(ConnectedTriple(_int(tr["p"]), s1, s2, f), matching, f_m)
             return Certificate(
                 k=_int(data["k"]),
                 m=_int(data["m"]),
@@ -367,6 +362,14 @@ def _int(value: Any) -> int:
     if type(value) is not int:
         raise ParseError(f"malformed certificate: {value!r} is not a JSON integer")
     return value
+
+
+def _unique(field: str, entries: list) -> list:
+    """A certificate list whose entries may not repeat: a repeat would give
+    one claim a second byte form that verifies too."""
+    if len(set(entries)) != len(entries):
+        raise ParseError(f"malformed certificate: {field} repeats an entry")
+    return entries
 
 
 def _fraction(value: Any) -> Fraction:

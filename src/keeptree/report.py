@@ -19,9 +19,6 @@ class CheckReport:
     def passed(self) -> bool:
         return all(ok for _, ok, _ in self.checks)
 
-    def failures(self) -> list[tuple[str, str]]:
-        return [(name, detail) for name, ok, detail in self.checks if not ok]
-
     def first_failure(self) -> str | None:
         for name, ok, detail in self.checks:
             if not ok:

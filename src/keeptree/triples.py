@@ -8,6 +8,14 @@ p neighbors inside f while s2 u f is (p+1)-connected inside the subgraph
 induced by s1 u s2 u f.  Every search in this module certifies its output
 with :func:`validate_triple` before returning, so search order and
 heuristics can never affect soundness.
+
+The widest-split rule.  If some split of S = s1 u s2 is valid for f, so is
+the widest, with every vertex of S that has at most p neighbors in f in
+s1.  Moving such a vertex from s2 to s1 keeps S, f and G[S u f], so it only
+drops the pairs through that vertex from the connectivity condition, and
+every other condition holds as before.  So the search tries two splits per
+fragment (the empty s1, then the widest), and enumeration skips every split
+of an (S, f) whose widest split fails.  Private helpers take vertex masks.
 """
 
 from __future__ import annotations
@@ -18,12 +26,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .connectivity import (
-    _SplitFlow,
-    _weaker_pairs,
-    find_pair_below,
-    min_separator,
-)
+from .connectivity import _SplitFlow, _min_cut, _weaker_pairs, find_pair_below
 from .errors import (
     DEFAULT_ENUM_GUARD,
     GuardExceeded,
@@ -32,16 +35,7 @@ from .errors import (
     TheoremViolation,
     resolve_guard,
 )
-from .graphs import (
-    Graph,
-    check_vertex_set,
-    component_containing,
-    components_excluding,
-    mask_bits,
-    mask_component,
-    neighborhood_of_set,
-    vertex_mask,
-)
+from .graphs import Graph, mask_bits, mask_component, mask_components, mask_neighbours, vertex_mask
 from .matching import Matching, find_tight_set, saturating_matching_or_violator
 from .report import CheckReport
 
@@ -181,99 +175,84 @@ def enumerate_triples(
     if g.n > bound:
         raise GuardExceeded(f"triple enumeration guard: {g.n} > {bound}")
     out: list[ConnectedTriple] = []
-    for cand in _valid_triples(g, p, range(g.n), frozenset(g.vertices())):
+    for cand in _valid_triples(g, p, range(g.n), vertex_mask(g, None)):
         if limit is not None and len(out) >= limit:
             return out, True
         out.append(cand)
     return out, False
 
 
+def _mask(vertices: Iterable[int]) -> int:
+    """The mask of vertex ids already known to be in range."""
+    return sum(1 << v for v in vertices)
+
+
 def _valid_triples(
-    g: Graph, p: int, universe: Sequence[int], within: frozenset[int]
+    g: Graph, p: int, universe: Sequence[int], within: int
 ) -> Iterator[ConnectedTriple]:
     """Validated triples with s1 u s2 drawn from ``universe`` and the fragment
-    inside ``within``, by increasing |s1 u s2|, then subset, split and
-    fragment order."""
+    inside the mask ``within``, by increasing |s1 u s2|, then subset, split
+    and fragment order.
+
+    Each (subset, fragment) pair validates its widest split first and drops
+    out when that fails, since then no split of it is valid.
+    """
+    everything = vertex_mask(g, None)
     for size in range(min(2 * p - 1, len(universe)) + 1):
         for subset in combinations(universe, size):
             sset = frozenset(subset)
-            fragments = [
-                (frag, vertex_mask(g, frag))
-                for frag in components_excluding(g, sset)
-                if len(frag) >= 2 and frag <= within
-            ]
+            fragments = []
+            for fmask in mask_components(g.masks, everything & ~_mask(subset)):
+                if fmask.bit_count() < 2 or fmask & ~within:
+                    continue
+                f = frozenset(mask_bits(fmask))
+                widest = frozenset(v for v in subset if (g.masks[v] & fmask).bit_count() <= p)
+                if validate_triple(g, ConnectedTriple(p, widest, sset - widest, f)).passed:
+                    fragments.append((f, widest))
             if not fragments:
                 continue
             for mask in range(1 << size):
                 s1 = frozenset(subset[i] for i in range(size) if mask >> i & 1)
-                s2 = sset - s1
-                for f, fmask in fragments:
-                    if any((g.masks[v] & fmask).bit_count() > p for v in s1):
-                        continue
-                    cand = ConnectedTriple(p, s1, s2, f)
-                    if validate_triple(g, cand).passed:
-                        yield cand
+                for f, widest in fragments:
+                    if s1 <= widest:
+                        cand = ConnectedTriple(p, s1, sset - s1, f)
+                        if s1 == widest or validate_triple(g, cand).passed:
+                            yield cand
 
 
-def _boundary_splits(
-    g: Graph, boundary: frozenset[int], fragment: frozenset[int], p: int
-):
-    """Candidate (s1, s2) partitions of a fragment boundary, best-first."""
-    fmask = vertex_mask(g, fragment)
-    eligible = frozenset(
-        v for v in boundary if (g.masks[v] & fmask).bit_count() <= p
-    )
-    seen: set[frozenset[int]] = set()
-    ordered: list[tuple[frozenset[int], frozenset[int]]] = [
-        (frozenset(), boundary),
-        (eligible, boundary - eligible),
-    ]
-    if len(eligible) <= 6:
-        elig = sorted(eligible)
-        for mask in range(1 << len(elig)):
-            s1 = frozenset(elig[i] for i in range(len(elig)) if mask >> i & 1)
-            ordered.append((s1, boundary - s1))
-    for s1, s2 in ordered:
-        if s1 in seen:
-            continue
-        seen.add(s1)
-        yield s1, s2
+def _boundary_splits(g: Graph, boundary: int, fragment: int, p: int) -> Iterator[tuple[int, int]]:
+    """The (s1, s2) masks to try on a fragment's boundary: the empty s1, then
+    the widest split, if it differs.  When neither is valid, no split is."""
+    yield 0, boundary
+    eligible = _mask(v for v in mask_bits(boundary) if (g.masks[v] & fragment).bit_count() <= p)
+    if eligible:
+        yield eligible, boundary & ~eligible
 
 
-def _descend_fragments(
-    g: Graph, fragment: frozenset[int], p: int
-) -> list[frozenset[int]]:
+def _descend_fragments(g: Graph, fragment: int, boundary: int, p: int) -> list[int]:
     """Sub-fragments obtained by cutting the fragment at a low-connectivity pair.
 
     Looks for a nonadjacent pair inside boundary u fragment with at most p
-    disjoint paths, removes a minimum separator for it, and collects the
-    nontrivial components that remain inside the fragment.
+    disjoint paths, reads a minimum separator for it off the same network,
+    and returns the nontrivial components of the fragment minus that cut,
+    largest first.
     """
-    boundary = neighborhood_of_set(g, fragment)
-    within = boundary | fragment
-    net = _SplitFlow(g, vertex_mask(g, within))
+    net = _SplitFlow(g, boundary | fragment)
     nonadjacent = (
         (a, b) for a, b in combinations(mask_bits(net.alive), 2) if not net.adj[a] >> b & 1
     )
     witness = next(_weaker_pairs(net, nonadjacent, p + 1), None)
     if witness is None:
         return []
-    cut = min_separator(g, witness[0], witness[1], within=within)
-    removed = boundary | cut
-    frags = [
-        c
-        for c in components_excluding(g, removed)
-        if len(c) >= 2 and c <= fragment
-    ]
-    frags.sort(key=lambda c: (-len(c), min(c)))
+    cut = _min_cut(net, witness[0], witness[1])
+    frags = [c for c in mask_components(g.masks, fragment & ~cut) if c.bit_count() >= 2]
+    frags.sort(key=lambda c: (-c.bit_count(), c & -c))
     return frags
 
 
-def _exhaustive_stage(
-    g: Graph, c: frozenset[int], p: int
-) -> ConnectedTriple:
+def _exhaustive_stage(g: Graph, c: int, p: int) -> ConnectedTriple:
     """Iterative-deepening enumeration restricted to the component's closure."""
-    universe = sorted(c | neighborhood_of_set(g, c))
+    universe = list(mask_bits(c | mask_neighbours(g.masks, c)))
     max_size = min(2 * p - 1, len(universe))
     total = sum(comb(len(universe), s) * (1 << s) for s in range(max_size + 1))
     if total > _EXHAUSTIVE_BUDGET:
@@ -298,22 +277,26 @@ def find_triple(
 
     Preconditions: |s0| <= 2p-1 and ``c`` a connected component of g - s0.
     The search is staged: fragment candidates grown from ``c`` by cutting at
-    low-connectivity pairs are tried with a few boundary partitions first,
-    then a bounded iterative-deepening enumeration over the component's
-    closed neighborhood.  Every candidate is certified by
-    :func:`validate_triple` before being returned.
+    low-connectivity pairs are tried with two boundary splits first, then a
+    bounded iterative-deepening enumeration over the component's closed
+    neighborhood.  Every candidate is certified by :func:`validate_triple`
+    before being returned.
     """
     if p < 1:
         raise ValueError("triple parameter p must be positive")
-    s0s = check_vertex_set(g, s0)
-    cs = check_vertex_set(g, c)
-    if len(s0s) > 2 * p - 1:
-        raise PreconditionError(f"|s0| = {len(s0s)} exceeds 2p-1 = {2 * p - 1}")
-    if cs not in components_excluding(g, s0s):
+    s0m, cm = vertex_mask(g, s0), vertex_mask(g, c)
+    if s0m.bit_count() > 2 * p - 1:
+        raise PreconditionError(f"|s0| = {s0m.bit_count()} exceeds 2p-1 = {2 * p - 1}")
+    alive = vertex_mask(g, None) & ~s0m
+    if not cm or cm & s0m or mask_component(g.masks, (cm & -cm).bit_length() - 1, alive) != cm:
         raise PreconditionError("c is not a connected component of g - s0")
+    return _search(g, cm, p)
 
-    tried: set[frozenset[int]] = set()
-    queue: deque[frozenset[int]] = deque([cs])
+
+def _search(g: Graph, c: int, p: int) -> ConnectedTriple:
+    """:func:`find_triple`'s search inside the component mask ``c``."""
+    tried: set[int] = set()
+    queue: deque[int] = deque([c])
     budget = _FRAGMENT_BUDGET
     while queue and budget > 0:
         fragment = queue.popleft()
@@ -321,17 +304,17 @@ def find_triple(
             continue
         tried.add(fragment)
         budget -= 1
-        if len(fragment) >= 2:
-            boundary = neighborhood_of_set(g, fragment)
-            if len(boundary) <= 2 * p - 1:
-                for s1, s2 in _boundary_splits(g, boundary, fragment, p):
-                    cand = ConnectedTriple(p, s1, s2, fragment)
-                    if validate_triple(g, cand).passed:
-                        return cand
-        for frag in _descend_fragments(g, fragment, p):
+        boundary = mask_neighbours(g.masks, fragment)
+        if fragment.bit_count() >= 2 and boundary.bit_count() <= 2 * p - 1:
+            f = frozenset(mask_bits(fragment))
+            for s1, s2 in _boundary_splits(g, boundary, fragment, p):
+                cand = ConnectedTriple(p, frozenset(mask_bits(s1)), frozenset(mask_bits(s2)), f)
+                if validate_triple(g, cand).passed:
+                    return cand
+        for frag in _descend_fragments(g, fragment, boundary, p):
             if frag not in tried:
                 queue.append(frag)
-    return _exhaustive_stage(g, cs, p)
+    return _exhaustive_stage(g, c, p)
 
 
 def hall_refine(
@@ -345,10 +328,13 @@ def hall_refine(
     violator or a tight set blocking the surplus claim), the fragment is cut
     down to f minus those neighbors and the triple search re-run behind the
     smaller exclusion set.  The fragment shrinks strictly whenever the
-    neighborhood is nonempty, so the loop terminates.  Every triple it
-    handles comes from :func:`find_triple`, which certifies it.
+    neighborhood is nonempty, so the loop terminates.  Only the first search
+    enters through :func:`find_triple`, which checks (s0, c); the loop
+    builds its exclusion set and component itself and runs the search on
+    their masks.  Every triple is certified by :func:`validate_triple`.
     """
     current = find_triple(g, s0, c, p)
+    everything = vertex_mask(g, None)
     seen_states: set[tuple[frozenset[int], frozenset[int], frozenset[int]]] = set()
     while True:
         state = (current.s1, current.s2, current.f)
@@ -373,21 +359,20 @@ def hall_refine(
             subset = tight
         else:
             subset = result.subset
-        shrink = neighborhood_of_set(g, subset) & f
-        if len(shrink) > len(subset):
+        fm, sub = _mask(f), _mask(subset)
+        shrink = mask_neighbours(g.masks, sub) & fm
+        if shrink.bit_count() > sub.bit_count():
             raise TheoremViolation("refinement subset grew its fragment neighborhood")
-        rest = f - shrink
+        rest = fm & ~shrink
         if not rest:
             raise TheoremViolation(
                 "refinement consumed the whole fragment: triangle-freeness "
                 "or the degree hypothesis is violated"
             )
-        exclusion = (s1 - subset) | s2 | shrink
-        if len(exclusion) > 2 * p - 1:
+        exclusion = _mask(s1 - subset) | _mask(s2) | shrink
+        if exclusion.bit_count() > 2 * p - 1:
             raise TheoremViolation("refinement exclusion set outgrew 2p-1")
-        comp = component_containing(g, min(rest), exclusion)
-        if not comp <= rest:
-            raise TheoremViolation(
-                "refined fragment leaked outside the previous one"
-            )
-        current = find_triple(g, exclusion, comp, p)
+        comp = mask_component(g.masks, (rest & -rest).bit_length() - 1, everything & ~exclusion)
+        if comp & ~rest:
+            raise TheoremViolation("refined fragment leaked outside the previous one")
+        current = _search(g, comp, p)

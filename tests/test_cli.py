@@ -163,6 +163,21 @@ class TestVerify:
         assert main(["verify", str(k44_file), str(cert)]) == 1
 
 
+    @pytest.mark.parametrize("path", [("tree_image",), ("triple", "f")], ids=["tree_image", "triple.f"])
+    def test_repeated_entry_exit_1(self, tmp_path, k44_file, edge_tree_file, path, capsys):
+        cert = tmp_path / "cert.json"
+        main(["find", str(k44_file), str(edge_tree_file), "1", "--out", str(cert)])
+        data = json.loads(cert.read_text())
+        *parents, last = path
+        node = data
+        for key in parents:
+            node = node[key]
+        node[last] = node[last] + node[last][:1]  # the first entry, again
+        cert.write_text(json.dumps(data))
+        assert main(["verify", str(k44_file), str(cert)]) == 1
+        assert "repeats an entry" in capsys.readouterr().err
+
+
 class TestOracle:
     def test_none_is_still_exit_0(self, tmp_path, edge_tree_file, capsys):
         c4 = tmp_path / "c4.txt"

@@ -242,7 +242,7 @@ class TestFlowWork:
 
 class TestNetworkBuilds:
     """Each connectivity query builds one network and runs every flow on it;
-    cut descent builds one more when it cuts."""
+    so does cut descent, whose cut is one more flow on the scan's network."""
 
     @pytest.mark.parametrize("host, query", sorted(WORK))
     def test_connectivity_queries(self, net_builds, host, query):
@@ -265,12 +265,12 @@ class TestNetworkBuilds:
 
     def test_descend_fragments_with_witness(self, net_builds):
         g = HOSTS["two-block"]
-        assert _descend_fragments(g, frozenset(range(g.n)), 2)
-        assert len(net_builds) == 2  # the scan's network, then min_separator's
+        assert _descend_fragments(g, (1 << g.n) - 1, 0, 2)
+        assert len(net_builds) == 1  # the cut is read off the scan's network
 
     def test_descend_fragments_without_witness(self, net_builds):
         g = HOSTS["k44"]
-        assert _descend_fragments(g, frozenset(range(g.n)), 2) == []
+        assert _descend_fragments(g, (1 << g.n) - 1, 0, 2) == []
         assert len(net_builds) == 1
 
 

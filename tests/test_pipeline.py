@@ -188,12 +188,36 @@ class TestFindKeepingTree:
         with pytest.raises(SearchExhausted, match=r"embedding stage \(forced\)"):
             find_keeping_tree(q3, tree_k2, 1, sel, force=True)
 
-    def test_forced_refinement_failure_is_search_exhausted(self, tree_p4):
-        # Below the threshold, Hall refinement consumes this host's whole
-        # fragment: the forced run reports the triple stage as exhausted.
-        g = random_bipartite(5, 5, 4, 1001)
-        with pytest.raises(SearchExhausted, match=r"^triple stage \(forced\): refinement consumed"):
-            find_keeping_tree(g, tree_p4, 1, force=True)
+    def test_forced_refinement_failure_is_search_exhausted(self, monkeypatch, tree_p4):
+        # Below the threshold, Hall refinement consumes the whole fragment of
+        # most of these hosts, and the forced run reports the triple stage
+        # as exhausted.  Host 1002 has no triple left after refinement, and
+        # host 1005 fails at the embedder.  The pinned validation counts
+        # hold the enumeration to one widest split per (subset, fragment).
+        refined = r"triple stage \(forced\): refinement consumed the whole fragment"
+        expected = {
+            1000: (refined, 797),
+            1001: (refined, 730),
+            1002: (r"triple stage: no connected triple inside the restricted search space", 945),
+            1003: (refined, 752),
+            1004: (refined, 751),
+            1005: (r"embedding stage \(forced\): degree conditions fail in both orientations", 297),
+            1006: (refined, 885),
+            1007: (refined, 749),
+        }
+        calls = []
+
+        def counted(g, t):
+            calls.append(t)
+            return validate_triple(g, t)
+
+        monkeypatch.setattr(triples, "validate_triple", counted)
+        monkeypatch.setattr(pipeline, "validate_triple", counted)
+        for seed, (message, validations) in expected.items():
+            calls.clear()
+            with pytest.raises(SearchExhausted, match=f"^{message}"):
+                find_keeping_tree(random_bipartite(5, 5, 4, seed), tree_p4, 1, force=True)
+            assert len(calls) == validations, seed
 
     def test_triple_stage_violation_raises_unless_forced(self, monkeypatch, k44, tree_k2):
         def violated(*args, **kwargs):
@@ -346,6 +370,19 @@ class TestVerifyCertificate:
             Certificate.from_json_dict({"schema": "other/9"})
         with pytest.raises(ParseError):
             Certificate.from_json_dict({"schema": "keeptree-cert/1"})
+
+    @pytest.mark.parametrize("field", ["s1", "s2", "f", "f_m", "tree_image"])
+    def test_repeated_entries_raise_parse_error(self, k44, tree_k2, field):
+        # A repeated entry would give one claim a second byte form; with the
+        # first f vertex or tree_image pair appended again it verified.
+        from keeptree.errors import ParseError
+
+        data = json.loads(self._cert(k44, tree_k2).canonical_json())
+        node = data if field == "tree_image" else data["triple"]
+        entries = node[field] or data["triple"]["f"][:1]  # s1, s2, f_m are empty here
+        node[field] = entries + entries[:1]
+        with pytest.raises(ParseError, match=f": {field} repeats an entry"):
+            verify_certificate(k44, data)
 
     @pytest.mark.parametrize(
         "field, value",

@@ -1,11 +1,14 @@
 """Connected triples: validation, enumeration, search, refinement, removal."""
 
+import random
+from itertools import combinations
+
 import pytest
 
 from keeptree.connectivity import is_k_connected_after_removal
 from keeptree.errors import GuardExceeded, PreconditionError
-from keeptree.families import complete_bipartite
-from keeptree.graphs import Graph
+from keeptree.families import complete_bipartite, random_graph
+from keeptree.graphs import Graph, components_excluding
 from keeptree.matching import Matching
 from keeptree.triples import (
     ConnectedTriple,
@@ -139,10 +142,6 @@ class TestEnumerateTriples:
     def test_exhaustive_agreement_small_graphs(self, c6, k33, two_c4_bridge):
         # A candidate is listed iff the validator passes: re-derive the full
         # candidate space independently and compare.
-        from itertools import combinations
-
-        from keeptree.graphs import components_excluding
-
         cases = [(c6, 1), (c6, 2), (k33, 1), (k33, 2), (two_c4_bridge, 1)]
         for g, p in cases:
             listed = {
@@ -159,6 +158,32 @@ class TestEnumerateTriples:
                             if validate_triple(g, cand).passed:
                                 rederived.add((s1, s2, f))
             assert listed == rederived
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_widest_split_rule(seed):
+    """The split with every eligible vertex of S in s1 passes validation
+    exactly when some split of S does, by brute force over all 2^|S| splits
+    on random graphs with n <= 10, p <= 3 and |S| <= 2p-1."""
+    rng = random.Random(seed)
+    cases = valid = 0
+    while cases < 300:
+        n, p = rng.randint(3, 10), rng.randint(1, 3)
+        g = random_graph(n, rng.uniform(0.2, 0.9), rng.randrange(1 << 30))
+        s = frozenset(rng.sample(range(n), rng.randint(0, min(2 * p - 1, n - 2))))
+        for f in components_excluding(g, s):
+            if len(f) < 2:
+                continue
+            widest = frozenset(v for v in s if len(g.neighbors(v) & f) <= p)
+            some = any(
+                validate_triple(g, ConnectedTriple(p, frozenset(s1), s - frozenset(s1), f)).passed
+                for size in range(len(s) + 1)
+                for s1 in combinations(sorted(s), size)
+            )
+            assert validate_triple(g, ConnectedTriple(p, widest, s - widest, f)).passed == some
+            cases += 1
+            valid += some
+    assert 0 < valid < cases
 
 
 class TestFindTriple:
@@ -242,6 +267,30 @@ class TestHallRefine:
         st = hall_refine(g, s0, c, 2)
         assert st.triple == ConnectedTriple(2, frozenset(), frozenset({0}), frozenset({1, 2, 3}))
         assert validate_triple(g, st.triple).passed
+
+    def test_search_below_the_entry_takes_masks(self, monkeypatch, two_c4_bridge, glued_blobs):
+        # Past find_triple's entry checks, cut descent and the refinement loop
+        # call no set-level helper, and the loop re-runs the search without
+        # re-entering find_triple.
+        from keeptree import connectivity, graphs, triples
+
+        def banned(*args, **kwargs):
+            raise AssertionError("set-level helper called below the entry")
+
+        for module, name in [
+            (graphs, "components_excluding"),
+            (graphs, "component_containing"),
+            (graphs, "neighborhood_of_set"),
+            (connectivity, "min_separator"),
+        ]:
+            monkeypatch.setattr(module, name, banned)
+            monkeypatch.setattr(triples, name, banned, raising=False)
+        entries = []
+        find = triples.find_triple
+        monkeypatch.setattr(triples, "find_triple", lambda *args: entries.append(args) or find(*args))
+        st = hall_refine(two_c4_bridge, frozenset({0}), frozenset({4, 5, 6, 7}), 1)
+        assert len(st.triple.f) < 4 and len(entries) == 1  # refined past the first triple
+        assert validate_triple(glued_blobs, find(glued_blobs, (), range(15), 2)).passed
 
     def test_contradiction_branch_surfaces_loudly(self):
         # K4 minus the edge 0-1: a valid triple whose refinement swallows the
