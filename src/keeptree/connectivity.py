@@ -13,9 +13,13 @@ masks, with no induced copy.
 Threshold tests and exact connectivity share one scan with a running bound,
 Even's test (:func:`_even_drops`): a threshold test stops at its first pair
 below the bound, and exact connectivity runs from the minimum degree down
-to its last drop, with the vertices ordered by degree, highest first.  Most
-of their flows are settled by the kernel's pre-routed short paths, which it
-counts on masks before it allocates any flow state.
+to its last drop, with the vertices ordered by degree, highest first.  On
+the whole vertex set of a graph that is not complete, kappa is the minimum
+over nonadjacent pairs, so the scan runs no flow for an adjacent head pair,
+and a threshold test reports a nonadjacent head pair or a witness pair;
+on a proper subset it checks every pair.  Most of their flows are settled
+by the kernel's pre-routed short paths, which it counts on masks before it
+allocates any flow state.
 """
 
 from __future__ import annotations
@@ -269,8 +273,10 @@ def find_pair_below(
     """A pair of ``u_set`` with fewer than ``bound`` disjoint paths in
     G[within] (all of G by default), or None.
 
-    Returns (a, b, value) with value the pair's exact local connectivity;
-    see :func:`_pair_below` for which pair is reported.
+    Returns (a, b, value) with value the pair's exact local connectivity.
+    A query on a proper subset may report any pair; one on every vertex of
+    G[within] reports a nonadjacent pair among the first ``bound`` vertices
+    or a fan's witness pair (see :func:`_pair_below`).
     """
     alive, us = vertex_mask(g, within), vertex_mask(g, u_set)
     if us & ~alive:
@@ -287,7 +293,10 @@ def _pair_below(net: _SplitFlow, us: list[int], bound: int) -> tuple[int, int, i
 
     The whole vertex set first takes the complete/disconnected shortcuts,
     and a connected graph passes bound 1.  Otherwise, and for every proper
-    subset, Even's test answers.
+    subset, Even's test answers with its first drop.  For a proper subset
+    that may be an adjacent head pair; for the whole set, whose adjacent
+    head pairs the test skips, it is a nonadjacent head pair or a pair
+    from a witness scan.
     """
     if len(us) == net.alive.bit_count():
         trivial = _trivial_kappa(net)
@@ -311,7 +320,10 @@ def _even_drops(net: _SplitFlow, us: list[int], bound: int) -> Iterator[tuple[in
     followed by a witness scan of (x, u_j) over the earlier x.  Every flow
     is capped at the current bound, and the scan ends once it reaches zero.
     The pair flows, the fans and the witness scan all run on the caller's
-    network; the fans end at its sink vertex.
+    network; the fans end at its sink vertex.  When ``us`` is every vertex
+    of the network, whose graph must then not be complete, the head's
+    adjacent pairs are skipped (Esfahanian & Hakimi, Networks 14, 1984);
+    fans and witness scans keep every pair.
 
     Soundness.  Caps only fall, so every flow ran at a cap of at least the
     final bound b.  Let S be a separator of fewer than b elements (vertices,
@@ -329,9 +341,25 @@ def _even_drops(net: _SplitFlow, us: list[int], bound: int) -> Iterator[tuple[in
     S exists and no pair of ``us`` is below the final bound.  Conversely, a
     fan is short only if some pair (x, u_j) is: passing pair checks imply
     the fan condition.
+
+    For the whole vertex set, vertex separators suffice.  If an adjacent
+    pair (a, c) is below b, a set S' of fewer than b - 1 vertices cuts a
+    from c in G - ac.  With another vertex on a's side, S' + a is a vertex
+    separator of fewer than b vertices, and likewise for c; with none, the
+    graph has at most b vertices and, not being complete, a nonadjacent
+    pair, which the n - 2 < b others separate.  A vertex separator never
+    splits adjacent vertices, so where S splits two head vertices they are
+    a nonadjacent pair, whose check ran.  And an adjacent pair's value is
+    at least kappa (deleting the edge lowers connectivity by one at most,
+    and the edge is one more path), so a witness drop never undershoots
+    kappa.
     """
     head = us[:bound]
-    for a, b, value in _weaker_pairs(net, combinations(head, 2), bound):
+    pairs = combinations(head, 2)
+    if len(us) == net.alive.bit_count():
+        adj = net.adj
+        pairs = ((a, b) for a, b in pairs if not adj[a] >> b & 1)
+    for a, b, value in _weaker_pairs(net, pairs, bound):
         bound = value
         yield a, b, value
     for x in head:
@@ -377,6 +405,7 @@ def global_connectivity(g: Graph, removed: Iterable[int] = ()) -> int:
     by id).  That order makes the flows cheap: head pairs share many
     neighbours, and fans end at a sink joined to many earlier vertices, so
     the kernel's free short paths settle most of them before it allocates.
+    Adjacent head pairs run no flow at all, the scan being on every vertex.
     """
     alive = vertex_mask(g, None) & ~vertex_mask(g, removed)
     if alive.bit_count() <= 1:

@@ -110,24 +110,27 @@ HOSTS = {
     "random-graph": random_graph(12, 0.5, 1),
 }
 
-#: max_flow calls per (host, query).  Every query runs Even's scan: exact
-#: connectivity from bound delta makes C(delta, 2) + n - delta flows when no
-#: fan is short, and a threshold query at bound b C(b, 2) + n - b.
+#: max_flow calls per (host, query).  Every query runs Even's scan: one flow
+#: per pair of its head, then one fan per later vertex, and no witness flow
+#: here, since no fan is short.  The head is the first delta vertices for
+#: exact connectivity and the first b for a threshold query at bound b.  On
+#: the whole vertex set only its nonadjacent pairs run a flow; on a proper
+#: subset all of them do.
 WORK = {
     ("k44", "global"): 10,
     ("k44", "pair-below-all"): 8,
     ("k44", "pair-below-subset"): 3,
-    ("petersen", "global"): 10,
-    ("petersen", "pair-below-all"): 10,
+    ("petersen", "global"): 8,
+    ("petersen", "pair-below-all"): 8,
     ("petersen", "pair-below-subset"): 4,
-    ("random-bipartite", "global"): 21,
+    ("random-bipartite", "global"): 15,
     ("random-bipartite", "pair-below-all"): 16,
     ("random-bipartite", "pair-below-subset"): 6,
-    ("two-block", "global"): 29,
+    ("two-block", "global"): 26,
     ("two-block", "pair-below-all"): 1,
     ("two-block", "pair-below-subset"): 2,
-    ("random-graph", "global"): 14,
-    ("random-graph", "pair-below-all"): 12,
+    ("random-graph", "global"): 10,
+    ("random-graph", "pair-below-all"): 10,
     ("random-graph", "pair-below-subset"): 4,
 }
 
@@ -141,14 +144,14 @@ SETTLED = {
     ("petersen", "global"): 6,
     ("petersen", "pair-below-all"): 6,
     ("petersen", "pair-below-subset"): 3,
-    ("random-bipartite", "global"): 21,
+    ("random-bipartite", "global"): 15,
     ("random-bipartite", "pair-below-all"): 16,
     ("random-bipartite", "pair-below-subset"): 5,
-    ("two-block", "global"): 26,
+    ("two-block", "global"): 23,
     ("two-block", "pair-below-all"): 0,
     ("two-block", "pair-below-subset"): 1,
-    ("random-graph", "global"): 14,
-    ("random-graph", "pair-below-all"): 12,
+    ("random-graph", "global"): 10,
+    ("random-graph", "pair-below-all"): 10,
     ("random-graph", "pair-below-subset"): 4,
 }
 
@@ -212,14 +215,30 @@ class TestFlowWork:
 
     def test_dense_remainder(self, flow_calls):
         """Exact connectivity of a dense host minus its first certificate's
-        image: C(17, 2) + 52 - 17 flows, most settled before any allocation."""
+        image: the 73 nonadjacent pairs among the first 17 vertices (of
+        C(17, 2) = 136) and 52 - 17 fans, most settled before any
+        allocation."""
         g = random_bipartite(28, 28, 19, 1)
         tree = Tree(gen_graph(FamilySpec("path", (4,))))
         image = find_keeping_tree(g, tree, 2, CaseSelector("triangle-free")).removed()
         flow_calls.clear()
         assert global_connectivity(g, image) == 17
         settled = sum(call[3] for call in flow_calls)
-        assert (settled, len(flow_calls) - settled) == (144, 27)
+        assert (settled, len(flow_calls) - settled) == (81, 27)
+        assert len(flow_calls) == 73 + 52 - 17
+
+    def test_dense_host_with_triangles(self, flow_calls):
+        """Exact connectivity of a dense random graph: kappa = delta = 31, and
+        only 99 of the C(31, 2) = 465 head pairs are nonadjacent, so the scan
+        makes those 99 flows and 60 - 31 fans, all settled by pre-routing."""
+        g = random_graph(60, 0.7, 0)
+        degree = [m.bit_count() for m in g.masks]
+        head = sorted(range(g.n), key=lambda v: -degree[v])[: min(degree)]
+        nonadjacent = [(a, b) for a, b in combinations(head, 2) if not g.masks[a] >> b & 1]
+        assert global_connectivity(g) == min(degree) == 31
+        assert [call[:2] for call in flow_calls[: len(nonadjacent)]] == nonadjacent
+        assert len(nonadjacent) == 99
+        assert len(flow_calls) == sum(call[3] for call in flow_calls) == 99 + 60 - 31
 
     def test_find_triple_cut_descent(self, flow_calls):
         g = HOSTS["two-block"]
@@ -309,6 +328,30 @@ def test_find_pair_below_matches_all_pairs(seed):
             assert value == local_connectivity_value(g, a, b)
 
 
+def test_subset_query_reports_an_adjacent_pair():
+    """Only queries on the whole vertex set skip adjacent head pairs.  In
+    G[W], W = {0, ..., 6}, the 0-1 paths are the edge and 0-2-1 (every other
+    route from 0 enters 2), while (0, 2) and (1, 2) have four paths each; so
+    on U = {0, 1, 2} at bound 3 the adjacent head pair (0, 1) is the answer.
+    Vertex 7, outside W, adds the path 0-3-7-5-1, and then no pair is below."""
+    g = Graph(
+        8,
+        [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (2, 3), (2, 4), (3, 4)]
+        + [(1, 5), (1, 6), (2, 5), (2, 6), (5, 6), (3, 7), (5, 7)],
+    )
+    assert find_pair_below(g, [0, 1, 2], 3, within=range(7)) == (0, 1, 2)
+    assert find_pair_below(g, [0, 1, 2], 3) is None
+
+
+@pytest.mark.parametrize("us", [[0, 1, 2], range(5)], ids=["subset", "whole-set"])
+def test_witness_scan_reports_an_adjacent_pair(us):
+    """0 and 1 lie on the 4-cycle 0-3-1-4 and 2 hangs off 0, so the head
+    pair (0, 1) passes bound 2, the fan from 2 is short, and its witness
+    scan checks the adjacent pair (0, 2) first, on every vertex set."""
+    g = Graph(5, [(0, 3), (3, 1), (1, 4), (4, 0), (0, 2)])
+    assert find_pair_below(g, us, 2) == (0, 2, 1)
+
+
 DIFFERENTIAL_HOSTS = [
     random_bipartite(10, 10, 4, 11),
     random_bipartite(15, 15, 6, 12),
@@ -331,7 +374,24 @@ DIFFERENTIAL_HOSTS = [
 ]
 
 
-@pytest.mark.parametrize("g", DIFFERENTIAL_HOSTS, ids=lambda g: f"n{g.n}-e{g.edge_count}")
+#: Dense hosts, most of whose head pairs are adjacent: random graphs with
+#: triangles and bipartite hosts whose head spans both sides.  Exact and
+#: whole-set threshold queries skip those pairs.
+DENSE_HOSTS = [
+    random_graph(20, 0.8, 1),
+    random_graph(24, 0.7, 2),
+    random_graph(30, 0.6, 3),
+    random_graph(40, 0.5, 4),
+    random_graph(40, 0.8, 8),
+    random_graph(50, 0.4, 5),
+    random_bipartite(12, 12, 9, 1),
+    random_bipartite(20, 20, 15, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "g", DIFFERENTIAL_HOSTS + DENSE_HOSTS, ids=lambda g: f"n{g.n}-e{g.edge_count}"
+)
 def test_matches_networkx(g):
     nxg = nx.Graph()
     nxg.add_nodes_from(range(g.n))
@@ -350,8 +410,9 @@ def test_matches_networkx(g):
 @pytest.mark.parametrize("seed", range(3))
 def test_exact_connectivity_past_the_head(flow_calls, k, seed):
     """The head, the delta vertices of highest degree, lies in the dense
-    block, so every head pair passes; the first sparse vertex's fan is cut
-    by the k cross edges, and its witness scan drops the bound to kappa.
+    block, so every head pair passes; the scan runs flows for its
+    nonadjacent pairs only, then fans.  The first sparse vertex's fan is
+    cut by the k cross edges, and its witness scan drops the bound to kappa.
     Exact connectivity runs that scan, flow for flow, and its caps only
     fall: the fans past the drop are capped at kappa."""
     g, dense = lopsided_two_block_host([(i, i) for i in range(k)], seed)
@@ -362,6 +423,9 @@ def test_exact_connectivity_past_the_head(flow_calls, k, seed):
     assert b not in dense and us.index(a) < us.index(b)
     assert set(us[: us.index(b)]) == dense  # the first sparse vertex
     scan = flow_calls[:]
+    head = us[: min(m.bit_count() for m in g.masks)]
+    pairs = [(x, y) for x, y in combinations(head, 2) if not g.masks[x] >> y & 1]
+    assert [(x, y) for x, y, _, _ in scan[: len(pairs) + 1]] == pairs + [(us[len(head)], g.n)]
     limits = [limit for _, _, limit, _ in scan]
     assert limits == sorted(limits, reverse=True) and limits[-1] == k
     flow_calls.clear()
