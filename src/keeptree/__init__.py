@@ -48,7 +48,6 @@ from .triples import (
 from .pipeline import (
     CaseSelector,
     Certificate,
-    auto_case,
     check_hypotheses,
     compute_beta,
     degree_threshold,

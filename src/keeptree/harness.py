@@ -43,7 +43,6 @@ from .pipeline import (
     CASE_GIRTH,
     CASE_TRIANGLE_FREE,
     CaseSelector,
-    auto_case,
     check_hypotheses,
     degree_threshold,
     find_keeping_tree,
@@ -137,7 +136,7 @@ def tightness_probe(g: Graph, tree: Tree, k: int, guard: int | None = None) -> T
     degree already meets the conjectured threshold is flagged as a
     counterexample candidate for manual review; nothing is asserted.
     """
-    report = check_hypotheses(g, tree, k, auto_case(g))
+    report = check_hypotheses(g, tree, k)
     conjectured = k + max(len(tree.part_x), len(tree.part_y))
     found = oracle_exists(g, tree, k, guard)
     verdict = "yes" if found is not None else "none"

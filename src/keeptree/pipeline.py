@@ -28,13 +28,12 @@ from .embed import (
     sparse_embed,
 )
 from .errors import (
-    DEFAULT_BRUTE_GUARD,
+    GuardExceeded,
     HypothesisFailure,
     ParseError,
     PreconditionError,
     SearchExhausted,
     TheoremViolation,
-    resolve_guard,
 )
 from .graphs import (
     Graph,
@@ -58,7 +57,6 @@ __all__ = [
     "CASE_GIRTH",
     "CaseSelector",
     "parse_case",
-    "auto_case",
     "compute_beta",
     "degree_threshold",
     "HypothesisReport",
@@ -110,18 +108,6 @@ def parse_case(token: str) -> CaseSelector | None:
     if colon and case == CASE_GIRTH:
         return CaseSelector(CASE_GIRTH, int(t))
     return CaseSelector(token)
-
-
-def auto_case(g: Graph) -> CaseSelector:
-    """Prefer bipartite (typically the smallest threshold), then girth, then
-    plain triangle-free."""
-    if bipartition(g) is not None:
-        return CaseSelector(CASE_BIPARTITE)
-    gv = girth(g)
-    if girth_at_least(gv, 5):
-        t = 2 if gv is None else max(2, (gv - 1) // 2)
-        return CaseSelector(CASE_GIRTH, t)
-    return CaseSelector(CASE_TRIANGLE_FREE)
 
 
 def compute_beta(sel: CaseSelector, tree: Tree) -> Fraction:
@@ -189,12 +175,15 @@ def check_hypotheses(
     g: Graph,
     tree: Tree,
     k: int,
-    sel: CaseSelector,
+    sel: CaseSelector | None = None,
 ) -> HypothesisReport:
     """Evaluate connectivity, the structural case condition, the degree
     threshold and n >= k + m + 1, reporting each failure with a witness.
 
-    Triangle-freeness is read off the girth (girth != 3).
+    Triangle-freeness is read off the girth (girth != 3).  With no ``sel``
+    the case is picked from the same bipartition and girth: bipartite
+    (typically the smallest threshold), else the girth case with the
+    largest t the girth allows, else plain triangle-free.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -205,6 +194,14 @@ def check_hypotheses(
     tf = gv != 3
     parts = bipartition(g)
     sizes = (len(parts[0]), len(parts[1])) if parts is not None else None
+    if sel is None:
+        if parts is not None:
+            sel = CaseSelector(CASE_BIPARTITE)
+        elif girth_at_least(gv, 5):
+            # A host that is not bipartite has a cycle, so gv is a number.
+            sel = CaseSelector(CASE_GIRTH, max(2, (gv - 1) // 2))
+        else:
+            sel = CaseSelector(CASE_TRIANGLE_FREE)
     beta = compute_beta(sel, tree)
     threshold = degree_threshold(sel, tree, k)
 
@@ -408,15 +405,13 @@ def find_keeping_tree(
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if sel is None:
-        sel = auto_case(g)
     report = check_hypotheses(g, tree, k, sel)
     if not report.passed and not force:
         raise HypothesisFailure(
             f"hypotheses fail: {'; '.join(report.failures)}", report
         )
     try:
-        return _certified_run(g, tree, k, sel, report, force)
+        return _certified_run(g, tree, k, report, force)
     except (SearchExhausted, TheoremViolation) as exc:
         exc.report = report
         raise
@@ -426,12 +421,12 @@ def _certified_run(
     g: Graph,
     tree: Tree,
     k: int,
-    sel: CaseSelector,
     report: HypothesisReport,
     force: bool,
 ) -> Certificate:
     """The stages past the gate: triple, refinement, embedding, final check
-    and self-verification."""
+    and self-verification, in the case the gate's report names."""
+    sel = CaseSelector(report.case, report.t)
     m = tree.order
     p = k + m - 1
     comps = components(g)
@@ -454,9 +449,9 @@ def _certified_run(
 
     beta = report.beta
     host, back = induced_subgraph(g, saturated.f_rest)
-    host_delta = degree_stats(host)
-    chain_ok = host_delta is not None and Fraction(host_delta[0]) >= beta
-    if not chain_ok and not force:
+    host_stats = degree_stats(host)
+    host_delta = host_stats[0] if host_stats else None
+    if (host_delta is None or host_delta < beta) and not force:
         raise TheoremViolation(
             f"fragment minimum degree {host_delta} fell below beta = {beta} "
             f"despite passing hypotheses"
@@ -468,11 +463,12 @@ def _certified_run(
             raise TheoremViolation(
                 f"embedding stage failed despite passing hypotheses: {exc}"
             ) from exc
-        guard = resolve_guard(None, DEFAULT_BRUTE_GUARD)
-        fallback = exhaustive_embed(host, tree, guard) if host.n <= guard else None
-        if fallback is None:
+        try:
+            local = exhaustive_embed(host, tree)
+        except GuardExceeded:
+            local = None
+        if local is None:
             raise SearchExhausted(f"embedding stage (forced): {exc}") from exc
-        local = fallback
     emb = Embedding.from_dict({tv: back[hv] for tv, hv in local.mapping})
     image = emb.image()
     if len(image) != m:
@@ -573,11 +569,8 @@ def verify_certificate(g: Graph, cert: Certificate | dict) -> CheckReport:
     )
 
     matching = cert.triple.matching
-    try:
-        problems = check_matching(g, t.s1, t.f, matching)
-        add("matching-valid", not problems, problems[0] if problems else "ok")
-    except ValueError as exc:
-        add("matching-valid", False, str(exc))
+    problems = check_matching(g, t.s1, t.f, matching)
+    add("matching-valid", not problems, problems[0] if problems else "ok")
     add(
         "matching-saturates",
         matching.left_vertices() == t.s1,
@@ -597,11 +590,8 @@ def verify_certificate(g: Graph, cert: Certificate | dict) -> CheckReport:
     )
 
     if tree is not None:
-        try:
-            problems = embedding_errors(g, tree, cert.embedding)
-            add("embedding-valid", not problems, problems[0] if problems else "ok")
-        except ValueError as exc:
-            add("embedding-valid", False, str(exc))
+        problems = embedding_errors(g, tree, cert.embedding)
+        add("embedding-valid", not problems, problems[0] if problems else "ok")
     else:
         add("embedding-valid", False, "skipped: tree malformed")
 

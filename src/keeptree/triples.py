@@ -23,7 +23,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .connectivity import _SplitFlow, _min_cut, _weaker_pairs, find_pair_below
@@ -50,8 +49,6 @@ __all__ = [
 
 #: Cap on fragment candidates explored by the cut-descent stage.
 _FRAGMENT_BUDGET = 64
-#: Cap on (subset, split) candidates admitted to the exhaustive stage.
-_EXHAUSTIVE_BUDGET = 250_000
 
 
 @dataclass(frozen=True)
@@ -251,14 +248,13 @@ def _descend_fragments(g: Graph, fragment: int, boundary: int, p: int) -> list[i
 
 
 def _exhaustive_stage(g: Graph, c: int, p: int) -> ConnectedTriple:
-    """Iterative-deepening enumeration restricted to the component's closure."""
+    """Iterative-deepening enumeration restricted to the component's closure,
+    under the triple enumeration guard."""
     universe = list(mask_bits(c | mask_neighbours(g.masks, c)))
-    max_size = min(2 * p - 1, len(universe))
-    total = sum(comb(len(universe), s) * (1 << s) for s in range(max_size + 1))
-    if total > _EXHAUSTIVE_BUDGET:
+    bound = resolve_guard(None, DEFAULT_ENUM_GUARD)
+    if len(universe) > bound:
         raise SearchExhausted(
-            f"triple search exhausted at the desk-scale bound "
-            f"({total} candidates over a {len(universe)}-vertex universe): "
+            f"triple enumeration guard: {len(universe)}-vertex closure > {bound}: "
             f"guard too tight or hypothesis violation"
         )
     found = next(_valid_triples(g, p, universe, c), None)

@@ -5,8 +5,10 @@ import time
 
 import pytest
 
+from keeptree import pipeline
 from keeptree.cli import main
-from keeptree.families import complete_bipartite
+from keeptree.errors import TheoremViolation
+from keeptree.families import complete_bipartite, heawood
 from keeptree.io import format_edge_list, parse_edge_list
 
 
@@ -47,6 +49,24 @@ class TestFind:
         bad.write_text("3\n0 zero\n")
         assert main(["find", str(bad), str(edge_tree_file), "1"]) == 1
         assert "line 2" in capsys.readouterr().err
+
+    def test_theorem_violation_exit_4(self, monkeypatch, tmp_path, k44_file, edge_tree_file, capsys):
+        def violated(*args, **kwargs):
+            raise TheoremViolation("refinement consumed the whole fragment")
+
+        monkeypatch.setattr(pipeline, "hall_refine", violated)
+        out = str(tmp_path / "c.json")
+        assert main(["find", str(k44_file), str(edge_tree_file), "1", "--out", out]) == 4
+        assert "consumed" in capsys.readouterr().err
+
+    def test_enumeration_guard_refusal_exit_3(self, monkeypatch, tmp_path, edge_tree_file, capsys):
+        # Heawood's 14-vertex closure exceeds the triple enumeration guard (10).
+        monkeypatch.delenv("KEEPTREE_GUARD", raising=False)
+        host = tmp_path / "heawood.txt"
+        host.write_text(format_edge_list(heawood()))
+        out = str(tmp_path / "c.json")
+        assert main(["find", str(host), str(edge_tree_file), "2", "--force", "--out", out]) == 3
+        assert "14-vertex closure > 10" in capsys.readouterr().err
 
     def test_below_threshold_exit_2(self, tmp_path, edge_tree_file):
         small = tmp_path / "c6.txt"

@@ -19,6 +19,7 @@ from keeptree.families import (
     path_graph,
     petersen,
     random_graph,
+    star,
 )
 from keeptree.graphs import Graph, Tree, bipartition, degree_stats
 from oracles import side_errors
@@ -142,6 +143,16 @@ class TestSparseEmbed:
 
         t = Tree(path_graph(5))
         validate(heawood(), t, sparse_embed(heawood(), t))
+
+    def test_t_above_two_needs_minimum_degree_at_least_tree_degree(self):
+        # For t > 2 the minimum-degree bound is max((m-1)/t, max tree degree):
+        # C9 (girth 9 >= 2*3+1, degree 2) cannot host the star K1,3 ...
+        star4 = Tree(star(4))
+        with pytest.raises(PreconditionError, match="minimum degree 2 is below 3"):
+            sparse_embed(cycle(9), star4, 3)
+        # ... but does host the path on three vertices.
+        p3 = Tree(path_graph(3))
+        validate(cycle(9), p3, sparse_embed(cycle(9), p3, 3))
 
     def test_all_hypothesis_pairs_succeed_small(self):
         hosts = [cycle(n) for n in range(5, 11)] + [petersen()]

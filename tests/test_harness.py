@@ -11,7 +11,7 @@ from keeptree import graphs, harness, pipeline
 from keeptree.connectivity import connectivity_at_least
 from keeptree.errors import GuardExceeded, ParseError
 from keeptree.families import complete_bipartite, enumerate_trees
-from keeptree.graphs import Tree, degree_stats, is_triangle_free
+from keeptree.graphs import Tree, bipartition, degree_stats, girth, is_triangle_free
 from keeptree.harness import (
     SuiteInstance,
     _run_one,
@@ -24,10 +24,10 @@ from keeptree.harness import (
     tightness_probe,
 )
 from keeptree.pipeline import (
+    CASE_BIPARTITE,
     CASE_GIRTH,
     CASE_TRIANGLE_FREE,
     CaseSelector,
-    auto_case,
     degree_threshold,
 )
 from oracles import small_connected_graphs
@@ -35,6 +35,17 @@ from oracles import small_connected_graphs
 
 def path_tree(m):
     return Tree.from_edges(m, [(i, i + 1) for i in range(m - 1)])
+
+
+def expected_case(g):
+    """The auto case rule, restated: bipartite, else the girth case with the
+    largest t when the girth is at least 5, else triangle-free."""
+    if bipartition(g) is not None:
+        return CaseSelector(CASE_BIPARTITE)
+    gv = girth(g)
+    if gv >= 5:
+        return CaseSelector(CASE_GIRTH, (gv - 1) // 2)
+    return CaseSelector(CASE_TRIANGLE_FREE)
 
 
 def count_calls(monkeypatch, *functions):
@@ -196,7 +207,6 @@ class TestRunSuite:
         counts = count_calls(
             monkeypatch,
             pipeline.check_hypotheses,
-            pipeline.auto_case,
             graphs.girth,
             graphs.find_triangle,
         )
@@ -204,15 +214,14 @@ class TestRunSuite:
         record, cert, _ = _run_one(certified, 0)
         assert record["status"] == "certified" and record["case"] == "bipartite"
         assert cert is not None
-        assert counts == {
-            "check_hypotheses": 1, "auto_case": 1, "girth": 1, "find_triangle": 0
-        }
+        # The auto case is picked inside the one gate call, from its own girth.
+        assert counts == {"check_hypotheses": 1, "girth": 1, "find_triangle": 0}
         skipped = SuiteInstance(
             "skip", "cycle", c6, path_tree(3), 2, CaseSelector(CASE_TRIANGLE_FREE)
         )
         record, cert, _ = _run_one(skipped, 0)
         assert record["status"] == "skipped-hypothesis" and cert is None
-        assert counts["check_hypotheses"] == 2 and counts["auto_case"] == 1
+        assert counts["check_hypotheses"] == 2 and counts["girth"] == 2
         # A failure past the gate carries the pipeline's report.
         forced = SuiteInstance(
             "forced", "k44", k44, path_tree(4), 1,
@@ -221,7 +230,7 @@ class TestRunSuite:
         record, cert, _ = _run_one(forced, 0)
         assert record["status"] == "failed-search" and cert is None
         assert record["threshold"] == "10" and not record["hypothesis_pass"]
-        assert counts["check_hypotheses"] == 3 and counts["auto_case"] == 1
+        assert counts["check_hypotheses"] == 3 and counts["girth"] == 3
 
     def test_forced_failure_record(self, k44):
         inst = SuiteInstance(
@@ -370,7 +379,7 @@ class TestTightnessProbe:
                 for tree in enumerate_trees(m):
                     for k in (1, 2):
                         record = tightness_probe(g, tree, k)
-                        sel = auto_case(g)
+                        sel = expected_case(g)
                         delta = degree_stats(g)[0]
                         assert record.delta == delta
                         assert record.case == sel.label()

@@ -1,10 +1,12 @@
-"""Every imported name in ``src/`` and ``tests/`` is used, and ``src/``
-imports nothing outside the standard library.
+"""Every imported name in ``src/`` and ``tests/`` is used, every private
+module-level name in ``src/`` is referenced, and ``src/`` imports nothing
+outside the standard library.
 
-No linter runs over the repository, so this stdlib-only AST scan is what
-catches an import left behind.  A name counts as used when it appears as a
-name anywhere in its module; names listed in the module's ``__all__`` and
-every import of an ``__init__.py`` (the package's re-exports) count as used.
+No linter runs over the repository, so these stdlib-only AST scans are what
+catch an import or a helper left behind.  A name counts as used when it
+appears as a name anywhere in its module; names listed in the module's
+``__all__`` and every import of an ``__init__.py`` (the package's
+re-exports) count as used.
 """
 
 import ast
@@ -49,6 +51,63 @@ def test_no_unused_imports():
         for line, name in unused_imports(path.read_text())
     ]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def _defined_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def _referenced_names(node: ast.AST) -> set[str]:
+    """Names read, attributes taken and names imported anywhere in ``node``."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            found |= {alias.name for alias in sub.names}
+    return found
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, name) of each module-level private function, class or
+    constant that no statement of ``sources`` other than its own definition
+    references."""
+    statements = [(module, node) for module, source in sources.items()
+                  for node in ast.parse(source).body]
+    refs = [_referenced_names(node) for _, node in statements]
+    found = []
+    for i, (module, node) in enumerate(statements):
+        for name in _defined_names(node):
+            if name.startswith("_") and not name.startswith("__") and not any(
+                name in names for j, names in enumerate(refs) if j != i
+            ):
+                found.append((module, name))
+    return sorted(found)
+
+
+def test_private_name_scanner_finds_unreferenced():
+    sources = {
+        "a": "_BUDGET = 250_000\n_USED: int = 1\ndef _rec(n):\n    return _rec(n - 1)\n"
+             "class _Kept:\n    pass\ndef run():\n    return _USED\n__all__ = ['run']\n",
+        "b": "from a import _Kept\nprint(_Kept)\n",
+    }
+    assert unreferenced_private_names(sources) == [("a", "_BUDGET"), ("a", "_rec")]
+
+
+def test_no_unreferenced_private_names():
+    paths = sorted((ROOT / "src").rglob("*.py"))
+    sources = {str(path.relative_to(ROOT)): path.read_text() for path in paths}
+    found = [f"{module}: {name}" for module, name in unreferenced_private_names(sources)]
+    assert not found, "private names referenced nowhere in src/:\n" + "\n".join(found)
 
 
 def foreign_imports(source: str) -> list[tuple[int, str]]:

@@ -1,15 +1,17 @@
 """Case selection, hypothesis checks, the full pipeline, and verification."""
 
 import json
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
-from keeptree import pipeline, triples
+from keeptree import graphs, pipeline, triples
 from keeptree.errors import HypothesisFailure, SearchExhausted, TheoremViolation
-from keeptree.families import complete_bipartite, cycle, hypercube, random_bipartite
+from keeptree.families import complete_bipartite, cycle, heawood, hypercube, random_bipartite
 from keeptree.graphs import Graph, Tree, degree_stats, find_triangle
+from keeptree.matching import Matching
 from keeptree.harness import full_suite, oracle_exists
 from keeptree.pipeline import (
     CASE_BIPARTITE,
@@ -17,7 +19,6 @@ from keeptree.pipeline import (
     CASE_TRIANGLE_FREE,
     CaseSelector,
     Certificate,
-    auto_case,
     check_hypotheses,
     compute_beta,
     degree_threshold,
@@ -25,11 +26,36 @@ from keeptree.pipeline import (
     parse_case,
     verify_certificate,
 )
-from keeptree.triples import validate_triple
+from keeptree.triples import ConnectedTriple, SaturatedTriple, validate_triple
 
 
 def star_tree(m):
     return Tree.from_edges(m, [(0, i) for i in range(1, m)])
+
+
+def path_tree(m):
+    return Tree.from_edges(m, [(i, i + 1) for i in range(m - 1)])
+
+
+def c5_blowup(t):
+    """C5[t]: each vertex of C5 becomes an independent t-set, joined to the
+    two neighbouring sets.  2t-regular, triangle-free, girth 4, not bipartite."""
+    return Graph(
+        5 * t,
+        [(t * i + a, t * ((i + 1) % 5) + b) for i in range(5) for a in range(t) for b in range(t)],
+    )
+
+
+def bridged_blocks(seed):
+    """Two random_bipartite(6, 6, 5) blocks and one bridge vertex joined to
+    two vertices of the first block and five of the second, each on one
+    side of its block, so the host stays triangle-free."""
+    first, second = random_bipartite(6, 6, 5, seed), random_bipartite(6, 6, 5, seed + 1)
+    n = first.n
+    bridge = 2 * n
+    edges = first.edges() + [(u + n, v + n) for u, v in second.edges()]
+    edges += [(bridge, v) for v in range(2)] + [(bridge, n + v) for v in range(5)]
+    return Graph(bridge + 1, edges)
 
 
 class TestCaseSelector:
@@ -54,21 +80,27 @@ class TestCaseSelector:
         with pytest.raises(ValueError):
             parse_case(token)
 
+    @staticmethod
+    def auto(g):
+        """The case the gate picks with no selector given."""
+        report = check_hypotheses(g, Tree.from_edges(1, []), 1)
+        return CaseSelector(report.case, report.t)
+
     def test_auto_prefers_bipartite(self, k44, pete, c5):
-        assert auto_case(k44).case == CASE_BIPARTITE
-        assert auto_case(pete) == CaseSelector(CASE_GIRTH, 2)
+        assert self.auto(k44).case == CASE_BIPARTITE
+        assert self.auto(pete) == CaseSelector(CASE_GIRTH, 2)
         # C5 is bipartite? No: odd cycle, girth 5 -> girth case.
-        assert auto_case(c5).case == CASE_GIRTH
+        assert self.auto(c5).case == CASE_GIRTH
 
     def test_auto_falls_back_to_triangle_free(self):
         # Girth 4, not bipartite: C4 plus a chordless C5 sharing a vertex.
         g = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 7), (7, 0)])
-        assert auto_case(g).case == CASE_TRIANGLE_FREE
+        assert self.auto(g).case == CASE_TRIANGLE_FREE
 
     def test_auto_girth_parameter_maximal(self):
         # Odd girth g picks t = (g-1)/2 so the budget (m-1)/t is smallest.
-        assert auto_case(cycle(7)) == CaseSelector(CASE_GIRTH, 3)
-        assert auto_case(cycle(9)) == CaseSelector(CASE_GIRTH, 4)
+        assert self.auto(cycle(7)) == CaseSelector(CASE_GIRTH, 3)
+        assert self.auto(cycle(9)) == CaseSelector(CASE_GIRTH, 4)
 
 
 class TestBeta:
@@ -116,6 +148,11 @@ class TestCheckHypotheses:
         report = check_hypotheses(c6, tree_p3, 2, CaseSelector(CASE_TRIANGLE_FREE))
         assert report.kappa_ok  # kappa(C6) = 2 >= 2
         assert not report.degree_ok and report.threshold == 9
+
+    def test_bipartite_case_names_an_odd_cycle(self, tree_k2):
+        report = check_hypotheses(cycle(7), tree_k2, 1, CaseSelector(CASE_BIPARTITE))
+        assert not report.structural_ok and not report.passed
+        assert any(f.startswith("odd cycle [") for f in report.failures)
 
     def test_kappa_failure_fails(self, two_triangles, tree_k2):
         hard = check_hypotheses(
@@ -187,6 +224,62 @@ class TestFindKeepingTree:
         monkeypatch.setenv("KEEPTREE_GUARD", "5")
         with pytest.raises(SearchExhausted, match=r"embedding stage \(forced\)"):
             find_keeping_tree(q3, tree_k2, 1, sel, force=True)
+
+    def test_auto_case_costs_one_host_pass(self, monkeypatch, k44, tree_k2):
+        # The gate picks the case from the bipartition and girth it computes
+        # anyway: one call of each on the host per run.
+        calls = []
+        for fn in (graphs.bipartition, graphs.girth):
+            def counted(g, *args, _fn=fn):
+                calls.append((_fn.__name__, g))
+                return _fn(g, *args)
+
+            for name, module in list(sys.modules.items()):
+                if name.startswith("keeptree") and vars(module).get(fn.__name__) is fn:
+                    monkeypatch.setattr(module, fn.__name__, counted)
+        for host, case in ((c5_blowup(4), CASE_TRIANGLE_FREE), (k44, CASE_BIPARTITE)):
+            calls.clear()
+            cert = find_keeping_tree(host, tree_k2, 1)
+            assert cert.case == CaseSelector(case)
+            on_host = sorted(name for name, g in calls if g is host)
+            assert on_host == ["bipartition", "girth"], case
+
+    def test_exhaustive_stage_obeys_enumeration_guard(self, monkeypatch, tree_k2):
+        # Forced on Heawood, cut descent finds no triple and the exhaustive
+        # stage's closure is the whole 14-vertex host.
+        monkeypatch.delenv("KEEPTREE_GUARD", raising=False)
+
+        def enumerated(*args):
+            raise AssertionError("enumeration ran above the guard")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(triples, "_valid_triples", enumerated)
+            with pytest.raises(
+                SearchExhausted,
+                match=r"^triple stage: triple enumeration guard: 14-vertex closure > 10",
+            ):
+                find_keeping_tree(heawood(), tree_k2, 2, force=True)
+        monkeypatch.setenv("KEEPTREE_GUARD", "14")
+        with pytest.raises(
+            SearchExhausted,
+            match=r"^triple stage: no connected triple inside the restricted search space",
+        ):
+            find_keeping_tree(heawood(), tree_k2, 2, force=True)
+
+    def test_fragment_degree_violation_names_the_minimum(self, monkeypatch, k44, tree_k2):
+        # f - f_m = {0, 1}, one side of K4,4: minimum degree 0 < beta = 1.
+        def refined(g, s0, c, p):
+            return SaturatedTriple(
+                ConnectedTriple(p, frozenset(), frozenset(), frozenset({0, 1})),
+                Matching(()),
+                frozenset(),
+            )
+
+        monkeypatch.setattr(pipeline, "hall_refine", refined)
+        with pytest.raises(
+            TheoremViolation, match=r"^fragment minimum degree 0 fell below beta = 1 "
+        ):
+            find_keeping_tree(k44, tree_k2, 1)
 
     def test_forced_refinement_failure_is_search_exhausted(self, monkeypatch, tree_p4):
         # Below the threshold, Hall refinement consumes the whole fragment of
@@ -291,8 +384,7 @@ class TestFindKeepingTree:
         # passed report with m >= 2 must imply both.
         checked = 0
         for inst in full_suite():
-            sel = inst.sel or auto_case(inst.graph)
-            report = check_hypotheses(inst.graph, inst.tree, inst.k, sel)
+            report = check_hypotheses(inst.graph, inst.tree, inst.k, inst.sel)
             if not report.passed or inst.tree.order < 2:
                 continue
             p = inst.k + inst.tree.order - 1
@@ -340,6 +432,14 @@ class TestVerifyCertificate:
         report = verify_certificate(k44, data)
         assert not report.passed
         assert not report.get("matching-valid")
+
+    def test_image_id_beyond_host_fails_connectivity_check(self, k44, tree_k2):
+        data = json.loads(self._cert(k44, tree_k2).canonical_json())
+        data["tree_image"][0][1] = k44.n
+        report = verify_certificate(k44, data)
+        assert not report.passed
+        assert not report.get("connectivity-after-removal")
+        assert not report.get("embedding-valid")
 
     def test_wrong_graph_fails(self, k44, k33, tree_k2):
         cert = self._cert(k44, tree_k2)
@@ -411,3 +511,38 @@ class TestVerifyCertificate:
         a = find_keeping_tree(k44, tree_k2, 1).canonical_json()
         b = find_keeping_tree(k44, tree_k2, 1).canonical_json()
         assert a == b
+
+
+class TestSaturatedMatchingEndToEnd:
+    """Certificates with a nonempty s1 and f_m, so that Hall refinement's
+    matching, the f - f_m embedding host and the verifier's matching checks
+    see nonempty sets.  On these hosts the bridge vertex goes into s1."""
+
+    @pytest.mark.parametrize("seed", [1000, 1001])
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_certificate_and_mutations(self, seed, order):
+        g = bridged_blocks(seed)
+        assert find_triangle(g) is None
+        cert = find_keeping_tree(
+            g, path_tree(order), 1, CaseSelector(CASE_TRIANGLE_FREE), force=True
+        )
+        t = cert.triple
+        assert t.triple.s1 and t.f_m
+        assert cert.embedding.image() <= t.f_rest
+        data = json.loads(cert.canonical_json())
+        assert verify_certificate(g, data).passed
+
+        def mutated(field, value):
+            changed = json.loads(cert.canonical_json())
+            changed["triple"][field] = value
+            return verify_certificate(g, changed)
+
+        edges = data["triple"]["matching"]
+        report = mutated("matching", edges[1:])
+        assert not report.get("matching-saturates")
+        a, b = edges[0]
+        off = min(v for v in data["triple"]["f"] if not g.masks[a] >> v & 1)
+        report = mutated("matching", [[a, off]] + edges[1:])
+        assert not report.get("matching-valid")
+        report = mutated("f_m", data["triple"]["f_m"][1:])
+        assert not report.get("f-m-consistent")
