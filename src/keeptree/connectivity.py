@@ -24,7 +24,6 @@ allocates any flow state.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import TheoremViolation
@@ -314,11 +313,16 @@ def _even_drops(net: _SplitFlow, us: list[int], bound: int) -> Iterator[tuple[in
     value.  The first yield answers the threshold query; the last one, if
     any, is the minimum over all pairs of ``us``.
 
-    The pairs among the head, the first ``bound`` vertices at the start, are
-    checked in ``combinations`` order; then each later vertex u_j runs one fan
-    flow to a sink joined to every earlier vertex, and a short fan is
-    followed by a witness scan of (x, u_j) over the earlier x.  Every flow
-    is capped at the current bound, and the scan ends once it reaches zero.
+    The pairs (u_i, u_j), i < j, of the first ``bound`` vertices are checked
+    in ``combinations`` order, but a pair with j at or above the running
+    bound is skipped; the head is then the first h vertices, h = min(|us|,
+    bound) at the bound the pair checks end with.  Each later vertex u_j
+    runs one fan flow to a sink joined to every earlier vertex, and a short
+    fan is followed by a witness scan of (x, u_j) over the earlier x, which
+    stops once the bound is at or below the fan's value.  Every flow is
+    capped at the current bound, and the scan ends once it reaches zero.
+    Before the first drop nothing is skipped or stopped early, so a
+    threshold query runs the pairs and fans of Even's test, flow for flow.
     The pair flows, the fans and the witness scan all run on the caller's
     network; the fans end at its sink vertex.  When ``us`` is every vertex
     of the network, whose graph must then not be complete, the head's
@@ -326,21 +330,24 @@ def _even_drops(net: _SplitFlow, us: list[int], bound: int) -> Iterator[tuple[in
     fans and witness scans keep every pair.
 
     Soundness.  Caps only fall, so every flow ran at a cap of at least the
-    final bound b.  Let S be a separator of fewer than b elements (vertices,
-    or one edge for an adjacent pair) that splits two vertices of ``us``.
-    If it splits two head vertices, their pair check gave at most |S| < b.
-    Otherwise the head vertices outside S, which exist because the head has
-    more than |S| vertices, lie in one component C, and the first u_j in
-    another component has every earlier vertex in C or S.  Then every fan
-    path from u_j meets S, so the fan is short: at most |S| < b.  A short
-    fan is cut by as many elements as its value (vertices, or edges at u_j),
-    which miss some earlier vertex x, since there are at least as many
-    earlier vertices as the head; so (x, u_j) is no stronger than the fan,
-    and the witness scan, which checks every earlier x, drops the bound to
-    the fan's value or below.  Either way the bound fell below b, so no such
-    S exists and no pair of ``us`` is below the final bound.  Conversely, a
-    fan is short only if some pair (x, u_j) is: passing pair checks imply
-    the fan condition.
+    final bound b.  A pair (u_i, u_j) is skipped only once the bound is at
+    most j, and h is at most that bound, so u_j lies past the head: every
+    pair of the head was checked.  And h >= b unless the head is all of
+    ``us``.  Let S be a separator of fewer than b elements (vertices, or one
+    edge for an adjacent pair) that splits two vertices of ``us``.  If it
+    splits two head vertices, their pair check gave at most |S| < b.
+    Otherwise some vertex lies past the head, so h >= b > |S|; the head
+    vertices outside S lie in one component C, and the first u_j in another
+    component has every earlier vertex in C or S.  Then every fan path from
+    u_j meets S, so the fan is short: at most |S| < b.  A short fan is cut by
+    as many elements as its value (vertices, or edges at u_j), which miss
+    some earlier vertex x, since there are at least h of them; so (x, u_j)
+    is no stronger than the fan, and the witness scan, which runs until the
+    bound is at or below the fan's value and raises
+    :class:`TheoremViolation` if it never gets there, drops the bound that
+    far.  Either way the bound fell below b, so no such S exists and no pair
+    of ``us`` is below the final bound.  Conversely, a fan is short only if
+    some pair (x, u_j) is: passing pair checks imply the fan condition.
 
     For the whole vertex set, vertex separators suffice.  If an adjacent
     pair (a, c) is below b, a set S' of fewer than b - 1 vertices cuts a
@@ -354,29 +361,37 @@ def _even_drops(net: _SplitFlow, us: list[int], bound: int) -> Iterator[tuple[in
     and the edge is one more path), so a witness drop never undershoots
     kappa.
     """
+    adj = net.adj if len(us) == net.alive.bit_count() else None
     head = us[:bound]
-    pairs = combinations(head, 2)
-    if len(us) == net.alive.bit_count():
-        adj = net.adj
-        pairs = ((a, b) for a, b in pairs if not adj[a] >> b & 1)
-    for a, b, value in _weaker_pairs(net, pairs, bound):
-        bound = value
-        yield a, b, value
+    for i, a in enumerate(head):
+        adjacent = adj[a] if adj else 0
+        for j in range(i + 1, len(head)):
+            if j >= bound:  # u_j is past the running bound: out of the head
+                break
+            b = head[j]
+            if not adjacent >> b & 1:
+                value = net.max_flow(a, b, bound)[0]
+                if value < bound:
+                    bound = value
+                    yield a, b, value
+    head = head[:bound]
     for x in head:
         net.join_sink(x)
     for j in range(len(head), len(us)):
         if bound <= 0:
             return
         u = us[j]
-        if net.max_flow(u, net.n, bound)[0] < bound:
-            fan = bound
+        fan = net.max_flow(u, net.n, bound)[0]
+        if fan < bound:
             for a, b, value in _weaker_pairs(net, ((x, u) for x in us[:j]), bound):
                 bound = value
                 yield a, b, value
-            if bound == fan:
+                if bound <= fan:
+                    break
+            if bound > fan:
                 raise TheoremViolation(
-                    f"fan from {u} has fewer than {fan} paths, "
-                    f"but every earlier vertex has {fan}"
+                    f"fan from {u} has {fan} paths, "
+                    f"but every earlier vertex has at least {bound}"
                 )
         net.join_sink(u)
 
@@ -406,6 +421,10 @@ def global_connectivity(g: Graph, removed: Iterable[int] = ()) -> int:
     neighbours, and fans end at a sink joined to many earlier vertices, so
     the kernel's free short paths settle most of them before it allocates.
     Adjacent head pairs run no flow at all, the scan being on every vertex.
+    The work follows the bound: once it drops, the head shrinks to the
+    first ``bound`` vertices and a witness scan stops at its fan's value, so
+    where kappa is far below delta the scan makes little more than one fan
+    per vertex past the head.
     """
     alive = vertex_mask(g, None) & ~vertex_mask(g, removed)
     if alive.bit_count() <= 1:

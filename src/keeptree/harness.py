@@ -283,8 +283,10 @@ def run_suite(
 
     Instances are independent; with ``jobs > 1`` they run in a process pool
     and the merged report is identical to a sequential run.  Duplicate ids,
-    an instance with k < 1 and ``jobs < 1`` raise ValueError before any
-    instance runs.
+    an instance with k < 1 and ``jobs < 1`` raise ValueError, and a
+    malformed ``KEEPTREE_GUARD`` raises ParseError, before any instance
+    runs, also when ``oracle_guard`` is given: the runs read that variable
+    for their other guards.
     """
     insts = list(instances)
     ids = [inst.instance_id for inst in insts]
@@ -295,6 +297,8 @@ def run_suite(
     for inst in insts:
         if inst.k < 1:
             raise ValueError(f"instance {inst.instance_id}: k must be positive, got {inst.k}")
+    # The runs read KEEPTREE_GUARD for their own guards: check it up front.
+    resolve_guard(None, DEFAULT_BRUTE_GUARD)
     guard = resolve_guard(oracle_guard, DEFAULT_BRUTE_GUARD)
     guards = [guard] * len(insts)
     if jobs > 1 and len(insts) > 1:

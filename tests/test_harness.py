@@ -134,6 +134,16 @@ class TestRunSuite:
             run_suite(instances, jobs=jobs)
         assert counts["check_hypotheses"] == 0
 
+    def test_bad_env_guard_rejected_before_any_run(self, monkeypatch, k44):
+        """An explicit oracle guard does not hide a malformed KEEPTREE_GUARD,
+        which the runs read for their other guards."""
+        counts = count_calls(monkeypatch, pipeline.find_keeping_tree)
+        monkeypatch.setenv("KEEPTREE_GUARD", "x")
+        inst = SuiteInstance("x", "f", k44, path_tree(2), 1, None)
+        with pytest.raises(ParseError, match="KEEPTREE_GUARD"):
+            run_suite([inst], oracle_guard=8)
+        assert counts["find_keeping_tree"] == 0
+
     def test_jobs_match_sequential(self, k44, q3):
         instances = [
             SuiteInstance("a", "k44", k44, path_tree(2), 1, None),

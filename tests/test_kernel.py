@@ -113,9 +113,11 @@ HOSTS = {
 #: max_flow calls per (host, query).  Every query runs Even's scan: one flow
 #: per pair of its head, then one fan per later vertex, and no witness flow
 #: here, since no fan is short.  The head is the first delta vertices for
-#: exact connectivity and the first b for a threshold query at bound b.  On
-#: the whole vertex set only its nonadjacent pairs run a flow; on a proper
-#: subset all of them do.
+#: exact connectivity and the first b for a threshold query at bound b, until
+#: a drop shrinks it to the new bound: on the two-block host the first
+#: nonadjacent pair drops exact connectivity to 2, so 1 pair and 22 fans
+#: run.  On the whole vertex set only its nonadjacent pairs run a flow; on a
+#: proper subset all of them do.
 WORK = {
     ("k44", "global"): 10,
     ("k44", "pair-below-all"): 8,
@@ -126,7 +128,7 @@ WORK = {
     ("random-bipartite", "global"): 15,
     ("random-bipartite", "pair-below-all"): 16,
     ("random-bipartite", "pair-below-subset"): 6,
-    ("two-block", "global"): 26,
+    ("two-block", "global"): 23,
     ("two-block", "pair-below-all"): 1,
     ("two-block", "pair-below-subset"): 2,
     ("random-graph", "global"): 10,
@@ -147,7 +149,7 @@ SETTLED = {
     ("random-bipartite", "global"): 15,
     ("random-bipartite", "pair-below-all"): 16,
     ("random-bipartite", "pair-below-subset"): 5,
-    ("two-block", "global"): 23,
+    ("two-block", "global"): 22,
     ("two-block", "pair-below-all"): 0,
     ("two-block", "pair-below-subset"): 1,
     ("random-graph", "global"): 10,
@@ -443,6 +445,77 @@ def test_witness_scan_continues_past_its_first_drop(seed):
     u = next(v for v in us if v not in dense)
     assert drops == [(us[0], u, 2), (us[1], u, 1)]
     assert global_connectivity(g) == nx.node_connectivity(nx.Graph(g.edges())) == 1
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_witness_scan_stops_at_the_fan_value(flow_calls, seed):
+    """One cross edge, at the dense vertex of highest degree: the first
+    sparse vertex's fan has one path, and so has its pair with that vertex,
+    first in the witness scan.  The scan stops there, so the other dense
+    vertices run no witness flow, and every later flow is a fan capped at 1."""
+    g, dense = lopsided_two_block_host([(0, 0)], seed)
+    flow_calls.clear()
+    us, drops = degree_scan(g, dense)
+    u = us[len(dense)]
+    assert drops == [(us[0], u, 1)]
+    fan = [call[:2] for call in flow_calls].index((u, g.n))
+    assert flow_calls[fan + 1][:2] == (us[0], u)
+    assert [call[:3] for call in flow_calls[fan + 2 :]] == [
+        (v, g.n, 1) for v in us[len(dense) + 1 :]
+    ]
+
+
+@pytest.mark.parametrize("seed, allocating", [(0, 2), (1, 3), (2, 2)])
+def test_exact_connectivity_shrinks_the_head(flow_calls, seed, allocating):
+    """A 72-vertex two-block host of the clustered kind, delta 12 and kappa
+    2: the first nonadjacent head pair lies across the cut and drops the
+    bound to 2, so the head shrinks to two vertices, no other pair runs, and
+    the other 70 vertices run one fan each, nearly all settled by
+    pre-routing."""
+    g = two_block_host(18, 12, seed)
+    flow_calls.clear()
+    assert global_connectivity(g) == 2
+    degree = [m.bit_count() for m in g.masks]
+    us = sorted(range(g.n), key=lambda v: -degree[v])
+    assert flow_calls[0][2] == min(degree) == 12
+    assert [call[:3] for call in flow_calls[1:]] == [(v, g.n, 2) for v in us[2:]]
+    assert len(flow_calls) == 71
+    assert sum(not call[3] for call in flow_calls) == allocating
+
+
+def multi_block_host(rng: random.Random) -> Graph:
+    """Two random-bipartite blocks of 10 to 40 vertices and minimum degree at
+    least 5, joined by 0 to 4 cross edges, labels shuffled: kappa is at most
+    the number of cross edges, below delta."""
+    a, b = (
+        random_bipartite(side, side, rng.randint(5, side), rng.randrange(1 << 30))
+        for side in (rng.randint(5, 20), rng.randint(5, 20))
+    )
+    edges = a.edges() + [(u + a.n, v + a.n) for u, v in b.edges()]
+    cross = {(rng.randrange(a.n), a.n + rng.randrange(b.n)) for _ in range(rng.randint(0, 4))}
+    perm = list(range(a.n + b.n))
+    rng.shuffle(perm)
+    return Graph(a.n + b.n, [(perm[u], perm[v]) for u, v in edges + sorted(cross)])
+
+
+def test_exact_connectivity_below_delta_matches_networkx():
+    """Exact connectivity against networkx on multi-block hosts with kappa <
+    delta, where the scan's head shrinks and its witness scans stop early.
+    The first drop falls inside the head on some hosts (a head pair across
+    the blocks) and in a witness scan on others (a head inside one block)."""
+    rng = random.Random(0)
+    first_drops = {"head": 0, "witness": 0}
+    for _ in range(30):
+        g = multi_block_host(rng)
+        degree = [m.bit_count() for m in g.masks]
+        kappa = nx.node_connectivity(nx.Graph(g.edges()))
+        assert global_connectivity(g) == kappa < min(degree)
+        if kappa:
+            us = sorted(range(g.n), key=lambda v: -degree[v])
+            drops = list(_even_drops(_SplitFlow(g), us, min(degree)))
+            assert drops[-1][2] == kappa
+            first_drops["head" if us.index(drops[0][1]) < min(degree) else "witness"] += 1
+    assert min(first_drops.values()) >= 3
 
 
 def kept_sets(g: Graph, rng: random.Random) -> list[frozenset[int]]:
