@@ -24,12 +24,10 @@ from .graphs import (
     components,
     degree_stats,
     girth,
-    induced_delete,
     is_triangle_free,
-    neighborhood_of_set,
 )
 from .connectivity import global_connectivity, is_k_connected_after_removal
-from .matching import HallViolator, Matching, max_matching, saturating_matching_or_violator
+from .matching import HallViolator, Matching, saturating_matching_or_violator
 from .embed import (
     Embedding,
     bipartite_embed,

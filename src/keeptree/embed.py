@@ -175,49 +175,38 @@ def _anchored_search(
     image = [-1] * m
     used: set[int] = set()
 
-    def candidates(pos: int) -> list[int]:
+    def candidates(pos: int) -> Iterator[int]:
         t = order[pos]
-        if pos == 0:
-            cand = root_candidates
-        else:
-            cand = mask_bits(hm[image[parent[t]]])
-        good = []
+        cand = root_candidates if pos == 0 else mask_bits(hm[image[parent[t]]])
         for h in cand:
             if h in used:
                 continue
             if degree_prune and hm[h].bit_count() < tm[t].bit_count():
                 continue
-            ok = True
             for tn in mask_bits(tm[t]):
                 hn = image[tn]
                 if hn != -1 and not hm[hn] >> h & 1:
-                    ok = False
                     break
-            if ok:
-                good.append(h)
-        return good
+            else:
+                yield h
 
-    stack: list[list[int]] = [candidates(0)]
+    # One candidate iterator per placed level.  A level undoes its previous
+    # choice before it draws again, so every draw sees only its ancestors.
+    stack = [candidates(0)]
     while stack:
-        pos = len(stack) - 1
-        options = stack[-1]
-        if not options:
+        t = order[len(stack) - 1]
+        used.discard(image[t])
+        image[t] = -1
+        h = next(stack[-1], None)
+        if h is None:
             stack.pop()
-            if pos > 0:
-                t = order[pos - 1]
-                used.discard(image[t])
-                image[t] = -1
-            continue
-        h = options.pop(0)
-        t = order[pos]
-        image[t] = h
-        used.add(h)
-        if pos + 1 == m:
-            yield Embedding.from_dict({tv: image[tv] for tv in range(m)})
-            used.discard(h)
-            image[t] = -1
         else:
-            stack.append(candidates(pos + 1))
+            image[t] = h
+            used.add(h)
+            if len(stack) == m:
+                yield Embedding.from_dict({tv: image[tv] for tv in range(m)})
+            else:
+                stack.append(candidates(len(stack)))
 
 
 def _first_embedding(

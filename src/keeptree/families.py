@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import DEFAULT_TREE_GUARD, GuardExceeded, resolve_guard
-from .graphs import Graph, Tree, find_triangle, induced_delete, mask_bits
+from .graphs import Graph, Tree, find_triangle, induced_subgraph, mask_bits
 from .connectivity import connectivity_at_least
 
 __all__ = [
@@ -254,7 +254,7 @@ def random_triangle_free(n: int, p: float, seed: int) -> Graph:
         if tri is None:
             return g
         victim = rng.choice(sorted(tri))
-        g, _ = induced_delete(g, {victim})
+        g, _ = induced_subgraph(g, (v for v in g.vertices() if v != victim))
 
 
 def prufer_decode(seq: list[int], order: int) -> list[tuple[int, int]]:

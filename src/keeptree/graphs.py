@@ -2,11 +2,10 @@
 
 Vertices are dense integer ids ``0..n-1``.  A graph is its neighbour
 bitmasks: bit y of ``Graph.masks[x]`` is set iff xy is an edge, built once
-at construction and the only adjacency kept.  Derived graphs (vertex
-deletion, induced subgraphs) are new values returned together with an id
-remapping, so anything computed downstream can be translated back into the
-original graph's numbering.  All functions here are pure and safe to call
-from any number of threads.
+at construction and the only adjacency kept.  An induced subgraph is a new
+value returned together with an id remapping, so anything computed
+downstream can be translated back into the original graph's numbering.
+All functions here are pure and safe to call from any number of threads.
 """
 
 from __future__ import annotations
@@ -18,18 +17,14 @@ __all__ = [
     "Graph",
     "Tree",
     "degree_stats",
-    "neighborhood_of_set",
     "girth",
     "girth_at_least",
     "is_triangle_free",
     "find_triangle",
     "bipartition",
     "odd_cycle",
-    "induced_delete",
     "induced_subgraph",
     "components",
-    "components_excluding",
-    "component_containing",
     "is_connected",
 ]
 
@@ -163,11 +158,6 @@ def degree_stats(g: Graph) -> tuple[int, int] | None:
         return None
     degrees = [m.bit_count() for m in g.masks]
     return min(degrees), max(degrees)
-
-
-def neighborhood_of_set(g: Graph, w: Iterable[int]) -> frozenset[int]:
-    """Union of the neighborhoods of ``w``, excluding ``w`` itself."""
-    return frozenset(mask_bits(mask_neighbours(g.masks, vertex_mask(g, w))))
 
 
 def girth(g: Graph) -> int | None:
@@ -309,32 +299,9 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, .
     return Graph(len(kept), edges), kept
 
 
-def induced_delete(g: Graph, w: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Graph minus ``w`` plus the remap (new id -> original id)."""
-    return induced_subgraph(g, mask_bits(vertex_mask(g, None) & ~vertex_mask(g, w)))
-
-
-def component_containing(g: Graph, v: int, excluded: Iterable[int] = ()) -> frozenset[int]:
-    """Connected component of ``v`` in the graph minus ``excluded`` (original ids)."""
-    alive = vertex_mask(g, None) & ~vertex_mask(g, excluded)
-    g.check_vertex(v)
-    if not alive >> v & 1:
-        raise ValueError(f"vertex {v} is excluded")
-    return frozenset(mask_bits(mask_component(g.masks, v, alive)))
-
-
-def components_excluding(g: Graph, excluded: Iterable[int] = ()) -> list[frozenset[int]]:
-    """Connected components of the graph minus ``excluded``, in original ids.
-
-    Components are sorted by their minimum vertex id.
-    """
-    alive = vertex_mask(g, None) & ~vertex_mask(g, excluded)
-    return [frozenset(mask_bits(c)) for c in mask_components(g.masks, alive)]
-
-
 def components(g: Graph) -> list[frozenset[int]]:
     """Connected components, sorted by minimum vertex id."""
-    return components_excluding(g, ())
+    return [frozenset(mask_bits(c)) for c in mask_components(g.masks, vertex_mask(g, None))]
 
 
 def is_connected(g: Graph) -> bool:

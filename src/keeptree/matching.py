@@ -20,7 +20,6 @@ __all__ = [
     "Matching",
     "HallViolator",
     "check_matching",
-    "max_matching",
     "saturating_matching_or_violator",
     "find_tight_set",
 ]
@@ -78,13 +77,8 @@ def _check_sides(g: Graph, left: Iterable[int], right: Iterable[int]) -> tuple[i
     return lm, rm
 
 
-def max_matching(g: Graph, left: Iterable[int], right: Iterable[int]) -> Matching:
-    """Maximum-cardinality matching on the induced left-right bipartite structure."""
-    return _max_matching(g, *_check_sides(g, left, right))
-
-
 def _max_matching(g: Graph, lm: int, rm: int) -> Matching:
-    """:func:`max_matching` between the checked, disjoint side masks."""
+    """Maximum-cardinality matching between the checked, disjoint side masks."""
     pair_left: dict[int, int] = {}
     pair_right: dict[int, int] = {}
 

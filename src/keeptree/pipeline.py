@@ -281,9 +281,6 @@ class Certificate:
     connectivity_after_removal: int
     hypothesis: dict[str, Any]
 
-    def removed(self) -> frozenset[int]:
-        return self.embedding.image()
-
     def to_json_dict(self) -> dict[str, Any]:
         t = self.triple.triple
         return {
@@ -507,6 +504,11 @@ def verify_certificate(g: Graph, cert: Certificate | dict) -> CheckReport:
 
     Malformed input (wrong schema, missing fields) raises ParseError; all
     content-level problems are reported as failing checks with witnesses.
+
+    ``fragment-surplus`` stays a named check, though it never fails alone:
+    ``tree-order`` and ``removal-size`` make the image nonempty,
+    ``image-in-fragment`` puts it inside f - f_m, and ``matching-valid``,
+    ``matching-saturates`` and ``f-m-consistent`` give |f_m| = |s1|.
     """
     if isinstance(cert, dict):
         cert = Certificate.from_json_dict(cert)
@@ -600,9 +602,7 @@ def verify_certificate(g: Graph, cert: Certificate | dict) -> CheckReport:
     add(
         "image-in-fragment",
         image <= rest,
-        f"image vertices {sorted(image - rest)} leave the unmatched fragment"
-        if not image <= rest
-        else "ok",
+        f"image vertices {sorted(image - rest)} leave the unmatched fragment",
     )
     add(
         "removal-size",

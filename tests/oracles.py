@@ -1,8 +1,9 @@
 """Test oracles: for the flow kernel an exhaustive minimum separator and
 vertex connectivity, a check of disjoint-path witnesses and a decoder for
 ``_SplitFlow.max_flow`` flows;
-for embeddings a check that the tree's parts land on given host sides; and
-every small connected graph, from the networkx graph atlas."""
+for embeddings a check that the tree's parts land on given host sides; the
+maximum matching size read off the Hall certifier; components by networkx;
+and every small connected graph, from the networkx graph atlas."""
 
 from itertools import combinations
 
@@ -11,7 +12,8 @@ import networkx as nx
 from keeptree.connectivity import _SplitFlow
 from keeptree.embed import Embedding
 from keeptree.errors import DEFAULT_BRUTE_GUARD, GuardExceeded, resolve_guard
-from keeptree.graphs import Graph, Tree, component_containing, is_connected, mask_bits
+from keeptree.graphs import Graph, Tree, is_connected, mask_bits
+from keeptree.matching import Matching, saturating_matching_or_violator
 
 
 def small_connected_graphs(max_n: int = 7) -> list[Graph]:
@@ -33,6 +35,24 @@ def small_connected_graphs(max_n: int = 7) -> list[Graph]:
     return out
 
 
+def _networkx(g: Graph) -> nx.Graph:
+    nxg = nx.Graph(g.edges())
+    nxg.add_nodes_from(g.vertices())
+    return nxg
+
+
+def _component(nxg: nx.Graph, v: int, excluded: frozenset[int]) -> set[int]:
+    """The component of ``v`` in ``nxg`` minus ``excluded``, by networkx."""
+    return nx.node_connected_component(nx.restricted_view(nxg, excluded, []), v)
+
+
+def components_without(g: Graph, excluded) -> list[frozenset[int]]:
+    """The components of ``g`` minus ``excluded`` by networkx, sorted by
+    their least vertex."""
+    view = nx.restricted_view(_networkx(g), frozenset(excluded), [])
+    return sorted(map(frozenset, nx.connected_components(view)), key=min)
+
+
 def brute_min_separator(g: Graph, u: int, v: int, guard: int | None = None) -> frozenset[int]:
     """Minimum {u, v}-separating set of a nonadjacent pair: the first of the
     subsets, in increasing size, whose removal separates u from v."""
@@ -41,10 +61,11 @@ def brute_min_separator(g: Graph, u: int, v: int, guard: int | None = None) -> f
     limit = resolve_guard(guard, DEFAULT_BRUTE_GUARD)
     if g.n > limit:
         raise GuardExceeded(f"brute separator guard: {g.n} > {limit}")
+    nxg = _networkx(g)
     others = [w for w in range(g.n) if w not in (u, v)]
     for size in range(len(others) + 1):
         for cut in map(frozenset, combinations(others, size)):
-            if v not in component_containing(g, u, cut):
+            if v not in _component(nxg, u, cut):
                 return cut
     raise AssertionError(f"no separating set found for nonadjacent ({u}, {v})")
 
@@ -54,11 +75,12 @@ def brute_connectivity(g: Graph, removed: frozenset[int] = frozenset()) -> int:
     first subset, in increasing size, whose deletion leaves at least two
     vertices in more than one component; one less than the vertex count
     (0 at most one vertex) when none does."""
+    nxg = _networkx(g)
     rest = [v for v in range(g.n) if v not in removed]
     for size in range(len(rest) - 1):
         for cut in map(frozenset, combinations(rest, size)):
             left = [v for v in rest if v not in cut]
-            if len(component_containing(g, left[0], removed | cut)) < len(left):
+            if len(_component(nxg, left[0], removed | cut)) < len(left):
                 return size
     return max(len(rest) - 1, 0)
 
@@ -110,3 +132,14 @@ def side_errors(tree: Tree, emb: Embedding, x_to: frozenset[int], y_to: frozense
         for a in sorted(part)
         if d[a] not in side
     ]
+
+
+def max_matching_size(g: Graph, left, right) -> int:
+    """Size of a maximum left-right matching, read off
+    ``saturating_matching_or_violator``.  Its violator S is the alternating
+    closure of the unmatched left vertices, so by König the maximum size is
+    |left| - (|S| - |N(S)|)."""
+    result = saturating_matching_or_violator(g, left, right)
+    if isinstance(result, Matching):
+        return result.size
+    return len(set(left)) - (len(result.subset) - result.neighborhood_size)

@@ -1,9 +1,13 @@
 """Tree embeddings: greedy, bipartition-respecting, sparse search, oracle."""
 
+from itertools import permutations
+
 import pytest
 
 from keeptree.embed import (
     Embedding,
+    _anchored_search,
+    _bfs_order,
     bipartite_embed,
     embedding_errors,
     exhaustive_embed,
@@ -184,6 +188,31 @@ class TestExhaustiveEmbed:
     def test_iterator_counts_labeled_embeddings(self, c4, tree_k2):
         # Each of the 4 edges in both directions.
         assert len(list(iter_embeddings(c4, tree_k2))) == 8
+
+    @pytest.mark.parametrize(
+        "host", [cycle(5), petersen(), complete_bipartite(2, 3)], ids=["C5", "Petersen", "K2,3"]
+    )
+    def test_iterator_order_is_lexicographic_along_bfs(self, host):
+        # Every injective map that keeps the tree's edges, ordered by the
+        # images of the BFS order from tree vertex 0.
+        for tree in [t for m in range(1, 5) for t in enumerate_trees(m)]:
+            order, _ = _bfs_order(tree, 0)
+            maps = [
+                dict(zip(order, images))
+                for images in permutations(range(host.n), tree.order)
+                if all(host.has_edge(images[order.index(a)], images[order.index(b)])
+                       for a, b in tree.graph.edges())
+            ]
+            assert list(iter_embeddings(host, tree)) == [Embedding.from_dict(d) for d in maps]
+
+    def test_search_depth_is_not_bounded_by_recursion(self):
+        # One loop, no recursion: a tree of order 3,000 is deeper than the
+        # interpreter's default recursion limit.
+        host = path_graph(3000)
+        tree = Tree(host)
+        order, parent = _bfs_order(tree, 0)
+        emb = next(_anchored_search(host, tree, order, parent, [0], False))
+        assert emb.mapping == tuple((v, v) for v in range(3000))
 
 
 class TestValidator:

@@ -27,17 +27,19 @@ from keeptree.graphs import (
     Graph,
     Tree,
     bipartition,
-    component_containing,
     components,
-    components_excluding,
     degree_stats,
     girth,
     girth_at_least,
-    induced_delete,
+    induced_subgraph,
     is_connected,
     is_triangle_free,
-    neighborhood_of_set,
+    mask_bits,
+    mask_component,
+    mask_components,
+    mask_neighbours,
     odd_cycle,
+    vertex_mask,
 )
 from oracles import small_connected_graphs
 
@@ -139,19 +141,21 @@ class TestDegreeStats:
 
 
 class TestNeighborhoodOfSet:
+    """``mask_neighbours`` on the mask of a checked vertex set."""
+
     def test_cycle_single(self, c5):
-        assert neighborhood_of_set(c5, {0}) == {1, 4}
+        assert mask_neighbours(c5.masks, vertex_mask(c5, {0})) == 0b10010
 
     def test_whole_vertex_set(self, c5):
-        assert neighborhood_of_set(c5, range(5)) == frozenset()
+        assert mask_neighbours(c5.masks, vertex_mask(c5, range(5))) == 0
 
     def test_petersen_outer_to_inner(self, pete):
         # Adjacency enumeration: every spoke i--i+5 leaves the outer cycle.
-        assert neighborhood_of_set(pete, range(5)) == frozenset(range(5, 10))
+        assert mask_neighbours(pete.masks, vertex_mask(pete, range(5))) == 0b1111100000
 
     def test_invalid_vertex(self, c5):
         with pytest.raises(ValueError):
-            neighborhood_of_set(c5, {7})
+            vertex_mask(c5, {7})
 
 
 def bfs_girth_oracle(g: Graph) -> int | None:
@@ -359,36 +363,39 @@ class TestBipartition:
 
 
 class TestInducedDelete:
+    """Vertex deletion: ``induced_subgraph`` on the complement."""
+
     def test_cycle_minus_vertex_is_path(self, c5):
-        h, kept = induced_delete(c5, {0})
+        h, kept = induced_subgraph(c5, {1, 2, 3, 4})
         assert h.n == 4 and h.edge_count == 3
         degs = sorted(h.degree(v) for v in h.vertices())
         assert degs == [1, 1, 2, 2]
         assert kept == (1, 2, 3, 4)
 
     def test_delete_nothing_is_identity(self, pete):
-        h, kept = induced_delete(pete, set())
+        h, kept = induced_subgraph(pete, pete.vertices())
         assert h == pete
         assert kept == tuple(range(10))
 
     def test_k44_minus_one_per_side(self, k44):
-        h, _ = induced_delete(k44, {0, 4})
+        h, _ = induced_subgraph(k44, set(k44.vertices()) - {0, 4})
         assert h.n == 6 and h.edge_count == 9
         assert degree_stats(h) == (3, 3)
 
     def test_components_agree_with_scratch_traversal(self):
         for g in random_graphs(80, 8, 77):
             w = frozenset(v for v in g.vertices() if v % 3 == 0)
-            h, kept = induced_delete(g, w)
+            h, kept = induced_subgraph(g, set(g.vertices()) - w)
             via_subgraph = sorted(
                 sorted(kept[v] for v in comp) for comp in components(h)
             )
-            via_exclusion = sorted(sorted(c) for c in components_excluding(g, w))
-            assert via_subgraph == via_exclusion
+            alive = vertex_mask(g, None) & ~vertex_mask(g, w)
+            via_masks = sorted(sorted(mask_bits(c)) for c in mask_components(g.masks, alive))
+            assert via_subgraph == via_masks
 
     def test_invalid_vertex(self, c5):
         with pytest.raises(ValueError):
-            induced_delete(c5, {9})
+            induced_subgraph(c5, {0, 9})
 
 
 class TestComponents:
@@ -400,7 +407,7 @@ class TestComponents:
         assert len(components(pete)) == 1 and is_connected(pete)
 
     def test_trivial_flagging(self, c5):
-        comps = components_excluding(c5, {0, 2})
+        comps = [frozenset(mask_bits(c)) for c in mask_components(c5.masks, 0b11010)]
         assert [sorted(c) for c in comps] == [[1], [3, 4]]
         assert [len(c) >= 2 for c in comps] == [False, True]
 
@@ -412,12 +419,11 @@ class TestComponents:
             nxg.add_nodes_from(v for v in range(g.n) if v not in excluded)
             nxg.add_edges_from((u, v) for u, v in g.edges() if u in nxg and v in nxg)
             expected = sorted((frozenset(c) for c in nx.connected_components(nxg)), key=min)
-            assert components_excluding(g, excluded) == expected
+            alive = vertex_mask(g, None) & ~vertex_mask(g, excluded)
+            assert [frozenset(mask_bits(c)) for c in mask_components(g.masks, alive)] == expected
             for comp in expected:
                 for v in comp:
-                    assert component_containing(g, v, excluded) == comp
-        with pytest.raises(ValueError, match="excluded"):
-            component_containing(cycle(5), 1, {1})
+                    assert frozenset(mask_bits(mask_component(g.masks, v, alive))) == comp
 
 
 class TestTree:

@@ -1,6 +1,6 @@
-"""Every imported name in ``src/`` and ``tests/`` is used, every private
-module-level name in ``src/`` is referenced, and ``src/`` imports nothing
-outside the standard library.
+"""Every imported name in ``src/`` and ``tests/`` is used, every module-level
+private name and every public function or class in ``src/`` is referenced,
+and ``src/`` imports nothing outside the standard library.
 
 No linter runs over the repository, so these stdlib-only AST scans are what
 catch an import or a helper left behind.  A name counts as used when it
@@ -77,21 +77,37 @@ def _referenced_names(node: ast.AST) -> set[str]:
     return found
 
 
-def unreferenced_private_names(sources: dict[str, str]) -> list[tuple[str, str]]:
-    """(module, name) of each module-level private function, class or
-    constant that no statement of ``sources`` other than its own definition
-    references."""
+def _unreferenced(sources: dict[str, str], defines) -> list[tuple[str, str]]:
+    """(module, name) of each name that ``defines`` reads off a module-level
+    statement of ``sources`` and that no other statement references."""
     statements = [(module, node) for module, source in sources.items()
                   for node in ast.parse(source).body]
     refs = [_referenced_names(node) for _, node in statements]
     found = []
     for i, (module, node) in enumerate(statements):
-        for name in _defined_names(node):
-            if name.startswith("_") and not name.startswith("__") and not any(
-                name in names for j, names in enumerate(refs) if j != i
-            ):
+        for name in defines(node):
+            if not any(name in names for j, names in enumerate(refs) if j != i):
                 found.append((module, name))
     return sorted(found)
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, name) of each module-level private function, class or
+    constant that no statement of ``sources`` other than its own definition
+    references."""
+    return _unreferenced(sources, lambda node: [
+        name for name in _defined_names(node) if name.startswith("_") and not name.startswith("__")
+    ])
+
+
+def unreferenced_public_names(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, name) of each module-level public function or class that no
+    statement of ``sources`` other than its own definition references.  A
+    name listed in ``__all__`` is a string there, not a reference."""
+    return _unreferenced(sources, lambda node: [
+        name for name in _defined_names(node)
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)) and not name.startswith("_")
+    ])
 
 
 def test_private_name_scanner_finds_unreferenced():
@@ -108,6 +124,39 @@ def test_no_unreferenced_private_names():
     sources = {str(path.relative_to(ROOT)): path.read_text() for path in paths}
     found = [f"{module}: {name}" for module, name in unreferenced_private_names(sources)]
     assert not found, "private names referenced nowhere in src/:\n" + "\n".join(found)
+
+
+#: Public names that no statement of ``src/`` references, each with why it
+#: stays and the ROADMAP item that retires it.
+PUBLIC_ONLY_FROM_OUTSIDE = {
+    "local_connectivity_value": "perfbench/tracer.py wraps it with getattr (ROADMAP item 1)",
+    "min_separator": "perfbench/tracer.py wraps it with getattr (ROADMAP item 1)",
+    "is_triangle_free": "perfbench/workloads.py calls it (ROADMAP item 1)",
+    "full_suite": "perfbench/workloads.py calls it (ROADMAP item 1)",
+    "tightness_probe": "the tightness frontier replaces it (ROADMAP item 7)",
+}
+
+
+def test_public_name_scanner_finds_unreferenced():
+    sources = {
+        "a": "def used():\n    return 1\ndef rec(n):\n    return rec(n - 1)\n"
+             "class Kept:\n    pass\nclass Loose:\n    pass\nLIMIT = 3\n"
+             "__all__ = ['used', 'rec', 'Kept', 'Loose']\n",
+        "b": "from a import Kept, used\nprint(Kept, used())\n",
+    }
+    assert unreferenced_public_names(sources) == [("a", "Loose"), ("a", "rec")]
+
+
+def test_every_public_name_has_a_caller_in_src():
+    # The package's own __init__ only re-exports, so it counts as no caller.
+    paths = [path for path in sorted((ROOT / "src").rglob("*.py")) if path.name != "__init__.py"]
+    sources = {str(path.relative_to(ROOT)): path.read_text() for path in paths}
+    found = {name: module for module, name in unreferenced_public_names(sources)}
+    unlisted = [f"{module}: {name}" for name, module in sorted(found.items())
+                if name not in PUBLIC_ONLY_FROM_OUTSIDE]
+    assert not unlisted, "public names with no caller in src/:\n" + "\n".join(unlisted)
+    stale = sorted(set(PUBLIC_ONLY_FROM_OUTSIDE) - set(found))
+    assert not stale, f"allowlisted names that now have a caller in src/ or are gone: {stale}"
 
 
 def foreign_imports(source: str) -> list[tuple[int, str]]:

@@ -37,7 +37,7 @@ from keeptree.families import (
     random_bipartite,
     random_graph,
 )
-from keeptree.graphs import Graph, Tree, induced_delete, induced_subgraph, mask_bits
+from keeptree.graphs import Graph, Tree, induced_subgraph, mask_bits
 from keeptree.pipeline import CaseSelector, find_keeping_tree
 from keeptree.triples import ConnectedTriple, _descend_fragments, find_triple, validate_triple
 from oracles import check_path_system, max_flow_paths
@@ -222,7 +222,7 @@ class TestFlowWork:
         allocation."""
         g = random_bipartite(28, 28, 19, 1)
         tree = Tree(gen_graph(FamilySpec("path", (4,))))
-        image = find_keeping_tree(g, tree, 2, CaseSelector("triangle-free")).removed()
+        image = find_keeping_tree(g, tree, 2, CaseSelector("triangle-free")).embedding.image()
         flow_calls.clear()
         assert global_connectivity(g, image) == 17
         settled = sum(call[3] for call in flow_calls)
@@ -518,6 +518,27 @@ def test_exact_connectivity_below_delta_matches_networkx():
     assert min(first_drops.values()) >= 3
 
 
+def test_head_keeps_its_last_pair_after_a_drop():
+    """Two K5,5 blocks joined by four vertices, each adjacent to three
+    vertices of each block's second side; kappa = 4.  Along [0, 1, 2, 3, 10]
+    and then the rest at bound 6, the head pair (0, 1) drops the bound to 5,
+    so the head stays five wide and its last pair (0, 10), across the
+    blocks, attains kappa.  A scan that broke its rows one pair early once
+    the bound fell would end at 5.  Along exact connectivity's degree order
+    that scan still finds kappa on this host, so the order is given here."""
+    rng = random.Random(0)
+    edges = [(i, 5 + j) for i in range(5) for j in range(5)]
+    edges += [(10 + i, 15 + j) for i in range(5) for j in range(5)]
+    for s in range(20, 24):
+        edges += [(s, x) for x in rng.sample(range(5, 10), 3) + rng.sample(range(15, 20), 3)]
+    g = Graph(24, edges)
+    head = [0, 1, 2, 3, 10]
+    us = head + [v for v in range(24) if v not in head]
+    drops = list(_even_drops(_SplitFlow(g), us, 6))
+    assert drops == [(0, 1, 5), (0, 10, 4)]
+    assert nx.node_connectivity(nx.Graph(g.edges())) == 4
+
+
 def kept_sets(g: Graph, rng: random.Random) -> list[frozenset[int]]:
     """Vertex sets for the subset queries: random ones of every size, the
     host minus a vertex's neighbourhood (disconnected unless nothing else is
@@ -542,13 +563,12 @@ def test_subset_queries_match_induced_copies(g):
     rng = random.Random(g.n * 7919 + g.edge_count)
     for keep in kept_sets(g, rng):
         removed = frozenset(range(g.n)) - keep
-        rest, _ = induced_delete(g, removed)
-        kappa = global_connectivity(rest)
+        sub, kept = induced_subgraph(g, keep)
+        kappa = global_connectivity(sub)
         assert global_connectivity(g, removed) == kappa
         for k in range(1, 5):
-            expected = connectivity_at_least(rest, k)
+            expected = connectivity_at_least(sub, k)
             assert is_k_connected_after_removal(g, removed, k) == expected == (kappa >= k)
-        sub, kept = induced_subgraph(g, keep)
         index = {v: i for i, v in enumerate(kept)}
         for us in [kept] + [rng.sample(kept, rng.randint(0, sub.n)) for _ in range(3)]:
             bound = rng.randint(1, 6)

