@@ -53,6 +53,6 @@ from .pipeline import (
     verify_certificate,
 )
 from .families import FamilySpec, enumerate_trees, gen_graph, gen_tree
-from .harness import oracle_exists, run_suite, tightness_probe
+from .harness import oracle_exists, run_suite
 
 __version__ = "0.1.0"

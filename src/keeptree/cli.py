@@ -20,13 +20,8 @@ from .errors import (
     SearchExhausted,
     TheoremViolation,
 )
-from .families import FAMILY_HELP, gen_graph
-from .harness import (
-    oracle_exists,
-    parse_family_token,
-    parse_manifest,
-    run_suite,
-)
+from .families import FAMILY_HELP, gen_graph, parse_family_token
+from .harness import oracle_exists, parse_manifest, run_suite
 from .io import format_edge_list, load_graph, load_tree, to_dot
 from .pipeline import (
     Certificate,

@@ -2,10 +2,10 @@
 
 Three constructive routes cover the hypotheses the pipeline meets: a greedy
 placement for hosts of minimum degree at least m-1, a bipartition-respecting
-greedy for bipartite hosts, and a degree-pruned search for sparse
-(girth-bounded) hosts.  All three take the first map of one complete
-backtracking search, which with every host vertex as a root candidate is
-also the exhaustive oracle.
+greedy for bipartite hosts, and a search rooted at the tree's
+highest-degree vertex for sparse (girth-bounded) hosts.  All three take the
+first map of one complete backtracking search, which with every host vertex
+as a root candidate is also the exhaustive oracle.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import (
     DEFAULT_BRUTE_GUARD,
@@ -114,7 +114,7 @@ def greedy_embed(host: Graph, tree: Tree) -> Embedding:
         raise PreconditionError(
             f"minimum degree {stats[0]} at vertex {offender} is below m-1 = {m - 1}"
         )
-    return _first_embedding(host, tree, *_bfs_order(tree, 0), [0], False)
+    return _first_embedding(host, tree, *_bfs_order(tree, 0), [0])
 
 
 def _side_min_degree(host: Graph, side: frozenset[int]) -> int | None:
@@ -148,7 +148,7 @@ def bipartite_embed(host: Graph, tree: Tree) -> Embedding:
         if dv is not None and dv < need_v:
             reasons.append(f"swap={swap}: Y-side degree {dv} below |X| = {need_v}")
             continue
-        return _first_embedding(host, tree, *_bfs_order(tree, 0), [min(tu)], False)
+        return _first_embedding(host, tree, *_bfs_order(tree, 0), [min(tu)])
     raise PreconditionError(
         "degree conditions fail in both orientations: " + "; ".join(reasons)
     )
@@ -159,16 +159,15 @@ def _anchored_search(
     tree: Tree,
     order: list[int],
     parent: list[int],
-    root_candidates: list[int],
-    degree_prune: bool,
+    root_candidates: Iterable[int],
 ) -> Iterator[Embedding]:
     """Complete backtracking over injective adjacency-preserving maps.
 
     Tree vertices are assigned along ``order`` (each non-root after its
     parent), so candidates for a vertex are the unused neighbors of its
-    parent's image.  The optional degree prune discards host vertices that
-    cannot accommodate the tree vertex's full neighborhood; it never rules
-    out a valid embedding.
+    parent's image.  A host vertex of lower degree than the tree vertex
+    cannot take its neighborhood, so it is skipped: the maps and their
+    order are those of the search without this prune.
     """
     hm, tm = host.masks, tree.graph.masks
     m = tree.order
@@ -177,11 +176,10 @@ def _anchored_search(
 
     def candidates(pos: int) -> Iterator[int]:
         t = order[pos]
+        need = tm[t].bit_count()
         cand = root_candidates if pos == 0 else mask_bits(hm[image[parent[t]]])
         for h in cand:
-            if h in used:
-                continue
-            if degree_prune and hm[h].bit_count() < tm[t].bit_count():
+            if h in used or hm[h].bit_count() < need:
                 continue
             for tn in mask_bits(tm[t]):
                 hn = image[tn]
@@ -214,13 +212,10 @@ def _first_embedding(
     tree: Tree,
     order: list[int],
     parent: list[int],
-    root_candidates: list[int],
-    degree_prune: bool,
+    root_candidates: Iterable[int],
 ) -> Embedding:
     """The first map of :func:`_anchored_search`, re-checked."""
-    found = next(
-        _anchored_search(host, tree, order, parent, root_candidates, degree_prune), None
-    )
+    found = next(_anchored_search(host, tree, order, parent, root_candidates), None)
     if found is None:
         raise SearchExhausted(
             "embedding search space exhausted: hypothesis violation or internal error"
@@ -262,9 +257,7 @@ def sparse_embed(host: Graph, tree: Tree, t: int = 2) -> Embedding:
     tm = tree.graph.masks
     root = min(range(m), key=lambda v: (-tm[v].bit_count(), v))
     order, parent = _bfs_order(tree, root, key=lambda v: (-tm[v].bit_count(), v))
-    root_degree = tm[root].bit_count()
-    roots = [h for h, nbrs in enumerate(host.masks) if nbrs.bit_count() >= root_degree]
-    return _first_embedding(host, tree, order, parent, roots, True)
+    return _first_embedding(host, tree, order, parent, host.vertices())
 
 
 def iter_embeddings(host: Graph, tree: Tree, guard: int | None = None) -> Iterator[Embedding]:
@@ -273,9 +266,10 @@ def iter_embeddings(host: Graph, tree: Tree, guard: int | None = None) -> Iterat
     if host.n > limit:
         raise GuardExceeded(f"exhaustive embedding guard: {host.n} > {limit}")
     order, parent = _bfs_order(tree, 0)
-    return _anchored_search(host, tree, order, parent, list(host.vertices()), False)
+    return _anchored_search(host, tree, order, parent, host.vertices())
 
 
-def exhaustive_embed(host: Graph, tree: Tree, guard: int | None = None) -> Embedding | None:
-    """First embedding by full backtracking, or None when none exists."""
-    return next(iter_embeddings(host, tree, guard), None)
+def exhaustive_embed(host: Graph, tree: Tree) -> Embedding | None:
+    """First embedding by full backtracking, or None when none exists; the
+    guard is ``KEEPTREE_GUARD``, else 12 host vertices."""
+    return next(iter_embeddings(host, tree), None)

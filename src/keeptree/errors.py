@@ -15,7 +15,14 @@ _ENV_GUARD = "KEEPTREE_GUARD"
 
 
 class KeeptreeError(Exception):
-    """Base class for all keeptree-specific errors."""
+    """Base class for all keeptree-specific errors.
+
+    ``find_keeping_tree`` sets ``report`` to the run's hypothesis report on
+    each ``HypothesisFailure``, ``SearchExhausted`` and ``TheoremViolation``
+    it raises.
+    """
+
+    report = None
 
 
 class ParseError(KeeptreeError):
@@ -31,19 +38,11 @@ class PreconditionError(KeeptreeError):
 
 
 class SearchExhausted(KeeptreeError):
-    """A complete or guarded search finished without finding a witness.
-
-    Raised by ``find_keeping_tree`` past its hypothesis gate, it carries the
-    run's report as ``report``, as does a ``TheoremViolation``.
-    """
+    """A complete or guarded search finished without finding a witness."""
 
 
 class HypothesisFailure(KeeptreeError):
     """Pipeline invoked without force on an instance failing its hypotheses."""
-
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 class TheoremViolation(KeeptreeError):

@@ -15,12 +15,13 @@ import random
 from dataclasses import dataclass, field
 from itertools import product
 
-from .errors import DEFAULT_TREE_GUARD, GuardExceeded, resolve_guard
+from .errors import DEFAULT_TREE_GUARD, GuardExceeded, ParseError, resolve_guard
 from .graphs import Graph, Tree, find_triangle, induced_subgraph, mask_bits
 from .connectivity import connectivity_at_least
 
 __all__ = [
     "FamilySpec",
+    "parse_family_token",
     "gen_graph",
     "gen_tree",
     "enumerate_trees",
@@ -288,11 +289,13 @@ def gen_tree(m: int, seed: int) -> Tree:
         raise ValueError("tree order must be positive")
     if m == 1:
         return Tree(Graph(1))
-    if m == 2:
-        return Tree(Graph(2, [(0, 1)]))
     rng = random.Random(seed)
     seq = [rng.randrange(m) for _ in range(m - 2)]
     return Tree(Graph(m, prufer_decode(seq, m)))
+
+
+def _random_tree(m: int, seed: int) -> Graph:
+    return gen_tree(m, seed).graph
 
 
 def _tree_centers(t: Tree) -> list[int]:
@@ -330,21 +333,20 @@ def tree_canonical(t: Tree) -> str:
     return min(encode(c, -1) for c in _tree_centers(t))
 
 
-def enumerate_trees(m: int, guard: int | None = None) -> list[Tree]:
+def enumerate_trees(m: int) -> list[Tree]:
     """All trees of order m, one per isomorphism class.
 
     Enumerates every decoding sequence (all labeled trees) and keeps the
-    first representative of each canonical form.
+    first representative of each canonical form.  The order guard is
+    ``KEEPTREE_GUARD``, else 7.
     """
     if m < 1:
         raise ValueError("tree order must be positive")
-    bound = resolve_guard(guard, DEFAULT_TREE_GUARD)
+    bound = resolve_guard(None, DEFAULT_TREE_GUARD)
     if m > bound:
         raise GuardExceeded(f"tree enumeration guard: {m} > {bound}")
     if m == 1:
         return [Tree(Graph(1))]
-    if m == 2:
-        return [Tree(Graph(2, [(0, 1)]))]
     out: list[Tree] = []
     seen: set[str] = set()
     for seq in product(range(m), repeat=m - 2):
@@ -388,7 +390,7 @@ _SEEDED = {
     "random-graph": (random_graph, "n p seed"),
     "random-bipartite": (random_bipartite, "a b min-degree seed"),
     "random-triangle-free": (random_triangle_free, "n p seed"),
-    "random-tree": (None, "m seed"),
+    "random-tree": (_random_tree, "m seed"),
 }
 
 FAMILY_HELP = {
@@ -407,10 +409,6 @@ def gen_graph(spec: FamilySpec) -> Graph:
                 f"{spec.family} takes parameters "
                 f"'{_DETERMINISTIC[spec.family][1]}': {exc}"
             ) from exc
-    if spec.family == "random-tree":
-        if len(spec.params) != 1:
-            raise ValueError("random-tree takes parameters 'm seed'")
-        return gen_tree(spec.params[0], spec.seed).graph
     if spec.family in _SEEDED:
         builder, docs = _SEEDED[spec.family]
         try:
@@ -418,3 +416,27 @@ def gen_graph(spec: FamilySpec) -> Graph:
         except TypeError as exc:
             raise ValueError(f"{spec.family} takes parameters '{docs}': {exc}") from exc
     raise ValueError(f"unknown family {spec.family!r}")
+
+
+def _parse_number(token: str) -> int | float:
+    try:
+        return int(token)
+    except ValueError:
+        try:
+            return float(token)
+        except ValueError as exc:
+            raise ParseError(f"expected a number, got {token!r}") from exc
+
+
+def parse_family_token(text: str) -> FamilySpec:
+    """Parse "family p1 p2 ..."; seeded families take the seed last."""
+    tokens = text.split()
+    if not tokens:
+        raise ParseError("empty family token")
+    family = tokens[0]
+    values = [_parse_number(tok) for tok in tokens[1:]]
+    if family in _SEEDED:
+        if not values or not isinstance(values[-1], int):
+            raise ParseError(f"{family} needs a trailing integer seed")
+        return FamilySpec(family, tuple(values[:-1]), int(values[-1]))
+    return FamilySpec(family, tuple(values))

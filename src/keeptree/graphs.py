@@ -97,19 +97,16 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
-def check_vertex_set(g: Graph, w: Iterable[int]) -> frozenset[int]:
-    """Validate that every id in ``w`` belongs to ``g`` and return it frozen."""
-    ws = frozenset(w)
-    for v in ws:
-        g.check_vertex(v)
-    return ws
-
-
 def vertex_mask(g: Graph, vertices: Iterable[int] | None) -> int:
-    """The mask of ``vertices`` (all of ``g`` when None), ids checked."""
+    """The mask of ``vertices`` (all of ``g`` when None), ids checked in order."""
     if vertices is None:
         return (1 << g.n) - 1
-    return sum(1 << v for v in check_vertex_set(g, vertices))
+    mask = 0
+    for v in vertices:
+        if not isinstance(v, int) or not 0 <= v < g.n:
+            raise ValueError(f"vertex {v!r} out of range for n={g.n}")
+        mask |= 1 << v
+    return mask
 
 
 def mask_bits(mask: int) -> Iterator[int]:

@@ -1,5 +1,4 @@
-"""Instance corpora, the exhaustive removal oracle, the suite runner, and
-the degree-threshold tightness probe.
+"""Instance corpora, the exhaustive removal oracle, and the suite runner.
 
 The suite runner drives the full pipeline per instance, cross-checks small
 instances against the brute-force oracle, and merges results
@@ -28,11 +27,11 @@ from .errors import (
     resolve_guard,
 )
 from .families import (
-    FamilySpec,
     complete_bipartite,
     enumerate_trees,
     gen_graph,
     hoffman_singleton,
+    parse_family_token,
     petersen,
     projective_incidence,
     random_bipartite,
@@ -43,7 +42,6 @@ from .pipeline import (
     CASE_GIRTH,
     CASE_TRIANGLE_FREE,
     CaseSelector,
-    check_hypotheses,
     degree_threshold,
     find_keeping_tree,
     parse_case,
@@ -53,10 +51,8 @@ from .pipeline import (
 __all__ = [
     "SuiteInstance",
     "SuiteReport",
-    "TightnessRecord",
     "oracle_exists",
     "run_suite",
-    "tightness_probe",
     "corpus_triangle_free",
     "corpus_bipartite",
     "corpus_girth",
@@ -114,51 +110,6 @@ class SuiteInstance:
     force: bool = False
 
 
-@dataclass(frozen=True)
-class TightnessRecord:
-    """Empirical threshold probe for one instance (evidence only, no claim)."""
-
-    delta: int | None
-    case: str
-    proven_threshold: str
-    conjectured_threshold: int
-    triangle_free: bool
-    kappa_ok: bool
-    verdict: str
-    counterexample_candidate: bool
-
-
-def tightness_probe(g: Graph, tree: Tree, k: int, guard: int | None = None) -> TightnessRecord:
-    """Compare the proven case threshold with the conjectured k + max(|X|,|Y|)
-    on one instance and record the oracle's verdict.
-
-    A "none" verdict on a k-connected triangle-free instance whose minimum
-    degree already meets the conjectured threshold is flagged as a
-    counterexample candidate for manual review; nothing is asserted.
-    """
-    report = check_hypotheses(g, tree, k)
-    conjectured = k + max(len(tree.part_x), len(tree.part_y))
-    found = oracle_exists(g, tree, k, guard)
-    verdict = "yes" if found is not None else "none"
-    candidate = (
-        verdict == "none"
-        and report.triangle_free
-        and report.kappa_ok
-        and report.delta is not None
-        and report.delta >= conjectured
-    )
-    return TightnessRecord(
-        delta=report.delta,
-        case=CaseSelector(report.case, report.t).label(),
-        proven_threshold=str(report.threshold),
-        conjectured_threshold=conjectured,
-        triangle_free=report.triangle_free,
-        kappa_ok=report.kappa_ok,
-        verdict=verdict,
-        counterexample_candidate=candidate,
-    )
-
-
 def _girth_text(value: int | None) -> str:
     return "acyclic" if value is None else str(value)
 
@@ -186,6 +137,7 @@ def _run_one(inst: SuiteInstance, oracle_guard: int) -> tuple[dict[str, Any], st
         "k": inst.k,
         "force": inst.force,
         "detail": "",
+        **dict.fromkeys(("case", "delta", "girth", "beta", "threshold", "hypothesis_pass")),
         "verified": None,
         "f_size": None,
         "s1_size": None,
@@ -218,6 +170,10 @@ def _run_one(inst: SuiteInstance, oracle_guard: int) -> tuple[dict[str, Any], st
                 "failed-search" if isinstance(exc, SearchExhausted) else "failed-violation"
             )
             record["detail"] = str(exc)
+    except Exception as exc:
+        # Any other exception is a fault of this instance alone.
+        record["status"] = "failed-internal"
+        record["detail"] = f"{type(exc).__name__}: {exc}"
 
     if g.n <= oracle_guard:
         found = oracle_exists(g, tree, inst.k, guard=oracle_guard)
@@ -386,17 +342,17 @@ def _theorem_corpus(
     return out
 
 
-def corpus_triangle_free(random_per_cell: int = 6, base_seed: int = 52_01) -> list[SuiteInstance]:
+def corpus_triangle_free(random_per_cell: int = 6) -> list[SuiteInstance]:
     """Hosts meeting the triangle-free threshold 2k+3m-4 for k in {1,2} and
     every tree class of order 1..4: the pinned complete bipartite graphs
     plus seeded balanced perturbations of them."""
-    return _theorem_corpus(CASE_TRIANGLE_FREE, "tf", base_seed, 97, random_per_cell)
+    return _theorem_corpus(CASE_TRIANGLE_FREE, "tf", 52_01, 97, random_per_cell)
 
 
-def corpus_bipartite(random_per_cell: int = 6, base_seed: int = 52_02) -> list[SuiteInstance]:
+def corpus_bipartite() -> list[SuiteInstance]:
     """Hosts meeting the bipartite threshold 2k+2m+max(|X|,|Y|)-3 (strictly
     below the triangle-free one), same shape as the triangle-free corpus."""
-    return _theorem_corpus(CASE_BIPARTITE, "bip", base_seed, 89, random_per_cell)
+    return _theorem_corpus(CASE_BIPARTITE, "bip", 52_02, 89, 6)
 
 
 #: Girth-5 hosts per tree order: minimum degree 4 and 7 at 50 vertices or
@@ -442,12 +398,13 @@ def corpus_girth(max_m: int = 3) -> tuple[list[SuiteInstance], list[str]]:
     return out, skipped
 
 
-def corpus_force(count: int = 50, base_seed: int = 52_03) -> list[SuiteInstance]:
+def corpus_force(count: int = 50) -> list[SuiteInstance]:
     """Seeded below-threshold instances for forced best-effort runs.
 
     Hosts sit one below the triangle-free degree threshold; one-vertex
     trees are excluded because their below-threshold hosts degenerate.
     """
+    sel = CaseSelector(CASE_TRIANGLE_FREE)
     out: list[SuiteInstance] = []
     cells = [
         (k, m, ti, tree)
@@ -458,13 +415,12 @@ def corpus_force(count: int = 50, base_seed: int = 52_03) -> list[SuiteInstance]
     i = 0
     while len(out) < count:
         k, m, ti, tree = cells[i % len(cells)]
-        d = 2 * k + 3 * m - 5
+        d = math.ceil(degree_threshold(sel, tree, k)) - 1
         if i < len(cells):
             g = complete_bipartite(d, d)
             family = "complete-bipartite"
         else:
-            seed = base_seed + i
-            g = random_bipartite(d + 1, d + 1, d, seed)
+            g = random_bipartite(d + 1, d + 1, d, 52_03 + i)
             family = "random-bipartite"
         out.append(
             SuiteInstance(
@@ -473,7 +429,7 @@ def corpus_force(count: int = 50, base_seed: int = 52_03) -> list[SuiteInstance]
                 g,
                 tree,
                 k,
-                CaseSelector(CASE_TRIANGLE_FREE),
+                sel,
                 force=True,
             )
         )
@@ -495,30 +451,6 @@ def full_suite() -> list[SuiteInstance]:
 
 # ---------------------------------------------------------------------------
 # Manifest parsing: one instance per line "family params seed ; tree ; k ; case".
-
-
-def _parse_number(token: str) -> int | float:
-    try:
-        return int(token)
-    except ValueError:
-        try:
-            return float(token)
-        except ValueError as exc:
-            raise ParseError(f"expected a number, got {token!r}") from exc
-
-
-def parse_family_token(text: str) -> FamilySpec:
-    """Parse "family p1 p2 ..."; seeded families take the seed last."""
-    tokens = text.split()
-    if not tokens:
-        raise ParseError("empty family token")
-    family = tokens[0]
-    values = [_parse_number(tok) for tok in tokens[1:]]
-    if family.startswith("random"):
-        if not values or not isinstance(values[-1], int):
-            raise ParseError(f"{family} needs a trailing integer seed")
-        return FamilySpec(family, tuple(values[:-1]), int(values[-1]))
-    return FamilySpec(family, tuple(values))
 
 
 def parse_manifest(text: str) -> list[SuiteInstance]:

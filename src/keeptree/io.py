@@ -115,9 +115,9 @@ def parse_graphml(text: str) -> Graph:
         raise ParseError(f"invalid GraphML graph: {exc}") from exc
 
 
-def to_dot(g: Graph, name: str = "keeptree") -> str:
+def to_dot(g: Graph) -> str:
     """DOT text for visualization; vertices listed explicitly, edges sorted."""
-    lines = [f"graph {name} {{"]
+    lines = ["graph keeptree {"]
     lines.extend(f"  {v};" for v in g.vertices())
     lines.extend(f"  {u} -- {v};" for u, v in g.edges())
     lines.append("}")

@@ -135,8 +135,7 @@ class HypothesisReport:
 
     k: int
     m: int
-    case: str
-    t: int
+    sel: CaseSelector
     delta: int | None
     girth_value: int | None
     triangle_free: bool
@@ -153,8 +152,8 @@ class HypothesisReport:
         return {
             "k": self.k,
             "m": self.m,
-            "case": self.case,
-            "t": self.t,
+            "case": self.sel.case,
+            "t": self.sel.t,
             "delta": self.delta,
             "girth": self.girth_value,
             "triangle_free": self.triangle_free,
@@ -243,8 +242,7 @@ def check_hypotheses(
     return HypothesisReport(
         k=k,
         m=tree.order,
-        case=sel.case,
-        t=sel.t,
+        sel=sel,
         delta=delta,
         girth_value=gv,
         triangle_free=tf,
@@ -321,7 +319,8 @@ class Certificate:
                 (_int(u), _int(v)) for u, v in data["tree"]["edges"]
             )
             image = [(_int(a), _int(b)) for a, b in data["tree_image"]]
-            embedding = Embedding(tuple(sorted(_unique("tree_image", image))))
+            _unique("tree_image", [a for a, _ in image])
+            embedding = Embedding(tuple(sorted(image)))
             tr = data["triple"]
             s1, s2, f, f_m = (
                 frozenset(_unique(name, [_int(v) for v in tr[name]]))
@@ -331,6 +330,8 @@ class Certificate:
                 tuple(sorted((_int(a), _int(b)) for a, b in tr["matching"]))
             )
             saturated = SaturatedTriple(ConnectedTriple(_int(tr["p"]), s1, s2, f), matching, f_m)
+            if type(data["hypothesis_report"]) is not dict:
+                raise ParseError("malformed certificate: hypothesis_report is not a JSON object")
             return Certificate(
                 k=_int(data["k"]),
                 m=_int(data["m"]),
@@ -360,7 +361,8 @@ def _int(value: Any) -> int:
 
 def _unique(field: str, entries: list) -> list:
     """A certificate list whose entries may not repeat: a repeat would give
-    one claim a second byte form that verifies too."""
+    one claim a second byte form that verifies too, and a tree vertex listed
+    twice in ``tree_image`` would be read as its last pair."""
     if len(set(entries)) != len(entries):
         raise ParseError(f"malformed certificate: {field} repeats an entry")
     return entries
@@ -397,19 +399,17 @@ def find_keeping_tree(
     proceed best-effort below the thresholds and report which stage failed;
     certificates they emit are verified all the same.  The one-vertex tree
     goes through the uniform path (p = k, single-vertex embedding).  Every
-    ``SearchExhausted`` or ``TheoremViolation`` raised past the gate carries
-    the run's hypothesis report as ``report``, as ``HypothesisFailure`` does.
+    ``HypothesisFailure``, ``SearchExhausted`` or ``TheoremViolation`` it
+    raises carries the run's hypothesis report as ``report``.
     """
     if k < 1:
         raise ValueError("k must be positive")
     report = check_hypotheses(g, tree, k, sel)
-    if not report.passed and not force:
-        raise HypothesisFailure(
-            f"hypotheses fail: {'; '.join(report.failures)}", report
-        )
     try:
+        if not report.passed and not force:
+            raise HypothesisFailure(f"hypotheses fail: {'; '.join(report.failures)}")
         return _certified_run(g, tree, k, report, force)
-    except (SearchExhausted, TheoremViolation) as exc:
+    except (HypothesisFailure, SearchExhausted, TheoremViolation) as exc:
         exc.report = report
         raise
 
@@ -423,7 +423,6 @@ def _certified_run(
 ) -> Certificate:
     """The stages past the gate: triple, refinement, embedding, final check
     and self-verification, in the case the gate's report names."""
-    sel = CaseSelector(report.case, report.t)
     m = tree.order
     p = k + m - 1
     comps = components(g)
@@ -454,7 +453,7 @@ def _certified_run(
             f"despite passing hypotheses"
         )
     try:
-        local = _case_embed(host, tree, sel)
+        local = _case_embed(host, tree, report.sel)
     except (PreconditionError, SearchExhausted) as exc:
         if not force:
             raise TheoremViolation(
@@ -480,7 +479,7 @@ def _certified_run(
         k=k,
         m=m,
         p=p,
-        case=sel,
+        case=report.sel,
         beta=beta,
         threshold=report.threshold,
         tree_order=tree.order,

@@ -23,6 +23,7 @@ from keeptree.families import (
     path_graph,
     petersen,
     random_graph,
+    spider,
     star,
 )
 from keeptree.graphs import Graph, Tree, bipartition, degree_stats
@@ -168,6 +169,17 @@ class TestSparseEmbed:
                     continue
                 validate(host, t, sparse_embed(host, t))
 
+    def test_degree_prune_keeps_the_first_map(self):
+        # Petersen minus the edge 0-1: vertices 0 and 1 have degree 2, below
+        # the centre's 3, so the prune skips them as images of the centre.
+        # It only skips vertices that cannot host, so these are the first
+        # maps of the search without it.
+        host = Graph(10, [e for e in petersen().edges() if e != (0, 1)])
+        assert sparse_embed(host, Tree(star(4))).mapping == ((0, 2), (1, 1), (2, 3), (3, 7))
+        assert sparse_embed(host, Tree(spider(1, 1, 2))).mapping == (
+            (0, 2), (1, 3), (2, 7), (3, 1), (4, 6)
+        )
+
 
 class TestExhaustiveEmbed:
     def test_too_small_host(self):
@@ -180,10 +192,11 @@ class TestExhaustiveEmbed:
         assert emb is not None
         validate(p3, tree_p3, emb)
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
+        monkeypatch.delenv("KEEPTREE_GUARD", raising=False)
         big = complete_bipartite(8, 8)
-        with pytest.raises(GuardExceeded):
-            exhaustive_embed(big, Tree(Graph(1)), guard=12)
+        with pytest.raises(GuardExceeded, match="16 > 12"):
+            exhaustive_embed(big, Tree(Graph(1)))
 
     def test_iterator_counts_labeled_embeddings(self, c4, tree_k2):
         # Each of the 4 edges in both directions.
@@ -211,7 +224,7 @@ class TestExhaustiveEmbed:
         host = path_graph(3000)
         tree = Tree(host)
         order, parent = _bfs_order(tree, 0)
-        emb = next(_anchored_search(host, tree, order, parent, [0], False))
+        emb = next(_anchored_search(host, tree, order, parent, [0]))
         assert emb.mapping == tuple((v, v) for v in range(3000))
 
 

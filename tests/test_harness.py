@@ -1,4 +1,4 @@
-"""Oracle, suite runner, corpora, manifests, and the tightness probe."""
+"""Oracle, suite runner, corpora and manifests."""
 
 import os
 import subprocess
@@ -8,10 +8,9 @@ from pathlib import Path
 import pytest
 
 from keeptree import graphs, harness, pipeline
-from keeptree.connectivity import connectivity_at_least
 from keeptree.errors import GuardExceeded, ParseError
-from keeptree.families import complete_bipartite, enumerate_trees
-from keeptree.graphs import Tree, bipartition, degree_stats, girth, is_triangle_free
+from keeptree.families import complete_bipartite
+from keeptree.graphs import Tree
 from keeptree.harness import (
     SuiteInstance,
     _run_one,
@@ -21,31 +20,12 @@ from keeptree.harness import (
     oracle_exists,
     parse_manifest,
     run_suite,
-    tightness_probe,
 )
-from keeptree.pipeline import (
-    CASE_BIPARTITE,
-    CASE_GIRTH,
-    CASE_TRIANGLE_FREE,
-    CaseSelector,
-    degree_threshold,
-)
-from oracles import small_connected_graphs
+from keeptree.pipeline import CASE_GIRTH, CASE_TRIANGLE_FREE, CaseSelector
 
 
 def path_tree(m):
     return Tree.from_edges(m, [(i, i + 1) for i in range(m - 1)])
-
-
-def expected_case(g):
-    """The auto case rule, restated: bipartite, else the girth case with the
-    largest t when the girth is at least 5, else triangle-free."""
-    if bipartition(g) is not None:
-        return CaseSelector(CASE_BIPARTITE)
-    gv = girth(g)
-    if gv >= 5:
-        return CaseSelector(CASE_GIRTH, (gv - 1) // 2)
-    return CaseSelector(CASE_TRIANGLE_FREE)
 
 
 def count_calls(monkeypatch, *functions):
@@ -273,6 +253,34 @@ class TestRunSuite:
             "verified": None,
         }
 
+    def test_internal_fault_is_recorded_and_the_rest_kept(self, monkeypatch):
+        hosts = [complete_bipartite(4, 4) for _ in range(3)]
+        instances = [
+            SuiteInstance(name, "f", host, path_tree(2), 1, None)
+            for name, host in zip("abc", hosts)
+        ]
+        expected = run_suite(instances, jobs=1)
+        find = harness.find_keeping_tree
+
+        def faulty(g, *args, **kwargs):
+            if g is hosts[1]:
+                raise RuntimeError("planted fault")
+            return find(g, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "find_keeping_tree", faulty)
+        report = run_suite(instances, jobs=1)
+        a, b, c = report.records
+        assert (a, c) == (expected.records[0], expected.records[2])
+        assert b["status"] == "failed-internal"
+        assert b["detail"] == "RuntimeError: planted fault"
+        for column in ("case", "delta", "girth", "beta", "threshold", "hypothesis_pass"):
+            assert b[column] is None
+        assert b["oracle"] == expected.records[1]["oracle"]
+        assert expected.aggregate["certified"] == 3
+        assert report.aggregate == dict(expected.aggregate, certified=2, verified=2, failed=1)
+        assert sorted(report.certificates) == ["a", "c"]
+        assert report.to_csv().splitlines()[2] == "b,f,,8,2,1,,,,,,failed-internal,,yes,,,,,"
+
     def test_timing_kept_out_of_canonical_output(self, k44):
         inst = SuiteInstance("a", "k44", k44, path_tree(2), 1, None)
         report = run_suite([inst])
@@ -363,50 +371,3 @@ class TestManifest:
     def test_seed_required_for_random(self):
         with pytest.raises(ParseError, match="seed"):
             parse_manifest("random-bipartite 5 5 3 ; path 2 ; 1 ; auto\n")
-
-
-class TestTightnessProbe:
-    def test_below_conjecture_not_flagged(self, c4, tree_k2):
-        # delta = 2 < conjectured 2+1 = 3; verdict none but no flag.
-        record = tightness_probe(c4, tree_k2, 2)
-        assert record.verdict == "none"
-        assert not record.counterexample_candidate
-        assert record.conjectured_threshold == 3
-
-    def test_proven_threshold_instances_say_yes(self, k44, tree_k2):
-        record = tightness_probe(k44, tree_k2, 1)
-        assert record.verdict == "yes"
-        assert not record.counterexample_candidate
-
-    def test_probe_reports_numbers(self, pete, tree_k2):
-        record = tightness_probe(pete, tree_k2, 1)
-        assert record.delta == 3 and record.triangle_free and record.kappa_ok
-        assert record.conjectured_threshold == 2
-
-    def test_matches_direct_recomputation(self):
-        for g in small_connected_graphs(5):
-            for m in (1, 2, 3):
-                for tree in enumerate_trees(m):
-                    for k in (1, 2):
-                        record = tightness_probe(g, tree, k)
-                        sel = expected_case(g)
-                        delta = degree_stats(g)[0]
-                        assert record.delta == delta
-                        assert record.case == sel.label()
-                        assert record.proven_threshold == str(degree_threshold(sel, tree, k))
-                        assert record.triangle_free == is_triangle_free(g)
-                        assert record.kappa_ok == connectivity_at_least(g, k)
-                        conjectured = k + max(len(tree.part_x), len(tree.part_y))
-                        assert record.conjectured_threshold == conjectured
-                        found = oracle_exists(g, tree, k)
-                        assert record.verdict == ("none" if found is None else "yes")
-                        assert record.counterexample_candidate == (
-                            found is None
-                            and record.triangle_free
-                            and record.kappa_ok
-                            and delta >= conjectured
-                        )
-
-    def test_k_below_one_rejected(self, c4, tree_k2):
-        with pytest.raises(ValueError, match="positive"):
-            tightness_probe(c4, tree_k2, 0)

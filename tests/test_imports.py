@@ -133,7 +133,6 @@ PUBLIC_ONLY_FROM_OUTSIDE = {
     "min_separator": "perfbench/tracer.py wraps it with getattr (ROADMAP item 1)",
     "is_triangle_free": "perfbench/workloads.py calls it (ROADMAP item 1)",
     "full_suite": "perfbench/workloads.py calls it (ROADMAP item 1)",
-    "tightness_probe": "the tightness frontier replaces it (ROADMAP item 7)",
 }
 
 

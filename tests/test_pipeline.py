@@ -8,9 +8,25 @@ from fractions import Fraction
 import pytest
 
 from keeptree import graphs, pipeline, triples
+from keeptree.connectivity import connectivity_at_least
 from keeptree.errors import HypothesisFailure, SearchExhausted, TheoremViolation
-from keeptree.families import complete_bipartite, cycle, heawood, hypercube, random_bipartite
-from keeptree.graphs import Graph, Tree, degree_stats, find_triangle
+from keeptree.families import (
+    complete_bipartite,
+    cycle,
+    enumerate_trees,
+    heawood,
+    hypercube,
+    random_bipartite,
+)
+from keeptree.graphs import (
+    Graph,
+    Tree,
+    bipartition,
+    degree_stats,
+    find_triangle,
+    girth,
+    is_triangle_free,
+)
 from keeptree.matching import Matching
 from keeptree.harness import full_suite, oracle_exists
 from keeptree.pipeline import (
@@ -27,6 +43,7 @@ from keeptree.pipeline import (
     verify_certificate,
 )
 from keeptree.triples import ConnectedTriple, SaturatedTriple, validate_triple
+from oracles import small_connected_graphs
 
 
 def star_tree(m):
@@ -44,6 +61,17 @@ def c5_blowup(t):
         5 * t,
         [(t * i + a, t * ((i + 1) % 5) + b) for i in range(5) for a in range(t) for b in range(t)],
     )
+
+
+def expected_case(g):
+    """The auto case rule, restated: bipartite, else the girth case with the
+    largest t when the girth is at least 5, else triangle-free."""
+    if bipartition(g) is not None:
+        return CaseSelector(CASE_BIPARTITE)
+    gv = girth(g)
+    if gv >= 5:
+        return CaseSelector(CASE_GIRTH, (gv - 1) // 2)
+    return CaseSelector(CASE_TRIANGLE_FREE)
 
 
 def bridged_blocks(seed):
@@ -84,7 +112,7 @@ class TestCaseSelector:
     def auto(g):
         """The case the gate picks with no selector given."""
         report = check_hypotheses(g, Tree.from_edges(1, []), 1)
-        return CaseSelector(report.case, report.t)
+        return report.sel
 
     def test_auto_prefers_bipartite(self, k44, pete, c5):
         assert self.auto(k44).case == CASE_BIPARTITE
@@ -173,6 +201,19 @@ class TestCheckHypotheses:
         with pytest.raises(HypothesisFailure):
             find_keeping_tree(k2, tree_single, 1, CaseSelector(case))
 
+    def test_matches_direct_recomputation(self):
+        for g in small_connected_graphs(5):
+            for m in (1, 2, 3):
+                for tree in enumerate_trees(m):
+                    for k in (1, 2):
+                        report = check_hypotheses(g, tree, k)
+                        sel = expected_case(g)
+                        assert report.sel == sel
+                        assert report.delta == degree_stats(g)[0]
+                        assert report.threshold == degree_threshold(sel, tree, k)
+                        assert report.triangle_free == is_triangle_free(g)
+                        assert report.kappa_ok == connectivity_at_least(g, k)
+
 
 class TestFindKeepingTree:
     def test_k44_single_edge(self, k44, tree_k2):
@@ -194,8 +235,9 @@ class TestFindKeepingTree:
         assert oracle_exists(q4, tree_k2, 1, guard=16) is not None
 
     def test_below_threshold_raises(self, c6, tree_p3):
-        with pytest.raises(HypothesisFailure):
+        with pytest.raises(HypothesisFailure) as failure:
             find_keeping_tree(c6, tree_p3, 2)
+        assert failure.value.report == check_hypotheses(c6, tree_p3, 2)
 
     def test_force_below_threshold(self, tree_p4):
         # Threshold for m=4 triangle-free is 2+12-4 = 10 > 8 = delta.
@@ -334,7 +376,7 @@ class TestFindKeepingTree:
         monkeypatch.setattr(pipeline, "hall_refine", violated)
         with pytest.raises(TheoremViolation) as violation:
             find_keeping_tree(k44, tree_k2, 1)
-        assert violation.value.report.passed and violation.value.report.case == CASE_BIPARTITE
+        assert violation.value.report.passed and violation.value.report.sel.case == CASE_BIPARTITE
 
     def test_triple_validated_by_search_and_self_verification_only(
         self, monkeypatch, k44, tree_k2
@@ -520,6 +562,11 @@ class TestVerifyCertificate:
             ("threshold", "1e-10000000"),
             ("beta", "3.5"),
             ("threshold", 4),
+            # Tree vertex 0 listed twice: read as a map, its last pair won
+            # and the certificate verified.
+            ("tree_image", [[0, 0], [0, 4], [1, 0]]),
+            # A list of pairs, which dict() turned into an object.
+            ("hypothesis_report", [["passed", False]]),
         ],
     )
     def test_arithmetic_errors_raise_parse_error(self, k44, tree_k2, field, value):

@@ -1,6 +1,7 @@
 """Connected triples: validation, enumeration, search, refinement, removal."""
 
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -274,13 +275,22 @@ class TestHallRefine:
         # Past find_triple's entry checks, cut descent and the refinement loop
         # call no set-level helper, and the loop re-runs the search without
         # re-entering find_triple.
-        from keeptree import connectivity, triples
+        from keeptree import connectivity, graphs, triples
 
         def banned(*args, **kwargs):
             raise AssertionError("set-level helper called below the entry")
 
-        monkeypatch.setattr(connectivity, "min_separator", banned)
-        monkeypatch.setattr(triples, "min_separator", banned, raising=False)
+        helpers = (
+            connectivity.min_separator,
+            connectivity.local_connectivity_value,
+            graphs.induced_subgraph,
+            graphs.components,
+        )
+        for name, module in list(sys.modules.items()):
+            if name == "keeptree" or name.startswith("keeptree."):
+                for attr, value in list(vars(module).items()):
+                    if any(value is helper for helper in helpers):
+                        monkeypatch.setattr(module, attr, banned)
         entries = []
         find = triples.find_triple
         monkeypatch.setattr(triples, "find_triple", lambda *args: entries.append(args) or find(*args))
