@@ -94,7 +94,7 @@ def _cmd_verify(args) -> int:
 def _cmd_oracle(args) -> int:
     g = load_graph(args.graph)
     tree = load_tree(args.tree)
-    emb = oracle_exists(g, tree, args.k, guard=args.guard)
+    emb = oracle_exists(g, tree, args.k)
     if emb is None:
         print("none")
     else:
@@ -104,7 +104,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_triples(args) -> int:
     g = load_graph(args.graph)
-    found, truncated = enumerate_triples(g, args.p, limit=args.limit, guard=args.guard)
+    found, truncated = enumerate_triples(g, args.p, limit=args.limit)
     for t in found:
         print(
             f"p={t.p} s1={sorted(t.s1)} s2={sorted(t.s2)} f={sorted(t.f)}"
@@ -132,7 +132,7 @@ def _cmd_suite(args) -> int:
     except OSError as exc:
         raise ParseError(f"cannot read manifest: {exc}") from exc
     instances = parse_manifest(text)
-    report = run_suite(instances, oracle_guard=args.oracle_guard, jobs=args.jobs)
+    report = run_suite(instances, jobs=args.jobs)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(report.to_json(with_timing=args.timing))
@@ -172,14 +172,12 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("graph")
     oracle.add_argument("tree")
     oracle.add_argument("k", type=int)
-    oracle.add_argument("--guard", type=int, default=None)
     oracle.set_defaults(func=_cmd_oracle)
 
     triples = sub.add_parser("triples", help="enumerate all connected triples")
     triples.add_argument("graph")
     triples.add_argument("--p", type=int, required=True)
     triples.add_argument("--limit", type=int, default=None)
-    triples.add_argument("--guard", type=int, default=None)
     triples.set_defaults(func=_cmd_triples)
 
     families = ", ".join(
@@ -197,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     suite.add_argument("manifest")
     suite.add_argument("--out-dir", default="suite-out")
     suite.add_argument("--jobs", type=int, default=1)
-    suite.add_argument("--oracle-guard", type=int, default=None)
     suite.add_argument(
         "--timing",
         action="store_true",

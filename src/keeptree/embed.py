@@ -15,14 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .errors import (
-    DEFAULT_BRUTE_GUARD,
-    GuardExceeded,
-    PreconditionError,
-    SearchExhausted,
-    TheoremViolation,
-    resolve_guard,
-)
+from .errors import GuardExceeded, PreconditionError, SearchExhausted, TheoremViolation
 from .graphs import Graph, Tree, bipartition, degree_stats, girth, girth_at_least, mask_bits
 
 __all__ = [
@@ -260,16 +253,20 @@ def sparse_embed(host: Graph, tree: Tree, t: int = 2) -> Embedding:
     return _first_embedding(host, tree, order, parent, host.vertices())
 
 
-def iter_embeddings(host: Graph, tree: Tree, guard: int | None = None) -> Iterator[Embedding]:
-    """All labeled embeddings of the tree into the host, in deterministic order."""
-    limit = resolve_guard(guard, DEFAULT_BRUTE_GUARD)
-    if host.n > limit:
-        raise GuardExceeded(f"exhaustive embedding guard: {host.n} > {limit}")
+#: Most host vertices the exhaustive embedding search accepts.
+BRUTE_GUARD = 12
+
+
+def iter_embeddings(host: Graph, tree: Tree) -> Iterator[Embedding]:
+    """All labeled embeddings of the tree into the host, in deterministic
+    order; GuardExceeded above ``BRUTE_GUARD`` host vertices."""
+    if host.n > BRUTE_GUARD:
+        raise GuardExceeded(f"exhaustive embedding guard: {host.n} > {BRUTE_GUARD}")
     order, parent = _bfs_order(tree, 0)
     return _anchored_search(host, tree, order, parent, host.vertices())
 
 
 def exhaustive_embed(host: Graph, tree: Tree) -> Embedding | None:
-    """First embedding by full backtracking, or None when none exists; the
-    guard is ``KEEPTREE_GUARD``, else 12 host vertices."""
+    """First embedding by full backtracking, or None when none exists;
+    GuardExceeded above ``BRUTE_GUARD`` host vertices."""
     return next(iter_embeddings(host, tree), None)

@@ -1,17 +1,6 @@
-"""Exception hierarchy and brute-force size-guard resolution."""
+"""Exception hierarchy."""
 
 from __future__ import annotations
-
-import os
-
-#: Default vertex-count guard for exhaustive (exponential) routines.
-DEFAULT_BRUTE_GUARD = 12
-#: Default vertex-count guard for triple enumeration.
-DEFAULT_ENUM_GUARD = 10
-#: Default order guard for exhaustive tree enumeration.
-DEFAULT_TREE_GUARD = 7
-
-_ENV_GUARD = "KEEPTREE_GUARD"
 
 
 class KeeptreeError(Exception):
@@ -51,24 +40,3 @@ class TheoremViolation(KeeptreeError):
     Prime suspects are invalid inputs or an implementation bug; this is
     surfaced loudly rather than silently swallowed.
     """
-
-
-def resolve_guard(explicit: int | None, default: int) -> int:
-    """Pick a size guard: explicit argument, else KEEPTREE_GUARD, else default.
-
-    A negative guard is an input error, not a guard every size exceeds.
-    """
-    if explicit is not None:
-        if explicit < 0:
-            raise ValueError(f"guard must be nonnegative, got {explicit}")
-        return explicit
-    env = os.environ.get(_ENV_GUARD)
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ParseError(f"{_ENV_GUARD} must be an integer, got {env!r}") from exc
-        if value < 0:
-            raise ParseError(f"{_ENV_GUARD} must be nonnegative, got {value}")
-        return value
-    return default

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import product
 
-from .errors import DEFAULT_TREE_GUARD, GuardExceeded, ParseError, resolve_guard
+from .errors import GuardExceeded, ParseError
 from .graphs import Graph, Tree, find_triangle, induced_subgraph, mask_bits
 from .connectivity import connectivity_at_least
 
@@ -333,18 +333,21 @@ def tree_canonical(t: Tree) -> str:
     return min(encode(c, -1) for c in _tree_centers(t))
 
 
+#: Largest tree order ``enumerate_trees`` accepts.
+TREE_GUARD = 7
+
+
 def enumerate_trees(m: int) -> list[Tree]:
     """All trees of order m, one per isomorphism class.
 
     Enumerates every decoding sequence (all labeled trees) and keeps the
-    first representative of each canonical form.  The order guard is
-    ``KEEPTREE_GUARD``, else 7.
+    first representative of each canonical form.  GuardExceeded above
+    order ``TREE_GUARD``.
     """
     if m < 1:
         raise ValueError("tree order must be positive")
-    bound = resolve_guard(None, DEFAULT_TREE_GUARD)
-    if m > bound:
-        raise GuardExceeded(f"tree enumeration guard: {m} > {bound}")
+    if m > TREE_GUARD:
+        raise GuardExceeded(f"tree enumeration guard: {m} > {TREE_GUARD}")
     if m == 1:
         return [Tree(Graph(1))]
     out: list[Tree] = []

@@ -19,12 +19,11 @@ from typing import Any, Iterable
 from .connectivity import is_k_connected_after_removal
 from .embed import Embedding, iter_embeddings
 from .errors import (
-    DEFAULT_BRUTE_GUARD,
+    GuardExceeded,
     HypothesisFailure,
     ParseError,
     SearchExhausted,
     TheoremViolation,
-    resolve_guard,
 )
 from .families import (
     complete_bipartite,
@@ -86,12 +85,13 @@ CSV_COLUMNS = (
 )
 
 
-def oracle_exists(g: Graph, tree: Tree, k: int, guard: int | None = None) -> Embedding | None:
+def oracle_exists(g: Graph, tree: Tree, k: int) -> Embedding | None:
     """Brute-force witness: the first labeled embedding whose removal keeps
-    the graph k-connected, or None when none exists."""
+    the graph k-connected, or None when none exists; GuardExceeded above
+    ``embed.BRUTE_GUARD`` host vertices."""
     if k < 1:
         raise ValueError("k must be positive")
-    for emb in iter_embeddings(g, tree, guard):
+    for emb in iter_embeddings(g, tree):
         if is_k_connected_after_removal(g, emb.image(), k):
             return emb
     return None
@@ -126,7 +126,22 @@ def _hypothesis_fields(h: dict[str, Any]) -> dict[str, Any]:
     }
 
 
-def _run_one(inst: SuiteInstance, oracle_guard: int) -> tuple[dict[str, Any], str | None, float]:
+#: The record columns a run fills in; a fault leaves them empty.
+_RESULT_COLUMNS = (
+    "case", "delta", "girth", "beta", "threshold", "hypothesis_pass",
+    "verified", "f_size", "s1_size", "s2_size", "removed_size", "kappa_after",
+)
+
+
+def _record_fault(record: dict[str, Any], exc: Exception) -> None:
+    """Mark the record failed-internal: an exception outside the pipeline's
+    own errors is a fault of this instance alone."""
+    record.update(dict.fromkeys(_RESULT_COLUMNS))
+    record["status"] = "failed-internal"
+    record["detail"] = f"{type(exc).__name__}: {exc}"
+
+
+def _run_one(inst: SuiteInstance) -> tuple[dict[str, Any], str | None, float]:
     start = time.perf_counter()
     g, tree = inst.graph, inst.tree
     record: dict[str, Any] = {
@@ -137,13 +152,7 @@ def _run_one(inst: SuiteInstance, oracle_guard: int) -> tuple[dict[str, Any], st
         "k": inst.k,
         "force": inst.force,
         "detail": "",
-        **dict.fromkeys(("case", "delta", "girth", "beta", "threshold", "hypothesis_pass")),
-        "verified": None,
-        "f_size": None,
-        "s1_size": None,
-        "s2_size": None,
-        "removed_size": None,
-        "kappa_after": None,
+        **dict.fromkeys(_RESULT_COLUMNS),
     }
     cert_json: str | None = None
     try:
@@ -171,15 +180,17 @@ def _run_one(inst: SuiteInstance, oracle_guard: int) -> tuple[dict[str, Any], st
             )
             record["detail"] = str(exc)
     except Exception as exc:
-        # Any other exception is a fault of this instance alone.
-        record["status"] = "failed-internal"
-        record["detail"] = f"{type(exc).__name__}: {exc}"
+        _record_fault(record, exc)
 
-    if g.n <= oracle_guard:
-        found = oracle_exists(g, tree, inst.k, guard=oracle_guard)
+    try:
+        found = oracle_exists(g, tree, inst.k)
         record["oracle"] = "yes" if found is not None else "none"
-    else:
+    except GuardExceeded:
         record["oracle"] = "guard"
+    except Exception as exc:
+        _record_fault(record, exc)
+        record["oracle"] = "error"
+        cert_json = None
     record["dominance_violation"] = (
         record["status"] == "certified" and record["oracle"] == "none"
     )
@@ -232,17 +243,14 @@ class SuiteReport:
 
 def run_suite(
     instances: Iterable[SuiteInstance],
-    oracle_guard: int | None = None,
     jobs: int = 1,
 ) -> SuiteReport:
     """Run the pipeline over a corpus and merge results by instance id.
 
     Instances are independent; with ``jobs > 1`` they run in a process pool
     and the merged report is identical to a sequential run.  Duplicate ids,
-    an instance with k < 1 and ``jobs < 1`` raise ValueError, and a
-    malformed ``KEEPTREE_GUARD`` raises ParseError, before any instance
-    runs, also when ``oracle_guard`` is given: the runs read that variable
-    for their other guards.
+    an instance with k < 1 and ``jobs < 1`` raise ValueError before any
+    instance runs.
     """
     insts = list(instances)
     ids = [inst.instance_id for inst in insts]
@@ -253,19 +261,15 @@ def run_suite(
     for inst in insts:
         if inst.k < 1:
             raise ValueError(f"instance {inst.instance_id}: k must be positive, got {inst.k}")
-    # The runs read KEEPTREE_GUARD for their own guards: check it up front.
-    resolve_guard(None, DEFAULT_BRUTE_GUARD)
-    guard = resolve_guard(oracle_guard, DEFAULT_BRUTE_GUARD)
-    guards = [guard] * len(insts)
     if jobs > 1 and len(insts) > 1:
         # Imported here: a sequential run never loads the process pool.
         from concurrent.futures import ProcessPoolExecutor
 
         # The pool starts every worker up front: no more than one per instance.
         with ProcessPoolExecutor(max_workers=min(jobs, len(insts))) as pool:
-            results = list(pool.map(_run_one, insts, guards))
+            results = list(pool.map(_run_one, insts))
     else:
-        results = list(map(_run_one, insts, guards))
+        results = list(map(_run_one, insts))
     triples = sorted(
         zip(ids, results), key=lambda pair: pair[0]
     )
@@ -283,7 +287,7 @@ def run_suite(
         "verified": sum(1 for rec in records if rec["verified"]),
         "skipped_hypothesis": statuses.count("skipped-hypothesis"),
         "failed": sum(1 for s in statuses if s.startswith("failed")),
-        "oracle_checked": sum(1 for rec in records if rec["oracle"] != "guard"),
+        "oracle_checked": sum(1 for rec in records if rec["oracle"] in ("yes", "none")),
         "dominance_violations": sum(
             1 for rec in records if rec["dominance_violation"]
         ),

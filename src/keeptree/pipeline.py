@@ -402,8 +402,6 @@ def find_keeping_tree(
     ``HypothesisFailure``, ``SearchExhausted`` or ``TheoremViolation`` it
     raises carries the run's hypothesis report as ``report``.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
     report = check_hypotheses(g, tree, k, sel)
     try:
         if not report.passed and not force:

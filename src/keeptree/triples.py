@@ -26,14 +26,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .connectivity import _SplitFlow, _min_cut, _weaker_pairs, find_pair_below
-from .errors import (
-    DEFAULT_ENUM_GUARD,
-    GuardExceeded,
-    PreconditionError,
-    SearchExhausted,
-    TheoremViolation,
-    resolve_guard,
-)
+from .errors import GuardExceeded, PreconditionError, SearchExhausted, TheoremViolation
 from .graphs import Graph, mask_bits, mask_component, mask_components, mask_neighbours, vertex_mask
 from .matching import Matching, find_tight_set, saturating_matching_or_violator
 from .report import CheckReport
@@ -49,6 +42,9 @@ __all__ = [
 
 #: Cap on fragment candidates explored by the cut-descent stage.
 _FRAGMENT_BUDGET = 64
+#: Most vertices triple enumeration draws s1 u s2 from: the whole graph for
+#: ``enumerate_triples``, a component's closure for the exhaustive stage.
+ENUM_GUARD = 10
 
 
 @dataclass(frozen=True)
@@ -155,22 +151,22 @@ def validate_triple(g: Graph, t: ConnectedTriple) -> CheckReport:
 
 
 def enumerate_triples(
-    g: Graph, p: int, limit: int | None = None, guard: int | None = None
+    g: Graph, p: int, limit: int | None = None
 ) -> tuple[list[ConnectedTriple], bool]:
     """All valid triples for parameter p by exhaustive enumeration (oracle).
 
     Enumerates every disjoint (s1, s2) with |s1 u s2| <= 2p-1 and every
     nontrivial component of the remainder, keeping validator-approved
     candidates.  Returns (triples, truncated); the flag is set when a triple
-    beyond the first ``limit`` exists.
+    beyond the first ``limit`` exists.  GuardExceeded above ``ENUM_GUARD``
+    vertices.
     """
     if p < 1:
         raise ValueError("triple parameter p must be positive")
     if limit is not None and limit < 0:
         raise ValueError(f"triple limit must be nonnegative, got {limit}")
-    bound = resolve_guard(guard, DEFAULT_ENUM_GUARD)
-    if g.n > bound:
-        raise GuardExceeded(f"triple enumeration guard: {g.n} > {bound}")
+    if g.n > ENUM_GUARD:
+        raise GuardExceeded(f"triple enumeration guard: {g.n} > {ENUM_GUARD}")
     out: list[ConnectedTriple] = []
     for cand in _valid_triples(g, p, range(g.n), vertex_mask(g, None)):
         if limit is not None and len(out) >= limit:
@@ -249,12 +245,11 @@ def _descend_fragments(g: Graph, fragment: int, boundary: int, p: int) -> list[i
 
 def _exhaustive_stage(g: Graph, c: int, p: int) -> ConnectedTriple:
     """Iterative-deepening enumeration restricted to the component's closure,
-    under the triple enumeration guard."""
+    under ``ENUM_GUARD``."""
     universe = list(mask_bits(c | mask_neighbours(g.masks, c)))
-    bound = resolve_guard(None, DEFAULT_ENUM_GUARD)
-    if len(universe) > bound:
+    if len(universe) > ENUM_GUARD:
         raise SearchExhausted(
-            f"triple enumeration guard: {len(universe)}-vertex closure > {bound}: "
+            f"triple enumeration guard: {len(universe)}-vertex closure > {ENUM_GUARD}: "
             f"guard too tight or hypothesis violation"
         )
     found = next(_valid_triples(g, p, universe, c), None)

@@ -10,8 +10,8 @@ from itertools import combinations
 import networkx as nx
 
 from keeptree.connectivity import _SplitFlow
-from keeptree.embed import Embedding
-from keeptree.errors import DEFAULT_BRUTE_GUARD, GuardExceeded, resolve_guard
+from keeptree.embed import BRUTE_GUARD, Embedding
+from keeptree.errors import GuardExceeded
 from keeptree.graphs import Graph, Tree, is_connected, mask_bits
 from keeptree.matching import Matching, saturating_matching_or_violator
 
@@ -53,14 +53,13 @@ def components_without(g: Graph, excluded) -> list[frozenset[int]]:
     return sorted(map(frozenset, nx.connected_components(view)), key=min)
 
 
-def brute_min_separator(g: Graph, u: int, v: int, guard: int | None = None) -> frozenset[int]:
+def brute_min_separator(g: Graph, u: int, v: int) -> frozenset[int]:
     """Minimum {u, v}-separating set of a nonadjacent pair: the first of the
     subsets, in increasing size, whose removal separates u from v."""
     if g.has_edge(u, v):
         raise ValueError(f"({u}, {v}) are adjacent: no separating set exists")
-    limit = resolve_guard(guard, DEFAULT_BRUTE_GUARD)
-    if g.n > limit:
-        raise GuardExceeded(f"brute separator guard: {g.n} > {limit}")
+    if g.n > BRUTE_GUARD:
+        raise GuardExceeded(f"brute separator guard: {g.n} > {BRUTE_GUARD}")
     nxg = _networkx(g)
     others = [w for w in range(g.n) if w not in (u, v)]
     for size in range(len(others) + 1):

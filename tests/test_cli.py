@@ -59,9 +59,8 @@ class TestFind:
         assert main(["find", str(k44_file), str(edge_tree_file), "1", "--out", out]) == 4
         assert "consumed" in capsys.readouterr().err
 
-    def test_enumeration_guard_refusal_exit_3(self, monkeypatch, tmp_path, edge_tree_file, capsys):
+    def test_enumeration_guard_refusal_exit_3(self, tmp_path, edge_tree_file, capsys):
         # Heawood's 14-vertex closure exceeds the triple enumeration guard (10).
-        monkeypatch.delenv("KEEPTREE_GUARD", raising=False)
         host = tmp_path / "heawood.txt"
         host.write_text(format_edge_list(heawood()))
         out = str(tmp_path / "c.json")
@@ -213,7 +212,7 @@ class TestOracle:
     def test_guard_exit_6(self, tmp_path, edge_tree_file):
         big = tmp_path / "big.txt"
         big.write_text(format_edge_list(complete_bipartite(8, 8)))
-        assert main(["oracle", str(big), str(edge_tree_file), "1", "--guard", "12"]) == 6
+        assert main(["oracle", str(big), str(edge_tree_file), "1"]) == 6
 
     def test_k_below_one_exit_1(self, k44_file, edge_tree_file, capsys):
         assert main(["oracle", str(k44_file), str(edge_tree_file), "-1"]) == 1
@@ -250,17 +249,12 @@ class TestTriples:
         assert captured.out == ""
         assert "limit" in captured.err
 
-    def test_guard_exit_6(self, k44_file):
-        assert main(["triples", str(k44_file), "--p", "1", "--guard", "6"]) == 6
-
-    def test_negative_guard_exit_1(self, k44_file, capsys):
-        assert main(["triples", str(k44_file), "--p", "1", "--guard", "-1"]) == 1
-        assert "guard must be nonnegative" in capsys.readouterr().err
-
-    def test_negative_env_guard_exit_1(self, k44_file, capsys, monkeypatch):
-        monkeypatch.setenv("KEEPTREE_GUARD", "-1")
-        assert main(["triples", str(k44_file), "--p", "1"]) == 1
-        assert "KEEPTREE_GUARD must be nonnegative" in capsys.readouterr().err
+    def test_guard_exit_6(self, tmp_path, capsys):
+        # K6,6 has 12 vertices, above the triple enumeration guard (10).
+        k66 = tmp_path / "k66.txt"
+        k66.write_text(format_edge_list(complete_bipartite(6, 6)))
+        assert main(["triples", str(k66), "--p", "1"]) == 6
+        assert "triple enumeration guard: 12 > 10" in capsys.readouterr().err
 
 
 class TestGen:

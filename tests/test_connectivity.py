@@ -202,7 +202,7 @@ class TestSeparators:
     def test_guard(self):
         big = complete_bipartite(8, 8)
         with pytest.raises(GuardExceeded):
-            brute_min_separator(big, 0, 1, guard=12)
+            brute_min_separator(big, 0, 1)
 
     def test_flow_cut_matches_brute(self):
         for g in random_graphs(50, 7, 1234):

@@ -192,8 +192,7 @@ class TestExhaustiveEmbed:
         assert emb is not None
         validate(p3, tree_p3, emb)
 
-    def test_guard(self, monkeypatch):
-        monkeypatch.delenv("KEEPTREE_GUARD", raising=False)
+    def test_guard(self):
         big = complete_bipartite(8, 8)
         with pytest.raises(GuardExceeded, match="16 > 12"):
             exhaustive_embed(big, Tree(Graph(1)))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from keeptree import graphs, harness, pipeline
+from keeptree import embed, graphs, harness, pipeline
 from keeptree.errors import GuardExceeded, ParseError
 from keeptree.families import complete_bipartite
 from keeptree.graphs import Tree
@@ -58,7 +58,7 @@ class TestOracle:
 
     def test_guard(self, tree_k2):
         with pytest.raises(GuardExceeded):
-            oracle_exists(complete_bipartite(8, 8), tree_k2, 1, guard=12)
+            oracle_exists(complete_bipartite(8, 8), tree_k2, 1)
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one_rejected(self, k44, tree_k2, k):
@@ -113,16 +113,6 @@ class TestRunSuite:
         with pytest.raises(ValueError, match="instance zero: k must be positive"):
             run_suite(instances, jobs=jobs)
         assert counts["check_hypotheses"] == 0
-
-    def test_bad_env_guard_rejected_before_any_run(self, monkeypatch, k44):
-        """An explicit oracle guard does not hide a malformed KEEPTREE_GUARD,
-        which the runs read for their other guards."""
-        counts = count_calls(monkeypatch, pipeline.find_keeping_tree)
-        monkeypatch.setenv("KEEPTREE_GUARD", "x")
-        inst = SuiteInstance("x", "f", k44, path_tree(2), 1, None)
-        with pytest.raises(ParseError, match="KEEPTREE_GUARD"):
-            run_suite([inst], oracle_guard=8)
-        assert counts["find_keeping_tree"] == 0
 
     def test_jobs_match_sequential(self, k44, q3):
         instances = [
@@ -180,7 +170,7 @@ class TestRunSuite:
     def test_lowered_guard_fails_forced_instance_only(self, monkeypatch, k44, q3):
         # The forced girth run on Q3 needs the exhaustive embedding fallback,
         # which a lowered guard refuses; the healthy instance is unaffected.
-        monkeypatch.setenv("KEEPTREE_GUARD", "5")
+        monkeypatch.setattr(embed, "BRUTE_GUARD", 5)
         instances = [
             SuiteInstance(
                 "forced", "q3", q3, path_tree(2), 1, CaseSelector(CASE_GIRTH, 2), force=True
@@ -201,7 +191,7 @@ class TestRunSuite:
             graphs.find_triangle,
         )
         certified = SuiteInstance("ok", "k44", k44, path_tree(2), 1, None)
-        record, cert, _ = _run_one(certified, 0)
+        record, cert, _ = _run_one(certified)
         assert record["status"] == "certified" and record["case"] == "bipartite"
         assert cert is not None
         # The auto case is picked inside the one gate call, from its own girth.
@@ -209,7 +199,7 @@ class TestRunSuite:
         skipped = SuiteInstance(
             "skip", "cycle", c6, path_tree(3), 2, CaseSelector(CASE_TRIANGLE_FREE)
         )
-        record, cert, _ = _run_one(skipped, 0)
+        record, cert, _ = _run_one(skipped)
         assert record["status"] == "skipped-hypothesis" and cert is None
         assert counts["check_hypotheses"] == 2 and counts["girth"] == 2
         # A failure past the gate carries the pipeline's report.
@@ -217,7 +207,7 @@ class TestRunSuite:
             "forced", "k44", k44, path_tree(4), 1,
             CaseSelector(CASE_TRIANGLE_FREE), force=True,
         )
-        record, cert, _ = _run_one(forced, 0)
+        record, cert, _ = _run_one(forced)
         assert record["status"] == "failed-search" and cert is None
         assert record["threshold"] == "10" and not record["hypothesis_pass"]
         assert counts["check_hypotheses"] == 3 and counts["girth"] == 3
@@ -280,6 +270,32 @@ class TestRunSuite:
         assert report.aggregate == dict(expected.aggregate, certified=2, verified=2, failed=1)
         assert sorted(report.certificates) == ["a", "c"]
         assert report.to_csv().splitlines()[2] == "b,f,,8,2,1,,,,,,failed-internal,,yes,,,,,"
+
+    def test_oracle_fault_is_recorded_and_the_rest_kept(self, monkeypatch):
+        hosts = [complete_bipartite(4, 4) for _ in range(3)]
+        instances = [
+            SuiteInstance(name, "f", host, path_tree(2), 1, None)
+            for name, host in zip("abc", hosts)
+        ]
+        expected = run_suite(instances, jobs=1)
+        oracle = harness.oracle_exists
+
+        def faulty(g, *args):
+            if g is hosts[1]:
+                raise RuntimeError("planted fault")
+            return oracle(g, *args)
+
+        monkeypatch.setattr(harness, "oracle_exists", faulty)
+        report = run_suite(instances, jobs=1)
+        a, b, c = report.records
+        assert (a, c) == (expected.records[0], expected.records[2])
+        assert b["status"] == "failed-internal" and b["oracle"] == "error"
+        assert b["detail"] == "RuntimeError: planted fault"
+        assert report.aggregate == dict(
+            expected.aggregate, certified=2, verified=2, failed=1, oracle_checked=2
+        )
+        assert sorted(report.certificates) == ["a", "c"]
+        assert report.to_csv().splitlines()[2] == "b,f,,8,2,1,,,,,,failed-internal,,error,,,,,"
 
     def test_timing_kept_out_of_canonical_output(self, k44):
         inst = SuiteInstance("a", "k44", k44, path_tree(2), 1, None)

@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from keeptree import graphs, pipeline, triples
+from keeptree import embed, graphs, pipeline, triples
 from keeptree.connectivity import connectivity_at_least
-from keeptree.errors import HypothesisFailure, SearchExhausted, TheoremViolation
+from keeptree.errors import GuardExceeded, HypothesisFailure, SearchExhausted, TheoremViolation
 from keeptree.families import (
     complete_bipartite,
     cycle,
@@ -42,7 +42,7 @@ from keeptree.pipeline import (
     parse_case,
     verify_certificate,
 )
-from keeptree.triples import ConnectedTriple, SaturatedTriple, validate_triple
+from keeptree.triples import ConnectedTriple, SaturatedTriple, enumerate_triples, validate_triple
 from oracles import small_connected_graphs
 
 
@@ -226,13 +226,14 @@ class TestFindKeepingTree:
         # Brute-force confirmation.
         assert oracle_exists(k44, tree_k2, 1) is not None
 
-    def test_q4_hypercube_edge(self, tree_k2):
+    def test_q4_hypercube_edge(self, monkeypatch, tree_k2):
         q4 = hypercube(4)
         report = check_hypotheses(q4, tree_k2, 1, CaseSelector(CASE_BIPARTITE))
         assert report.threshold == 4 and report.passed
         cert = find_keeping_tree(q4, tree_k2, 1)
         assert verify_certificate(q4, cert).passed
-        assert oracle_exists(q4, tree_k2, 1, guard=16) is not None
+        monkeypatch.setattr(embed, "BRUTE_GUARD", 16)
+        assert oracle_exists(q4, tree_k2, 1) is not None
 
     def test_below_threshold_raises(self, c6, tree_p3):
         with pytest.raises(HypothesisFailure) as failure:
@@ -257,15 +258,25 @@ class TestFindKeepingTree:
         with pytest.raises(SearchExhausted, match="stage"):
             find_keeping_tree(c5, tree_p4, 2, CaseSelector(CASE_GIRTH, 2), force=True)
 
-    def test_forced_fallback_obeys_env_guard(self, monkeypatch, q3, tree_k2):
+    def test_forced_fallback_obeys_brute_guard(self, monkeypatch, q3, tree_k2):
         # The girth embedder rejects Q3 (girth 4), so the forced run falls
         # back to exhaustive search over the 8-vertex fragment host.
         sel = CaseSelector(CASE_GIRTH, 2)
         cert = find_keeping_tree(q3, tree_k2, 1, sel, force=True)
         assert verify_certificate(q3, cert).passed
-        monkeypatch.setenv("KEEPTREE_GUARD", "5")
+        monkeypatch.setattr(embed, "BRUTE_GUARD", 5)
         with pytest.raises(SearchExhausted, match=r"embedding stage \(forced\)"):
             find_keeping_tree(q3, tree_k2, 1, sel, force=True)
+
+    def test_guards_ignore_environment(self, monkeypatch, q3, tree_k2):
+        # No guard reads the environment: the fallback and the enumeration
+        # keep their fixed bounds whatever KEEPTREE_GUARD says.
+        monkeypatch.setenv("KEEPTREE_GUARD", "5")
+        cert = find_keeping_tree(q3, tree_k2, 1, CaseSelector(CASE_GIRTH, 2), force=True)
+        assert verify_certificate(q3, cert).passed
+        monkeypatch.setenv("KEEPTREE_GUARD", "12")
+        with pytest.raises(GuardExceeded, match="12 > 10"):
+            enumerate_triples(complete_bipartite(6, 6), 1)
 
     def test_auto_case_costs_one_host_pass(self, monkeypatch, k44, tree_k2):
         # The gate picks the case from the bipartition and girth it computes
@@ -289,8 +300,6 @@ class TestFindKeepingTree:
     def test_exhaustive_stage_obeys_enumeration_guard(self, monkeypatch, tree_k2):
         # Forced on Heawood, cut descent finds no triple and the exhaustive
         # stage's closure is the whole 14-vertex host.
-        monkeypatch.delenv("KEEPTREE_GUARD", raising=False)
-
         def enumerated(*args):
             raise AssertionError("enumeration ran above the guard")
 
@@ -301,7 +310,7 @@ class TestFindKeepingTree:
                 match=r"^triple stage: triple enumeration guard: 14-vertex closure > 10",
             ):
                 find_keeping_tree(heawood(), tree_k2, 2, force=True)
-        monkeypatch.setenv("KEEPTREE_GUARD", "14")
+        monkeypatch.setattr(triples, "ENUM_GUARD", 14)
         with pytest.raises(
             SearchExhausted,
             match=r"^triple stage: no connected triple inside the restricted search space",
