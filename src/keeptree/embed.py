@@ -6,6 +6,8 @@ greedy for bipartite hosts, and a search rooted at the tree's
 highest-degree vertex for sparse (girth-bounded) hosts.  All three take the
 first map of one complete backtracking search, which with every host vertex
 as a root candidate is also the exhaustive oracle.
+Every embedder takes an optional vertex mask ``alive`` and embeds into
+the subgraph it induces, on the host's restricted masks, in its numbering.
 """
 
 from __future__ import annotations
@@ -13,10 +15,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import GuardExceeded, PreconditionError, SearchExhausted, TheoremViolation
-from .graphs import Graph, Tree, bipartition, degree_stats, girth, girth_at_least, mask_bits
+from .graphs import (
+    Graph, Tree, alive_masks, bipartition, degree_stats, girth, girth_at_least, mask_bits
+)
 
 __all__ = [
     "Embedding",
@@ -88,7 +92,7 @@ def _bfs_order(tree: Tree, root: int, key=None) -> tuple[list[int], list[int]]:
     return order, parent
 
 
-def greedy_embed(host: Graph, tree: Tree) -> Embedding:
+def greedy_embed(host: Graph, tree: Tree, alive: int | None = None) -> Embedding:
     """Greedy embedding for hosts with minimum degree at least m-1.
 
     Tree vertices are placed in BFS order from vertex 0; the root maps to
@@ -99,22 +103,20 @@ def greedy_embed(host: Graph, tree: Tree) -> Embedding:
     BFS order a vertex's only tree neighbor placed before it is its parent.
     """
     m = tree.order
-    stats = degree_stats(host)
+    alive, masks = alive_masks(host, alive)
+    stats = degree_stats(host, alive)
     if stats is None:
         raise PreconditionError("empty host graph")
     if stats[0] < m - 1:
-        offender = min(v for v, nbrs in enumerate(host.masks) if nbrs.bit_count() == stats[0])
+        offender = next(v for v in mask_bits(alive) if masks[v].bit_count() == stats[0])
         raise PreconditionError(
             f"minimum degree {stats[0]} at vertex {offender} is below m-1 = {m - 1}"
         )
-    return _first_embedding(host, tree, *_bfs_order(tree, 0), [0])
+    search = _anchored_search(masks, tree, *_bfs_order(tree, 0), mask_bits(alive & -alive))
+    return _first_embedding(host, tree, alive, search)
 
 
-def _side_min_degree(host: Graph, side: frozenset[int]) -> int | None:
-    return min((host.masks[v].bit_count() for v in side), default=None)
-
-
-def bipartite_embed(host: Graph, tree: Tree) -> Embedding:
+def bipartite_embed(host: Graph, tree: Tree, alive: int | None = None) -> Embedding:
     """Bipartition-respecting embedding into a bipartite host.
 
     The host sides are those of :func:`bipartition`.  Tries the orientation
@@ -124,14 +126,16 @@ def bipartite_embed(host: Graph, tree: Tree) -> Embedding:
     then maps to the least vertex of X's side and the rest greedily, as in
     :func:`greedy_embed`.
     """
-    parts = bipartition(host)
+    alive, masks = alive_masks(host, alive)
+    parts = bipartition(host, alive)
     if parts is None:
         raise PreconditionError("host is not bipartite")
+    degrees = [min((masks[v].bit_count() for v in side), default=None) for side in parts]
     reasons = []
     for swap in (False, True):
         tu, tv = parts[::-1] if swap else parts
         need_u, need_v = len(tree.part_y), len(tree.part_x)
-        du, dv = _side_min_degree(host, tu), _side_min_degree(host, tv)
+        du, dv = degrees[::-1] if swap else degrees
         if not tu:
             reasons.append(f"swap={swap}: no vertices available for the X part")
             continue
@@ -141,20 +145,22 @@ def bipartite_embed(host: Graph, tree: Tree) -> Embedding:
         if dv is not None and dv < need_v:
             reasons.append(f"swap={swap}: Y-side degree {dv} below |X| = {need_v}")
             continue
-        return _first_embedding(host, tree, *_bfs_order(tree, 0), [min(tu)])
+        search = _anchored_search(masks, tree, *_bfs_order(tree, 0), [min(tu)])
+        return _first_embedding(host, tree, alive, search)
     raise PreconditionError(
         "degree conditions fail in both orientations: " + "; ".join(reasons)
     )
 
 
 def _anchored_search(
-    host: Graph,
+    masks: Sequence[int],
     tree: Tree,
     order: list[int],
     parent: list[int],
     root_candidates: Iterable[int],
 ) -> Iterator[Embedding]:
-    """Complete backtracking over injective adjacency-preserving maps.
+    """Complete backtracking over injective adjacency-preserving maps into
+    the host whose neighbour masks are ``masks``.
 
     Tree vertices are assigned along ``order`` (each non-root after its
     parent), so candidates for a vertex are the unused neighbors of its
@@ -162,7 +168,7 @@ def _anchored_search(
     cannot take its neighborhood, so it is skipped: the maps and their
     order are those of the search without this prune.
     """
-    hm, tm = host.masks, tree.graph.masks
+    hm, tm = masks, tree.graph.masks
     m = tree.order
     image = [-1] * m
     used: set[int] = set()
@@ -200,26 +206,22 @@ def _anchored_search(
                 stack.append(candidates(len(stack)))
 
 
-def _first_embedding(
-    host: Graph,
-    tree: Tree,
-    order: list[int],
-    parent: list[int],
-    root_candidates: Iterable[int],
-) -> Embedding:
-    """The first map of :func:`_anchored_search`, re-checked."""
-    found = next(_anchored_search(host, tree, order, parent, root_candidates), None)
+def _first_embedding(host: Graph, tree: Tree, alive: int, maps: Iterator[Embedding]) -> Embedding:
+    """The first of ``maps`` (an :func:`_anchored_search` within the mask
+    ``alive``), re-checked against the host and the mask."""
+    found = next(maps, None)
     if found is None:
         raise SearchExhausted(
             "embedding search space exhausted: hypothesis violation or internal error"
         )
     problems = embedding_errors(host, tree, found)
+    problems += [f"host vertex {h} is outside the mask" for h in found.image() if ~alive >> h & 1]
     if problems:
         raise TheoremViolation(f"search produced an invalid embedding: {problems[0]}")
     return found
 
 
-def sparse_embed(host: Graph, tree: Tree, t: int = 2) -> Embedding:
+def sparse_embed(host: Graph, tree: Tree, t: int = 2, *, alive: int | None = None) -> Embedding:
     """Embedding for hosts of girth at least 2t+1 via complete backtracking.
 
     Preconditions (t = 2): girth >= 5, minimum degree >= (m-1)/2, and
@@ -227,15 +229,16 @@ def sparse_embed(host: Graph, tree: Tree, t: int = 2) -> Embedding:
     generalized hypothesis additionally requires minimum degree at least
     the tree's maximum degree.  The search itself is complete regardless of
     the hypotheses, so exhaustion is reported distinctly from precondition
-    failures.
+    failures.  ``alive`` is keyword-only, so that no mask is read as ``t``.
     """
     if t < 2:
         raise ValueError("girth parameter t must be at least 2")
     m = tree.order
-    stats = degree_stats(host)
+    alive, masks = alive_masks(host, alive)
+    stats = degree_stats(host, alive)
     if stats is None:
         raise PreconditionError("empty host graph")
-    gv = girth(host)
+    gv = girth(host, alive)
     if not girth_at_least(gv, 2 * t + 1):
         raise PreconditionError(f"girth {gv} is below 2t+1 = {2 * t + 1}")
     need = Fraction(m - 1, t)
@@ -250,23 +253,27 @@ def sparse_embed(host: Graph, tree: Tree, t: int = 2) -> Embedding:
     tm = tree.graph.masks
     root = min(range(m), key=lambda v: (-tm[v].bit_count(), v))
     order, parent = _bfs_order(tree, root, key=lambda v: (-tm[v].bit_count(), v))
-    return _first_embedding(host, tree, order, parent, host.vertices())
+    search = _anchored_search(masks, tree, order, parent, mask_bits(alive))
+    return _first_embedding(host, tree, alive, search)
 
 
 #: Most host vertices the exhaustive embedding search accepts.
 BRUTE_GUARD = 12
 
 
-def iter_embeddings(host: Graph, tree: Tree) -> Iterator[Embedding]:
-    """All labeled embeddings of the tree into the host, in deterministic
-    order; GuardExceeded above ``BRUTE_GUARD`` host vertices."""
-    if host.n > BRUTE_GUARD:
-        raise GuardExceeded(f"exhaustive embedding guard: {host.n} > {BRUTE_GUARD}")
+def iter_embeddings(host: Graph, tree: Tree, alive: int | None = None) -> Iterator[Embedding]:
+    """All labeled embeddings of the tree into the host within the mask
+    ``alive``, in deterministic order; GuardExceeded above ``BRUTE_GUARD``
+    vertices in the mask."""
+    alive, masks = alive_masks(host, alive)
+    if alive.bit_count() > BRUTE_GUARD:
+        raise GuardExceeded(f"exhaustive embedding guard: {alive.bit_count()} > {BRUTE_GUARD}")
     order, parent = _bfs_order(tree, 0)
-    return _anchored_search(host, tree, order, parent, host.vertices())
+    return _anchored_search(masks, tree, order, parent, mask_bits(alive))
 
 
-def exhaustive_embed(host: Graph, tree: Tree) -> Embedding | None:
-    """First embedding by full backtracking, or None when none exists;
-    GuardExceeded above ``BRUTE_GUARD`` host vertices."""
-    return next(iter_embeddings(host, tree), None)
+def exhaustive_embed(host: Graph, tree: Tree, alive: int | None = None) -> Embedding | None:
+    """First embedding by full backtracking within the mask ``alive``, or
+    None when none exists; GuardExceeded above ``BRUTE_GUARD`` vertices in
+    the mask."""
+    return next(iter_embeddings(host, tree, alive), None)

@@ -2,10 +2,11 @@
 
 Vertices are dense integer ids ``0..n-1``.  A graph is its neighbour
 bitmasks: bit y of ``Graph.masks[x]`` is set iff xy is an edge, built once
-at construction and the only adjacency kept.  An induced subgraph is a new
-value returned together with an id remapping, so anything computed
-downstream can be translated back into the original graph's numbering.
-All functions here are pure and safe to call from any number of threads.
+at construction and the only adjacency kept.  Host facts take an optional
+vertex mask ``alive`` and answer for the subgraph it induces from the host's
+masks, in the host's numbering, as an induced copy (which keeps the vertex
+order) would answer mapped back.  All functions here are pure and safe to
+call from any number of threads.
 """
 
 from __future__ import annotations
@@ -149,16 +150,28 @@ def mask_neighbours(masks: Sequence[int], w: int) -> int:
     return out & ~w
 
 
-def degree_stats(g: Graph) -> tuple[int, int] | None:
-    """Minimum and maximum degree, or None for the empty graph."""
-    if g.n == 0:
+def alive_masks(g: Graph, alive: int | None) -> tuple[int, Sequence[int]]:
+    """The vertex mask ``alive`` (all of ``g`` when None) and the neighbour
+    masks of the subgraph it induces; ValueError for a bit outside 0..n-1."""
+    full = (1 << g.n) - 1
+    if alive is None or alive == full:
+        return full, g.masks
+    if alive & ~full:
+        raise ValueError(f"alive mask has a vertex outside 0..{g.n - 1}")
+    return alive, [m & alive for m in g.masks]
+
+
+def degree_stats(g: Graph, alive: int | None = None) -> tuple[int, int] | None:
+    """Minimum and maximum degree within the mask ``alive``; None when empty."""
+    alive, masks = alive_masks(g, alive)
+    if not alive:
         return None
-    degrees = [m.bit_count() for m in g.masks]
+    degrees = [masks[v].bit_count() for v in mask_bits(alive)]
     return min(degrees), max(degrees)
 
 
-def girth(g: Graph) -> int | None:
-    """Length of a shortest cycle, or None when the graph is acyclic.
+def girth(g: Graph, alive: int | None = None, *, floor: int = 3) -> int | None:
+    """Length of a shortest cycle within the mask ``alive``; None if acyclic.
 
     Computed exactly by one BFS per root on the neighbour masks, a level at
     a time.  A level-d vertex with a neighbour in its own level gives a
@@ -166,12 +179,14 @@ def girth(g: Graph) -> int | None:
     vertex reached from two level-d vertices one of length 2d + 2; either
     walk holds a cycle at least that short, and a root on a shortest cycle
     meets the first of them at exactly the girth.  So a root's BFS ends at
-    its first such level, or once 2d + 1 >= best, and a triangle ends the
-    search at once.
+    its first such level, or once 2d + 1 >= best.
+
+    ``floor`` is a length no cycle is shorter than, as the caller has shown
+    (3 for any graph, 4 for a bipartite one): a cycle that short is final.
     """
-    masks = g.masks
-    best = g.n + 1  # longer than any cycle
-    for root in range(g.n):
+    alive, masks = alive_masks(g, alive)
+    best = max(alive.bit_count(), floor) + 1  # longer than any cycle and the floor
+    for root in mask_bits(alive):
         seen = frontier = 1 << root
         depth = 0
         while frontier and 2 * depth + 1 < best:
@@ -181,8 +196,6 @@ def girth(g: Graph) -> int | None:
                 reach |= masks[x]
             if reach & frontier:
                 best = 2 * depth + 1
-                if best == 3:
-                    return best
                 break
             if twice & ~seen:
                 best = 2 * depth + 2
@@ -190,7 +203,9 @@ def girth(g: Graph) -> int | None:
             frontier = reach & ~seen
             seen |= frontier
             depth += 1
-    return None if best > g.n else best
+        if best <= floor:
+            return best
+    return None if best > alive.bit_count() else best
 
 
 def girth_at_least(girth_value: int | None, bound: int | float) -> bool:
@@ -213,19 +228,20 @@ def is_triangle_free(g: Graph) -> bool:
     return find_triangle(g) is None
 
 
-def _two_color(g: Graph) -> tuple[list[int], list[int], tuple[int, int] | None]:
-    """BFS 2-coloring (component minimum gets color 0) with the BFS parents.
+def _two_color(g: Graph, alive: int | None) -> tuple[list[int], list[int], tuple[int, int] | None]:
+    """BFS 2-coloring within the mask ``alive`` (component minimum gets
+    color 0, vertices outside keep -1) with the BFS parents.
 
     Stops at the first edge whose endpoints share a color and returns it as
     the third item (None when the coloring is proper).  ``side[c]`` is the
     mask of the vertices colored c, so a dequeued vertex finds its clash
     (lowest first) and its uncolored neighbours with one AND each.
     """
-    masks = g.masks
+    alive, masks = alive_masks(g, alive)
     color = [-1] * g.n
     parent = [-1] * g.n
     side = [0, 0]
-    for start in range(g.n):
+    for start in mask_bits(alive):
         if color[start] != -1:
             continue
         color[start] = 0
@@ -246,14 +262,16 @@ def _two_color(g: Graph) -> tuple[list[int], list[int], tuple[int, int] | None]:
     return color, parent, None
 
 
-def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
-    """A 2-coloring as a pair of parts, or None when no odd cycle-free split exists.
+def bipartition(
+    g: Graph, alive: int | None = None
+) -> tuple[frozenset[int], frozenset[int]] | None:
+    """A 2-coloring within the mask ``alive`` as a pair of parts; None on an odd cycle.
 
     Within each connected component the coloring is unique up to swapping
     parts; canonically, the minimum vertex id of each component lands in the
     first part.
     """
-    color, _, clash = _two_color(g)
+    color, _, clash = _two_color(g, alive)
     if clash is not None:
         return None
     part0 = frozenset(v for v in range(g.n) if color[v] == 0)
@@ -263,7 +281,7 @@ def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
 
 def odd_cycle(g: Graph) -> list[int] | None:
     """Vertices of some odd cycle, or None when the graph is bipartite."""
-    _, parent, clash = _two_color(g)
+    _, parent, clash = _two_color(g, None)
     return None if clash is None else _cycle_through(parent, *clash)
 
 

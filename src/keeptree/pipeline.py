@@ -44,8 +44,8 @@ from .graphs import (
     find_triangle,
     girth,
     girth_at_least,
-    induced_subgraph,
     odd_cycle,
+    vertex_mask,
 )
 from .matching import Matching, check_matching
 from .report import CheckReport
@@ -179,19 +179,20 @@ def check_hypotheses(
     """Evaluate connectivity, the structural case condition, the degree
     threshold and n >= k + m + 1, reporting each failure with a witness.
 
-    Triangle-freeness is read off the girth (girth != 3).  With no ``sel``
-    the case is picked from the same bipartition and girth: bipartite
-    (typically the smallest threshold), else the girth case with the
-    largest t the girth allows, else plain triangle-free.
+    Triangle-freeness is read off the girth (girth != 3), which on a
+    bipartite host ends at the first 4-cycle.  With no ``sel`` the case is
+    picked from the same bipartition and girth: bipartite (typically the
+    smallest threshold), else the girth case with the largest t the girth
+    allows, else plain triangle-free.
     """
     if k < 1:
         raise ValueError("k must be positive")
     failures: list[str] = []
     stats = degree_stats(g)
     delta = stats[0] if stats else None
-    gv = girth(g)
-    tf = gv != 3
     parts = bipartition(g)
+    gv = girth(g, floor=3 if parts is None else 4)
+    tf = gv != 3
     sizes = (len(parts[0]), len(parts[1])) if parts is not None else None
     if sel is None:
         if parts is not None:
@@ -376,13 +377,13 @@ def _fraction(value: Any) -> Fraction:
     return Fraction(value)
 
 
-def _case_embed(host: Graph, tree: Tree, sel: CaseSelector) -> Embedding:
-    """Embed the tree into the fragment host using the case-matched embedder."""
+def _case_embed(g: Graph, tree: Tree, sel: CaseSelector, alive: int) -> Embedding:
+    """Embed the tree within the mask ``alive`` by the case-matched embedder."""
     if sel.case == CASE_TRIANGLE_FREE:
-        return greedy_embed(host, tree)
+        return greedy_embed(g, tree, alive)
     if sel.case == CASE_BIPARTITE:
-        return bipartite_embed(host, tree)
-    return sparse_embed(host, tree, sel.t)
+        return bipartite_embed(g, tree, alive)
+    return sparse_embed(g, tree, sel.t, alive=alive)
 
 
 def find_keeping_tree(
@@ -442,8 +443,8 @@ def _certified_run(
         raise SearchExhausted(f"triple stage (forced): {exc}") from exc
 
     beta = report.beta
-    host, back = induced_subgraph(g, saturated.f_rest)
-    host_stats = degree_stats(host)
+    alive = vertex_mask(g, saturated.f_rest)
+    host_stats = degree_stats(g, alive)
     host_delta = host_stats[0] if host_stats else None
     if (host_delta is None or host_delta < beta) and not force:
         raise TheoremViolation(
@@ -451,19 +452,18 @@ def _certified_run(
             f"despite passing hypotheses"
         )
     try:
-        local = _case_embed(host, tree, report.sel)
+        emb = _case_embed(g, tree, report.sel, alive)
     except (PreconditionError, SearchExhausted) as exc:
         if not force:
             raise TheoremViolation(
                 f"embedding stage failed despite passing hypotheses: {exc}"
             ) from exc
         try:
-            local = exhaustive_embed(host, tree)
+            emb = exhaustive_embed(g, tree, alive)
         except GuardExceeded:
-            local = None
-        if local is None:
+            emb = None
+        if emb is None:
             raise SearchExhausted(f"embedding stage (forced): {exc}") from exc
-    emb = Embedding.from_dict({tv: back[hv] for tv, hv in local.mapping})
     image = emb.image()
     if len(image) != m:
         raise TheoremViolation("removed set size differs from the tree order")

@@ -280,12 +280,13 @@ class TestFindKeepingTree:
 
     def test_auto_case_costs_one_host_pass(self, monkeypatch, k44, tree_k2):
         # The gate picks the case from the bipartition and girth it computes
-        # anyway: one call of each on the host per run.
+        # anyway: one call of each on the whole host per run.  The embedding
+        # stage's calls name f - f_m as a vertex mask, another vertex set.
         calls = []
         for fn in (graphs.bipartition, graphs.girth):
-            def counted(g, *args, _fn=fn):
-                calls.append((_fn.__name__, g))
-                return _fn(g, *args)
+            def counted(g, *args, _fn=fn, **kwargs):
+                calls.append((_fn.__name__, g, args))
+                return _fn(g, *args, **kwargs)
 
             for name, module in list(sys.modules.items()):
                 if name.startswith("keeptree") and vars(module).get(fn.__name__) is fn:
@@ -294,7 +295,7 @@ class TestFindKeepingTree:
             calls.clear()
             cert = find_keeping_tree(host, tree_k2, 1)
             assert cert.case == CaseSelector(case)
-            on_host = sorted(name for name, g in calls if g is host)
+            on_host = sorted(name for name, g, args in calls if g is host and not args)
             assert on_host == ["bipartition", "girth"], case
 
     def test_exhaustive_stage_obeys_enumeration_guard(self, monkeypatch, tree_k2):
