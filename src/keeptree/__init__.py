@@ -43,15 +43,14 @@ from .triples import (
     hall_refine,
     validate_triple,
 )
-from .pipeline import (
+from .certificate import (
     CaseSelector,
     Certificate,
-    check_hypotheses,
     compute_beta,
     degree_threshold,
-    find_keeping_tree,
     verify_certificate,
 )
+from .pipeline import check_hypotheses, find_keeping_tree
 from .families import FamilySpec, enumerate_trees, gen_graph, gen_tree
 from .harness import oracle_exists, run_suite
 

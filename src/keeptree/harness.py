@@ -16,6 +16,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable
 
+from .certificate import (
+    CASE_BIPARTITE,
+    CASE_GIRTH,
+    CASE_TRIANGLE_FREE,
+    CaseSelector,
+    degree_threshold,
+    parse_case,
+    verify_certificate,
+)
 from .connectivity import is_k_connected_after_removal
 from .embed import Embedding, iter_embeddings
 from .errors import (
@@ -36,16 +45,7 @@ from .families import (
     random_bipartite,
 )
 from .graphs import Graph, Tree, degree_stats
-from .pipeline import (
-    CASE_BIPARTITE,
-    CASE_GIRTH,
-    CASE_TRIANGLE_FREE,
-    CaseSelector,
-    degree_threshold,
-    find_keeping_tree,
-    parse_case,
-    verify_certificate,
-)
+from .pipeline import find_keeping_tree
 
 __all__ = [
     "SuiteInstance",

@@ -14,6 +14,7 @@ from itertools import combinations
 
 import pytest
 
+from keeptree.certificate import Certificate
 from keeptree.connectivity import _SplitFlow, is_k_connected_after_removal
 from keeptree.embed import bipartite_embed, embedding_errors, greedy_embed, sparse_embed
 from keeptree.families import (
@@ -35,7 +36,6 @@ from keeptree.graphs import (
 )
 from keeptree.harness import corpus_girth, full_suite, run_suite
 from keeptree.matching import Matching, saturating_matching_or_violator
-from keeptree.pipeline import Certificate
 from oracles import brute_min_separator, max_matching_size, side_errors, small_connected_graphs
 
 

@@ -134,6 +134,12 @@ class TestVerify:
         cert.write_text("{\"schema\": \"keeptree-cert/1\"}")
         assert main(["verify", str(k44_file), str(cert)]) == 1
 
+    def test_non_object_exit_1(self, tmp_path, k44_file, capsys):
+        cert = tmp_path / "cert.json"
+        cert.write_text("[1]\n")
+        assert main(["verify", str(k44_file), str(cert)]) == 1
+        assert "not a JSON object" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "field, value",
         [

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from keeptree import embed, graphs, harness, pipeline
+from keeptree.certificate import CASE_GIRTH, CASE_TRIANGLE_FREE, CaseSelector
 from keeptree.errors import GuardExceeded, ParseError
 from keeptree.families import complete_bipartite
 from keeptree.graphs import Tree
@@ -21,7 +22,6 @@ from keeptree.harness import (
     parse_manifest,
     run_suite,
 )
-from keeptree.pipeline import CASE_GIRTH, CASE_TRIANGLE_FREE, CaseSelector
 
 
 def path_tree(m):

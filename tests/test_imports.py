@@ -1,6 +1,7 @@
 """Every imported name in ``src/`` and ``tests/`` is used, every module-level
 private name and every public function or class in ``src/`` is referenced,
-and ``src/`` imports nothing outside the standard library.
+``src/`` imports nothing outside the standard library, and the certificate
+module stays on the checker's side of its import boundary.
 
 No linter runs over the repository, so these stdlib-only AST scans are what
 catch an import or a helper left behind.  A name counts as used when it
@@ -189,3 +190,75 @@ def test_src_imports_only_stdlib():
         for line, module in foreign_imports(path.read_text())
     ]
     assert not found, "imports outside keeptree and the standard library:\n" + "\n".join(found)
+
+
+def keeptree_imports(source: str) -> dict[str, set[str]]:
+    """Module -> names for each import of a ``keeptree`` module in
+    ``source``, at any depth, relative or absolute.  ``from . import x``
+    and ``import keeptree.x`` count as importing module ``x`` itself."""
+    found: dict[str, set[str]] = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                module = node.module
+            elif node.module.startswith("keeptree."):
+                module = node.module.removeprefix("keeptree.")
+            else:
+                continue
+            for alias in node.names:
+                if module is None:
+                    found.setdefault(alias.name, set())
+                else:
+                    found.setdefault(module, set()).add(alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("keeptree."):
+                    found.setdefault(alias.name.removeprefix("keeptree."), set())
+    return found
+
+
+def test_keeptree_import_scanner():
+    source = ("import os\nimport keeptree.io\nfrom .graphs import Graph, Tree\n"
+              "from . import cli\ndef f():\n    from keeptree.pipeline import check_hypotheses\n")
+    assert keeptree_imports(source) == {
+        "io": set(), "graphs": {"Graph", "Tree"}, "cli": set(), "pipeline": {"check_hypotheses"},
+    }
+
+
+#: Every ``keeptree`` name the certificate module imports.  ROADMAP item 3
+#: shrinks this list until no flow code (``connectivity``, ``triples``) is on it.
+CERTIFICATE_IMPORTS = {
+    "connectivity": {"global_connectivity"},
+    "embed": {"Embedding", "embedding_errors"},
+    "errors": {"ParseError"},
+    "graphs": {"Graph", "Tree"},
+    "matching": {"Matching", "check_matching"},
+    "report": {"CheckReport"},
+    "triples": {"ConnectedTriple", "SaturatedTriple", "validate_triple"},
+}
+
+#: Modules that no import chain starting at the certificate module may reach.
+CERTIFICATE_NEVER_REACHES = {"pipeline", "harness", "cli", "families", "io"}
+
+
+def test_certificate_import_boundary():
+    package = ROOT / "src" / "keeptree"
+    assert keeptree_imports((package / "certificate.py").read_text()) == CERTIFICATE_IMPORTS
+    # The package's own __init__ runs on any import of a submodule; the
+    # boundary is on the chain of module imports below it.
+    reached, todo = set(), ["certificate"]
+    while todo:
+        module = todo.pop()
+        if module not in reached:
+            reached.add(module)
+            todo.extend(keeptree_imports((package / f"{module}.py").read_text()))
+    assert not reached & CERTIFICATE_NEVER_REACHES, sorted(reached & CERTIFICATE_NEVER_REACHES)
+
+
+def test_pipeline_binds_the_benchmark_lookups():
+    # perfbench/tracer.py finds these with getattr on keeptree.pipeline.
+    from keeptree import certificate, pipeline
+
+    for name in ("find_keeping_tree", "check_hypotheses", "verify_certificate"):
+        assert callable(getattr(pipeline, name, None)), name
+    assert pipeline.verify_certificate is certificate.verify_certificate

@@ -18,6 +18,7 @@ import networkx as nx
 import pytest
 from networkx.algorithms.connectivity import local_node_connectivity
 
+from keeptree.certificate import CaseSelector
 from keeptree.connectivity import (
     _even_drops,
     _SplitFlow,
@@ -38,7 +39,7 @@ from keeptree.families import (
     random_graph,
 )
 from keeptree.graphs import Graph, Tree, induced_subgraph, mask_bits
-from keeptree.pipeline import CaseSelector, find_keeping_tree
+from keeptree.pipeline import find_keeping_tree
 from keeptree.triples import ConnectedTriple, _descend_fragments, find_triple, validate_triple
 from oracles import check_path_system, max_flow_paths
 

@@ -7,7 +7,18 @@ from fractions import Fraction
 
 import pytest
 
-from keeptree import embed, graphs, pipeline, triples
+from keeptree import certificate, embed, graphs, pipeline, triples
+from keeptree.certificate import (
+    CASE_BIPARTITE,
+    CASE_GIRTH,
+    CASE_TRIANGLE_FREE,
+    CaseSelector,
+    Certificate,
+    compute_beta,
+    degree_threshold,
+    parse_case,
+    verify_certificate,
+)
 from keeptree.connectivity import connectivity_at_least
 from keeptree.errors import GuardExceeded, HypothesisFailure, SearchExhausted, TheoremViolation
 from keeptree.families import (
@@ -29,19 +40,7 @@ from keeptree.graphs import (
 )
 from keeptree.matching import Matching
 from keeptree.harness import full_suite, oracle_exists
-from keeptree.pipeline import (
-    CASE_BIPARTITE,
-    CASE_GIRTH,
-    CASE_TRIANGLE_FREE,
-    CaseSelector,
-    Certificate,
-    check_hypotheses,
-    compute_beta,
-    degree_threshold,
-    find_keeping_tree,
-    parse_case,
-    verify_certificate,
-)
+from keeptree.pipeline import check_hypotheses, find_keeping_tree
 from keeptree.triples import ConnectedTriple, SaturatedTriple, enumerate_triples, validate_triple
 from oracles import small_connected_graphs
 
@@ -357,7 +356,7 @@ class TestFindKeepingTree:
             return validate_triple(g, t)
 
         monkeypatch.setattr(triples, "validate_triple", counted)
-        monkeypatch.setattr(pipeline, "validate_triple", counted)
+        monkeypatch.setattr(certificate, "validate_triple", counted)
         for seed, (message, validations) in expected.items():
             calls.clear()
             with pytest.raises(SearchExhausted, match=f"^{message}"):
@@ -400,7 +399,7 @@ class TestFindKeepingTree:
             return validate_triple(g, t)
 
         monkeypatch.setattr(triples, "validate_triple", counted)
-        monkeypatch.setattr(pipeline, "validate_triple", counted)
+        monkeypatch.setattr(certificate, "validate_triple", counted)
         find_keeping_tree(k44, tree_k2, 1)
         assert len(calls) == 2
 
