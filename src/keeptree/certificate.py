@@ -231,6 +231,11 @@ def verify_certificate(g: Graph, cert: Certificate | dict) -> CheckReport:
     ``tree-order`` and ``removal-size`` make the image nonempty,
     ``image-in-fragment`` puts it inside f - f_m, and ``matching-valid``,
     ``matching-saturates`` and ``f-m-consistent`` give |f_m| = |s1|.
+
+    ``case``, ``beta`` and ``threshold`` are checked only as arithmetic on
+    the tree (``arith-threshold``), and ``hypothesis_report`` is only
+    parsed: none of them is checked against the host.  So a certificate
+    stays valid when its case is one the host does not meet.
     """
     if not isinstance(cert, Certificate):
         cert = Certificate.from_json_dict(cert)

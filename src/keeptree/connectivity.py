@@ -10,21 +10,21 @@ run the threshold tests (:func:`find_pair_below`,
 A query about a vertex subset of the host runs on the host's ids and
 masks, with no induced copy.
 
-Threshold tests and exact connectivity share one scan with a running bound,
-Even's test (:func:`_even_drops`): a threshold test stops at its first pair
-below the bound, and exact connectivity runs from the minimum degree down
-to its last drop, with the vertices ordered by degree, highest first.  On
-the whole vertex set of a graph that is not complete, kappa is the minimum
-over nonadjacent pairs, so the scan runs no flow for an adjacent head pair,
-and a threshold test reports a nonadjacent head pair or a witness pair;
-on a proper subset it checks every pair.  Most of their flows are settled
-by the kernel's pre-routed short paths, which it counts on masks before it
+Every connectivity value comes from one threshold test, Even's test
+(:func:`_pair_below`), which stops at its first pair below a bound.  Exact
+connectivity is a descent: it reruns the test from the minimum degree,
+lowering the bound to each value reported, until the test passes.  On the
+whole vertex set of a graph that is not complete, kappa is the minimum over
+nonadjacent pairs, so the test runs no flow for an adjacent head pair; on a
+proper subset it checks every pair.  Most of its flows are settled by the
+kernel's pre-routed short paths, which it counts on masks before it
 allocates any flow state.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from itertools import combinations
+from typing import Iterable
 
 from .errors import TheoremViolation
 from .graphs import Graph, mask_bits, mask_component, vertex_mask
@@ -247,23 +247,17 @@ def local_connectivity_value(g: Graph, u: int, v: int, limit: int | None = None)
     return _SplitFlow(g).max_flow(u, v, cap)[0]
 
 
-def _weaker_pairs(
+def _weaker_pair(
     net: _SplitFlow, pairs: Iterable[tuple[int, int]], bound: int
-) -> Iterator[tuple[int, int, int]]:
-    """Scan ``pairs`` on the caller's flow network, yielding (a, b, value)
-    whenever a pair has fewer than ``bound`` disjoint paths; the bound then
-    drops to that value, and the scan ends once it reaches zero.
-
-    Each flow is capped at the current bound, so the first yield answers a
-    threshold query and the last one is the minimum over all pairs.
-    """
+) -> tuple[int, int, int] | None:
+    """The first of ``pairs`` with fewer than ``bound`` disjoint paths on the
+    caller's flow network, as (a, b, value), or None.  Each flow is capped
+    at ``bound``, so ``value`` is the pair's exact local connectivity."""
     for a, b in pairs:
-        if bound <= 0:
-            return
         value = net.max_flow(a, b, bound)[0]
         if value < bound:
-            bound = value
-            yield a, b, value
+            return a, b, value
+    return None
 
 
 def find_pair_below(
@@ -286,114 +280,65 @@ def find_pair_below(
 
 
 def _pair_below(net: _SplitFlow, us: list[int], bound: int) -> tuple[int, int, int] | None:
-    """The threshold kernel behind every threshold query: a pair of the
-    sorted ``us`` (|us| >= 2, bound >= 1, all in ``net.alive``) below
-    ``bound`` in the network's graph, or None.
+    """Even's test (SIAM J. Comput. 4, 1975), the kernel of every
+    connectivity query: a pair of ``us`` (|us| >= 2, bound >= 1, all in
+    ``net.alive``) with fewer than ``bound`` disjoint paths in the network's
+    graph, as (a, b, value), or None.
 
-    The whole vertex set first takes the complete/disconnected shortcuts,
-    and a connected graph passes bound 1.  Otherwise, and for every proper
-    subset, Even's test answers with its first drop.  For a proper subset
-    that may be an adjacent head pair; for the whole set, whose adjacent
-    head pairs the test skips, it is a nonadjacent head pair or a pair
-    from a witness scan.
+    The pairs of the head, the first min(|us|, bound) vertices, are checked
+    first.  Then each later vertex u_j runs one fan flow to a sink joined to
+    every earlier vertex; a short fan is followed by a witness scan of
+    (x, u_j) over the earlier x.  Every flow runs on the caller's network,
+    capped at ``bound``, and the first pair below it is the answer.
+
+    Soundness.  Let S be a set of fewer than ``bound`` elements (vertices,
+    or one edge for an adjacent pair) that splits two vertices of ``us``.
+    If it splits two head vertices, their pair check fails.  Otherwise some
+    vertex lies past the head, so the head has ``bound`` vertices, and those
+    outside S lie in one component; the first u_j in another component has
+    every earlier vertex there or in S, so its fan is short.  A short fan
+    is cut by as many elements as its value, which miss some earlier x, so
+    some (x, u_j) is below ``bound``; a witness scan that finds none raises
+    :class:`TheoremViolation`.
+
+    When ``us`` is every vertex of the network, the complete and
+    disconnected graphs are answered by :func:`_trivial_kappa`, and a
+    connected graph passes bound 1.  Otherwise vertex separators suffice and
+    never split adjacent vertices, so the head's adjacent pairs run no flow
+    (Esfahanian & Hakimi, Networks 14, 1984); fans and witness scans keep
+    every pair.  An adjacent pair's value is at least kappa, as deleting the
+    edge lowers connectivity by one at most and the edge is one more path.
+    So every value reported here is at least kappa.
     """
-    if len(us) == net.alive.bit_count():
+    whole = len(us) == net.alive.bit_count()
+    if whole:
         trivial = _trivial_kappa(net)
         if trivial is not None:
             return trivial if trivial[2] < bound else None
         if bound == 1:
             return None
-    return next(_even_drops(net, us, bound), None)
-
-
-def _even_drops(net: _SplitFlow, us: list[int], bound: int) -> Iterator[tuple[int, int, int]]:
-    """Even's test (SIAM J. Comput. 4, 1975) on ``us`` with a running bound:
-    yields (a, b, value) whenever a pair of ``us`` has fewer than ``bound``
-    disjoint paths in the network's graph, and the bound then drops to that
-    value.  The first yield answers the threshold query; the last one, if
-    any, is the minimum over all pairs of ``us``.
-
-    The pairs (u_i, u_j), i < j, of the first ``bound`` vertices are checked
-    in ``combinations`` order, but a pair with j at or above the running
-    bound is skipped; the head is then the first h vertices, h = min(|us|,
-    bound) at the bound the pair checks end with.  Each later vertex u_j
-    runs one fan flow to a sink joined to every earlier vertex, and a short
-    fan is followed by a witness scan of (x, u_j) over the earlier x, which
-    stops once the bound is at or below the fan's value.  Every flow is
-    capped at the current bound, and the scan ends once it reaches zero.
-    Before the first drop nothing is skipped or stopped early, so a
-    threshold query runs the pairs and fans of Even's test, flow for flow.
-    The pair flows, the fans and the witness scan all run on the caller's
-    network; the fans end at its sink vertex.  When ``us`` is every vertex
-    of the network, whose graph must then not be complete, the head's
-    adjacent pairs are skipped (Esfahanian & Hakimi, Networks 14, 1984);
-    fans and witness scans keep every pair.
-
-    Soundness.  Caps only fall, so every flow ran at a cap of at least the
-    final bound b.  A pair (u_i, u_j) is skipped only once the bound is at
-    most j, and h is at most that bound, so u_j lies past the head: every
-    pair of the head was checked.  And h >= b unless the head is all of
-    ``us``.  Let S be a separator of fewer than b elements (vertices, or one
-    edge for an adjacent pair) that splits two vertices of ``us``.  If it
-    splits two head vertices, their pair check gave at most |S| < b.
-    Otherwise some vertex lies past the head, so h >= b > |S|; the head
-    vertices outside S lie in one component C, and the first u_j in another
-    component has every earlier vertex in C or S.  Then every fan path from
-    u_j meets S, so the fan is short: at most |S| < b.  A short fan is cut by
-    as many elements as its value (vertices, or edges at u_j), which miss
-    some earlier vertex x, since there are at least h of them; so (x, u_j)
-    is no stronger than the fan, and the witness scan, which runs until the
-    bound is at or below the fan's value and raises
-    :class:`TheoremViolation` if it never gets there, drops the bound that
-    far.  Either way the bound fell below b, so no such S exists and no pair
-    of ``us`` is below the final bound.  Conversely, a fan is short only if
-    some pair (x, u_j) is: passing pair checks imply the fan condition.
-
-    For the whole vertex set, vertex separators suffice.  If an adjacent
-    pair (a, c) is below b, a set S' of fewer than b - 1 vertices cuts a
-    from c in G - ac.  With another vertex on a's side, S' + a is a vertex
-    separator of fewer than b vertices, and likewise for c; with none, the
-    graph has at most b vertices and, not being complete, a nonadjacent
-    pair, which the n - 2 < b others separate.  A vertex separator never
-    splits adjacent vertices, so where S splits two head vertices they are
-    a nonadjacent pair, whose check ran.  And an adjacent pair's value is
-    at least kappa (deleting the edge lowers connectivity by one at most,
-    and the edge is one more path), so a witness drop never undershoots
-    kappa.
-    """
-    adj = net.adj if len(us) == net.alive.bit_count() else None
     head = us[:bound]
-    for i, a in enumerate(head):
-        adjacent = adj[a] if adj else 0
-        for j in range(i + 1, len(head)):
-            if j >= bound:  # u_j is past the running bound: out of the head
-                break
-            b = head[j]
-            if not adjacent >> b & 1:
-                value = net.max_flow(a, b, bound)[0]
-                if value < bound:
-                    bound = value
-                    yield a, b, value
-    head = head[:bound]
+    pairs: Iterable[tuple[int, int]] = combinations(head, 2)
+    if whole:
+        pairs = ((a, b) for a, b in pairs if not net.adj[a] >> b & 1)
+    found = _weaker_pair(net, pairs, bound)
+    if found is not None:
+        return found
     for x in head:
         net.join_sink(x)
     for j in range(len(head), len(us)):
-        if bound <= 0:
-            return
         u = us[j]
         fan = net.max_flow(u, net.n, bound)[0]
         if fan < bound:
-            for a, b, value in _weaker_pairs(net, ((x, u) for x in us[:j]), bound):
-                bound = value
-                yield a, b, value
-                if bound <= fan:
-                    break
-            if bound > fan:
+            found = _weaker_pair(net, ((x, u) for x in us[:j]), bound)
+            if found is None:
                 raise TheoremViolation(
                     f"fan from {u} has {fan} paths, "
                     f"but every earlier vertex has at least {bound}"
                 )
+            return found
         net.join_sink(u)
+    return None
 
 
 def _trivial_kappa(net: _SplitFlow) -> tuple[int, int, int] | None:
@@ -415,28 +360,25 @@ def global_connectivity(g: Graph, removed: Iterable[int] = ()) -> int:
     """Vertex connectivity of G - ``removed``: n-1 for a complete graph on n
     vertices, 0 when it is disconnected or has at most one vertex.
 
-    Otherwise Even's test from bound delta, the minimum degree, finds it as
-    its last drop, with the vertices ordered by degree, highest first (ties
-    by id).  That order makes the flows cheap: head pairs share many
-    neighbours, and fans end at a sink joined to many earlier vertices, so
-    the kernel's free short paths settle most of them before it allocates.
-    Adjacent head pairs run no flow at all, the scan being on every vertex.
-    The work follows the bound: once it drops, the head shrinks to the
-    first ``bound`` vertices and a witness scan stops at its fan's value, so
-    where kappa is far below delta the scan makes little more than one fan
-    per vertex past the head.
+    A descent of threshold tests: from bound delta, the minimum degree, run
+    :func:`_pair_below` on a fresh network and lower the bound to each value
+    it reports, until a call passes.  Every reported value is at least
+    kappa, and a pass at bound b proves kappa >= b, so the last bound is
+    kappa.  The vertices are ordered by degree, highest first (ties by id):
+    head pairs then share many neighbours, and fans end at a sink joined to
+    many earlier vertices, so the kernel's free short paths settle most
+    flows before it allocates.
     """
     alive = vertex_mask(g, None) & ~vertex_mask(g, removed)
-    if alive.bit_count() <= 1:
-        return 0
-    net = _SplitFlow(g, alive)
-    trivial = _trivial_kappa(net)
-    if trivial is not None:
-        return trivial[2]
-    adj = net.adj
-    delta = min(adj[v].bit_count() for v in mask_bits(alive))
-    us = sorted(mask_bits(alive), key=lambda v: -adj[v].bit_count())
-    return min((value for _, _, value in _even_drops(net, us, delta)), default=delta)
+    degree = {v: (g.masks[v] & alive).bit_count() for v in mask_bits(alive)}
+    us = sorted(degree, key=lambda v: -degree[v])
+    bound = min(degree.values(), default=0)
+    while bound > 0:
+        drop = _pair_below(_SplitFlow(g, alive), us, bound)
+        if drop is None:
+            break
+        bound = drop[2]
+    return bound
 
 
 def connectivity_at_least(g: Graph, k: int) -> bool:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .connectivity import _SplitFlow, _min_cut, _weaker_pairs, find_pair_below
+from .connectivity import _SplitFlow, _min_cut, _weaker_pair, find_pair_below
 from .errors import GuardExceeded, PreconditionError, SearchExhausted, TheoremViolation
 from .graphs import Graph, mask_bits, mask_component, mask_components, mask_neighbours, vertex_mask
 from .matching import Matching, find_tight_set, saturating_matching_or_violator
@@ -234,7 +234,7 @@ def _descend_fragments(g: Graph, fragment: int, boundary: int, p: int) -> list[i
     nonadjacent = (
         (a, b) for a, b in combinations(mask_bits(net.alive), 2) if not net.adj[a] >> b & 1
     )
-    witness = next(_weaker_pairs(net, nonadjacent, p + 1), None)
+    witness = _weaker_pair(net, nonadjacent, p + 1)
     if witness is None:
         return []
     cut = _min_cut(net, witness[0], witness[1])

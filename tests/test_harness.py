@@ -302,6 +302,8 @@ class TestRunSuite:
         report = run_suite([inst])
         assert "runtime_ms" not in report.to_json()
         assert "runtime_ms" in report.to_json(with_timing=True)
+        assert "runtime_ms" not in report.to_csv()
+        assert report.to_csv(with_timing=True).splitlines()[0].split(",")[-1] == "runtime_ms"
         assert report.timings["a"] > 0
 
     def test_csv_shape(self, k44):
@@ -314,33 +316,31 @@ class TestRunSuite:
 
 class TestCorpora:
     def test_triangle_free_covers_cells(self):
-        instances = corpus_triangle_free(random_per_cell=1)
+        instances = corpus_triangle_free()
         ids = [inst.instance_id for inst in instances]
         assert len(ids) == len(set(ids))
-        # Degenerate K_{1,1} cell (k=1, m=1) is excluded, random stand-ins stay.
+        # Degenerate K_{1,1} cell (k=1, m=1) is excluded; its six seeded
+        # random stand-ins stay.
         assert not any(i.startswith("tf-kdd-k1-m1") for i in ids)
-        assert any(i.startswith("tf-rand-k1-m1") for i in ids)
+        assert sorted(i for i in ids if i.startswith("tf-rand-k1-m1-")) == [
+            f"tf-rand-k1-m1-t0-s{r}" for r in range(6)
+        ]
         assert any(i.startswith("tf-kdd-k2-m4-t1") for i in ids)
 
     def test_girth_constructions(self):
-        instances, skipped = corpus_girth()
+        instances = corpus_girth()
         assert [i.family for i in instances] == [
             "petersen",
             "projective-incidence",
             "hoffman-singleton",
         ]
-        assert skipped == []
-
-    def test_girth_reports_unconstructible_cells(self):
-        instances, skipped = corpus_girth(max_m=4)
-        assert len(instances) == 3
-        assert any("m=4" in s for s in skipped)
+        assert [i.tree.order for i in instances] == [1, 2, 3]
 
     def test_force_instances_are_forced_and_below_threshold(self):
         from keeptree.pipeline import check_hypotheses
 
-        instances = corpus_force(count=10)
-        assert len(instances) == 10
+        instances = corpus_force()
+        assert len(instances) == 50
         for inst in instances:
             assert inst.force
             report = check_hypotheses(inst.graph, inst.tree, inst.k, inst.sel)

@@ -20,9 +20,9 @@ from networkx.algorithms.connectivity import local_node_connectivity
 
 from keeptree.certificate import CaseSelector
 from keeptree.connectivity import (
-    _even_drops,
     _SplitFlow,
-    _weaker_pairs,
+    _pair_below,
+    _weaker_pair,
     connectivity_at_least,
     find_pair_below,
     global_connectivity,
@@ -84,13 +84,12 @@ def lopsided_two_block_host(
     return Graph(n1 + b.n, [(perm[u], perm[v]) for u, v in edges]), frozenset(perm[:n1])
 
 
-def degree_scan(g: Graph, dense: frozenset[int]) -> tuple[list[int], list[tuple[int, int, int]]]:
+def degree_order(g: Graph, dense: frozenset[int]) -> list[int]:
     """Exact connectivity's vertex order on a lopsided host, highest degree
-    first, and the drops of Even's scan from bound delta along it."""
+    first: the dense block, then the sparse one."""
     degree = [m.bit_count() for m in g.masks]
     assert min(degree[v] for v in dense) > max(degree[v] for v in range(g.n) if v not in dense)
-    us = sorted(range(g.n), key=lambda v: -degree[v])
-    return us, list(_even_drops(_SplitFlow(g), us, min(degree)))
+    return sorted(range(g.n), key=lambda v: -degree[v])
 
 
 def circulant(n: int, jumps: tuple[int, ...], seed: int) -> Graph:
@@ -111,14 +110,14 @@ HOSTS = {
     "random-graph": random_graph(12, 0.5, 1),
 }
 
-#: max_flow calls per (host, query).  Every query runs Even's scan: one flow
+#: max_flow calls per (host, query).  Every query runs Even's test: one flow
 #: per pair of its head, then one fan per later vertex, and no witness flow
-#: here, since no fan is short.  The head is the first delta vertices for
-#: exact connectivity and the first b for a threshold query at bound b, until
-#: a drop shrinks it to the new bound: on the two-block host the first
-#: nonadjacent pair drops exact connectivity to 2, so 1 pair and 22 fans
-#: run.  On the whole vertex set only its nonadjacent pairs run a flow; on a
-#: proper subset all of them do.
+#: here, since no fan is short.  The head is the first b vertices at bound b,
+#: which exact connectivity starts at delta.  On the two-block host its
+#: first nonadjacent pair drops exact connectivity to 2, and the rerun at
+#: bound 2 makes that pair's flow again and 22 fans.  On the whole vertex
+#: set only its nonadjacent pairs run a flow; on a proper subset all of
+#: them do.
 WORK = {
     ("k44", "global"): 10,
     ("k44", "pair-below-all"): 8,
@@ -129,7 +128,7 @@ WORK = {
     ("random-bipartite", "global"): 15,
     ("random-bipartite", "pair-below-all"): 16,
     ("random-bipartite", "pair-below-subset"): 6,
-    ("two-block", "global"): 23,
+    ("two-block", "global"): 24,
     ("two-block", "pair-below-all"): 1,
     ("two-block", "pair-below-subset"): 2,
     ("random-graph", "global"): 10,
@@ -150,7 +149,7 @@ SETTLED = {
     ("random-bipartite", "global"): 15,
     ("random-bipartite", "pair-below-all"): 16,
     ("random-bipartite", "pair-below-subset"): 5,
-    ("two-block", "global"): 22,
+    ("two-block", "global"): 23,
     ("two-block", "pair-below-all"): 0,
     ("two-block", "pair-below-subset"): 1,
     ("random-graph", "global"): 10,
@@ -179,6 +178,41 @@ def flow_calls(monkeypatch):
 
     monkeypatch.setattr(_SplitFlow, "max_flow", counted)
     return calls
+
+
+@pytest.fixture
+def descent(monkeypatch):
+    """Every threshold test as (bound, answer): the calls of ``_pair_below``,
+    which exact connectivity makes once per round of its descent."""
+    calls = []
+
+    def spied(net, us, bound):
+        answer = _pair_below(net, us, bound)
+        calls.append((bound, answer))
+        return answer
+
+    monkeypatch.setattr("keeptree.connectivity._pair_below", spied)
+    return calls
+
+
+def check_descent(g: Graph, calls: list) -> int:
+    """Exact connectivity of ``g`` against networkx, with its descent: the
+    bounds start at delta, each later bound is the value the call before it
+    reported, and the last call passes at kappa, or reports a disconnected
+    pair when kappa = 0.  Returns kappa."""
+    kappa = nx.node_connectivity(nx.Graph(g.edges()))
+    calls.clear()
+    assert global_connectivity(g) == kappa
+    bounds = [bound for bound, _ in calls]
+    assert bounds[0] == min(m.bit_count() for m in g.masks)
+    assert bounds[1:] == [answer[2] for _, answer in calls[:-1]]
+    assert bounds == sorted(set(bounds), reverse=True)
+    last_bound, last = calls[-1]
+    if kappa:
+        assert (last_bound, last) == (kappa, None)
+    else:
+        assert last[2] == 0 < last_bound
+    return kappa
 
 
 @pytest.fixture
@@ -263,13 +297,14 @@ class TestFlowWork:
 
 
 class TestNetworkBuilds:
-    """Each connectivity query builds one network and runs every flow on it;
-    so does cut descent, whose cut is one more flow on the scan's network."""
+    """Each threshold query builds one network and runs every flow on it;
+    so does cut descent, whose cut is one more flow on the scan's network.
+    Exact connectivity builds one per round: two on the two-block host."""
 
     @pytest.mark.parametrize("host, query", sorted(WORK))
     def test_connectivity_queries(self, net_builds, host, query):
         QUERIES[query](HOSTS[host])
-        assert len(net_builds) == 1
+        assert len(net_builds) == (2 if (host, query) == ("two-block", "global") else 1)
 
     def test_short_fan_witness(self, net_builds, flow_calls):
         # 0 and 1 lie on the 4-cycle 0-3-1-4; 2 hangs off 3.  The pair (0, 1)
@@ -321,7 +356,7 @@ def test_find_pair_below_matches_all_pairs(seed):
         g = random_graph(n, rng.uniform(0.2, 0.9), rng.randrange(1 << 30))
         us = sorted(rng.sample(range(n), rng.randint(2, n)))
         bound = rng.randint(1, 6)
-        expected = next(_weaker_pairs(_SplitFlow(g), combinations(us, 2), bound), None)
+        expected = _weaker_pair(_SplitFlow(g), combinations(us, 2), bound)
         witness = find_pair_below(g, us, bound)
         assert (witness is None) == (expected is None)
         if witness is not None:
@@ -411,77 +446,81 @@ def test_matches_networkx(g):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("seed", range(3))
-def test_exact_connectivity_past_the_head(flow_calls, k, seed):
+def test_exact_connectivity_past_the_head(flow_calls, descent, k, seed):
     """The head, the delta vertices of highest degree, lies in the dense
-    block, so every head pair passes; the scan runs flows for its
+    block, so every head pair passes; the first round runs flows for its
     nonadjacent pairs only, then fans.  The first sparse vertex's fan is
-    cut by the k cross edges, and its witness scan drops the bound to kappa.
-    Exact connectivity runs that scan, flow for flow, and its caps only
-    fall: the fans past the drop are capped at kappa."""
+    cut by the k cross edges, and its witness scan reports kappa, at which
+    the second round passes.  Each round caps its flows at its bound."""
     g, dense = lopsided_two_block_host([(i, i) for i in range(k)], seed)
+    us = degree_order(g, dense)
+    delta = min(m.bit_count() for m in g.masks)
     flow_calls.clear()  # the generator's own connectivity checks
-    us, drops = degree_scan(g, dense)
-    assert [value for _, _, value in drops] == [k]
-    a, b, _ = drops[0]
+    assert check_descent(g, descent) == k
+    assert [bound for bound, _ in descent] == [delta, k]
+    a, b, _ = descent[0][1]
     assert b not in dense and us.index(a) < us.index(b)
     assert set(us[: us.index(b)]) == dense  # the first sparse vertex
-    scan = flow_calls[:]
-    head = us[: min(m.bit_count() for m in g.masks)]
+    head = us[:delta]
     pairs = [(x, y) for x, y in combinations(head, 2) if not g.masks[x] >> y & 1]
-    assert [(x, y) for x, y, _, _ in scan[: len(pairs) + 1]] == pairs + [(us[len(head)], g.n)]
-    limits = [limit for _, _, limit, _ in scan]
-    assert limits == sorted(limits, reverse=True) and limits[-1] == k
-    flow_calls.clear()
-    assert global_connectivity(g) == nx.node_connectivity(nx.Graph(g.edges())) == k
-    assert flow_calls == scan
+    assert [(x, y) for x, y, _, _ in flow_calls[: len(pairs) + 1]] == pairs + [(us[len(head)], g.n)]
+    limits = [limit for _, _, limit, _ in flow_calls]
+    assert limits == sorted(limits, reverse=True)
+    assert set(limits) == {delta, k} - {1}  # bound 1 passes on a connected graph unflowed
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_witness_scan_continues_past_its_first_drop(seed):
+def test_witness_scan_continues_past_its_first_drop(descent, seed):
     """The dense vertex of highest degree, first in the scan, is a cut vertex
-    with two edges into the sparse block: the witness scan meets it first, at
-    2, and the next dense vertex at 1."""
+    with two edges into the sparse block: the first round's witness scan
+    meets it first, at 2.  Rerun at bound 2, the scan passes it and meets
+    the next dense vertex, at 1, and the third round passes.  Exact
+    connectivity that stopped at its first drop would answer 2."""
     g, dense = lopsided_two_block_host([(0, 0), (0, 1)], seed)
-    us, drops = degree_scan(g, dense)
+    us = degree_order(g, dense)
     u = next(v for v in us if v not in dense)
-    assert drops == [(us[0], u, 2), (us[1], u, 1)]
-    assert global_connectivity(g) == nx.node_connectivity(nx.Graph(g.edges())) == 1
+    assert check_descent(g, descent) == 1
+    assert [answer for _, answer in descent] == [(us[0], u, 2), (us[1], u, 1), None]
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_witness_scan_stops_at_the_fan_value(flow_calls, seed):
+def test_witness_scan_stops_at_the_fan_value(flow_calls, descent, seed):
     """One cross edge, at the dense vertex of highest degree: the first
     sparse vertex's fan has one path, and so has its pair with that vertex,
-    first in the witness scan.  The scan stops there, so the other dense
-    vertices run no witness flow, and every later flow is a fan capped at 1."""
+    first in the witness scan.  The scan stops there, and bound 1 passes
+    without a flow, so that pair is the last flow of the descent: the other
+    dense vertices run no witness flow, and the later vertices no fan."""
     g, dense = lopsided_two_block_host([(0, 0)], seed)
-    flow_calls.clear()
-    us, drops = degree_scan(g, dense)
+    us = degree_order(g, dense)
     u = us[len(dense)]
-    assert drops == [(us[0], u, 1)]
+    flow_calls.clear()
+    assert check_descent(g, descent) == 1
+    assert [answer for _, answer in descent] == [(us[0], u, 1), None]
     fan = [call[:2] for call in flow_calls].index((u, g.n))
-    assert flow_calls[fan + 1][:2] == (us[0], u)
-    assert [call[:3] for call in flow_calls[fan + 2 :]] == [
-        (v, g.n, 1) for v in us[len(dense) + 1 :]
-    ]
+    delta = min(m.bit_count() for m in g.masks)
+    assert flow_calls[fan + 1 :] == [(us[0], u, delta, False)]
 
 
 @pytest.mark.parametrize("seed, allocating", [(0, 2), (1, 3), (2, 2)])
-def test_exact_connectivity_shrinks_the_head(flow_calls, seed, allocating):
+def test_exact_connectivity_shrinks_the_head(flow_calls, net_builds, seed, allocating):
     """A 72-vertex two-block host of the clustered kind, delta 12 and kappa
     2: the first nonadjacent head pair lies across the cut and drops the
-    bound to 2, so the head shrinks to two vertices, no other pair runs, and
+    bound to 2.  The rerun at bound 2, on a second network, has a head of
+    two vertices, whose pair runs again unless it is adjacent (seed 1), and
     the other 70 vertices run one fan each, nearly all settled by
     pre-routing."""
     g = two_block_host(18, 12, seed)
     flow_calls.clear()
+    net_builds.clear()
     assert global_connectivity(g) == 2
     degree = [m.bit_count() for m in g.masks]
     us = sorted(range(g.n), key=lambda v: -degree[v])
     assert flow_calls[0][2] == min(degree) == 12
-    assert [call[:3] for call in flow_calls[1:]] == [(v, g.n, 2) for v in us[2:]]
-    assert len(flow_calls) == 71
+    head = [] if g.masks[us[0]] >> us[1] & 1 else [(us[0], us[1], 2)]
+    assert [call[:3] for call in flow_calls[1:]] == head + [(v, g.n, 2) for v in us[2:]]
+    assert len(flow_calls) == {0: 72, 1: 71, 2: 72}[seed]
     assert sum(not call[3] for call in flow_calls) == allocating
+    assert len(net_builds) == 2
 
 
 def multi_block_host(rng: random.Random) -> Graph:
@@ -499,45 +538,23 @@ def multi_block_host(rng: random.Random) -> Graph:
     return Graph(a.n + b.n, [(perm[u], perm[v]) for u, v in edges + sorted(cross)])
 
 
-def test_exact_connectivity_below_delta_matches_networkx():
+def test_exact_connectivity_below_delta_matches_networkx(descent):
     """Exact connectivity against networkx on multi-block hosts with kappa <
-    delta, where the scan's head shrinks and its witness scans stop early.
-    The first drop falls inside the head on some hosts (a head pair across
-    the blocks) and in a witness scan on others (a head inside one block)."""
+    delta, where the descent takes one round or more past the first.  The
+    first drop falls inside the head on some hosts (a head pair across the
+    blocks) and in a witness scan on others (a head inside one block)."""
     rng = random.Random(0)
     first_drops = {"head": 0, "witness": 0}
     for _ in range(30):
         g = multi_block_host(rng)
         degree = [m.bit_count() for m in g.masks]
-        kappa = nx.node_connectivity(nx.Graph(g.edges()))
-        assert global_connectivity(g) == kappa < min(degree)
+        kappa = check_descent(g, descent)
+        assert kappa < min(degree)
         if kappa:
             us = sorted(range(g.n), key=lambda v: -degree[v])
-            drops = list(_even_drops(_SplitFlow(g), us, min(degree)))
-            assert drops[-1][2] == kappa
-            first_drops["head" if us.index(drops[0][1]) < min(degree) else "witness"] += 1
+            first = descent[0][1]
+            first_drops["head" if us.index(first[1]) < min(degree) else "witness"] += 1
     assert min(first_drops.values()) >= 3
-
-
-def test_head_keeps_its_last_pair_after_a_drop():
-    """Two K5,5 blocks joined by four vertices, each adjacent to three
-    vertices of each block's second side; kappa = 4.  Along [0, 1, 2, 3, 10]
-    and then the rest at bound 6, the head pair (0, 1) drops the bound to 5,
-    so the head stays five wide and its last pair (0, 10), across the
-    blocks, attains kappa.  A scan that broke its rows one pair early once
-    the bound fell would end at 5.  Along exact connectivity's degree order
-    that scan still finds kappa on this host, so the order is given here."""
-    rng = random.Random(0)
-    edges = [(i, 5 + j) for i in range(5) for j in range(5)]
-    edges += [(10 + i, 15 + j) for i in range(5) for j in range(5)]
-    for s in range(20, 24):
-        edges += [(s, x) for x in rng.sample(range(5, 10), 3) + rng.sample(range(15, 20), 3)]
-    g = Graph(24, edges)
-    head = [0, 1, 2, 3, 10]
-    us = head + [v for v in range(24) if v not in head]
-    drops = list(_even_drops(_SplitFlow(g), us, 6))
-    assert drops == [(0, 1, 5), (0, 10, 4)]
-    assert nx.node_connectivity(nx.Graph(g.edges())) == 4
 
 
 def kept_sets(g: Graph, rng: random.Random) -> list[frozenset[int]]:

@@ -37,6 +37,7 @@ from keeptree.graphs import (
     find_triangle,
     girth,
     is_triangle_free,
+    mask_bits,
 )
 from keeptree.matching import Matching
 from keeptree.harness import full_suite, oracle_exists
@@ -403,6 +404,25 @@ class TestFindKeepingTree:
         find_keeping_tree(k44, tree_k2, 1)
         assert len(calls) == 2
 
+    @pytest.mark.parametrize(
+        "force, error, prefix",
+        [(False, TheoremViolation, ""), (True, SearchExhausted, r"final check \(forced\): ")],
+        ids=["unforced", "forced"],
+    )
+    def test_final_check_failure(self, monkeypatch, tree_single, force, error, prefix):
+        # The gate passes on the bridged host, but the embedding is forced
+        # onto its bridge vertex, a cut vertex: the remainder is
+        # disconnected, which only the final connectivity check catches.
+        g = bridged_blocks(1000)
+        bridge = g.n - 1
+        monkeypatch.setattr(
+            pipeline, "_case_embed", lambda *args: embed.Embedding.from_dict({0: bridge})
+        )
+        sel = CaseSelector(CASE_TRIANGLE_FREE)
+        assert check_hypotheses(g, tree_single, 1, sel).passed
+        with pytest.raises(error, match=f"^{prefix}removal drops connectivity to 0 < k = 1$"):
+            find_keeping_tree(g, tree_single, 1, sel, force=force)
+
     def test_single_vertex_tree_uniform_path(self, k33, tree_single):
         # delta = 3 = 2k-1 < 2p for k = 2: the triple search has no degree
         # precondition of its own and still applies.
@@ -627,3 +647,12 @@ class TestSaturatedMatchingEndToEnd:
         assert not report.get("matching-valid")
         report = mutated("f_m", data["triple"]["f_m"][1:])
         assert not report.get("f-m-consistent")
+        # The first edge moved to a neighbour outside f, f_m moved with it:
+        # a valid edge whose right endpoint only the right-set check rejects.
+        outside = min(v for v in mask_bits(g.masks[a]) if v not in data["triple"]["f"])
+        changed = json.loads(cert.canonical_json())
+        changed["triple"]["matching"] = [[a, outside]] + edges[1:]
+        changed["triple"]["f_m"] = sorted(set(data["triple"]["f_m"]) - {b} | {outside})
+        report = verify_certificate(g, changed)
+        assert [name for name, ok, _ in report.checks if not ok] == ["matching-valid"]
+        assert f"right endpoint {outside} outside the right set" in report.first_failure()
