@@ -12,10 +12,9 @@ the subgraph it induces, on the host's restricted masks, in its numbering.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import GuardExceeded, PreconditionError, SearchExhausted, TheoremViolation
 from .graphs import (
@@ -49,10 +48,6 @@ class Embedding:
     def image(self) -> frozenset[int]:
         return frozenset(h for _, h in self.mapping)
 
-    @property
-    def size(self) -> int:
-        return len(self.mapping)
-
 
 def embedding_errors(host: Graph, tree: Tree, emb: Embedding) -> list[str]:
     """Structural problems of an embedding (empty list when valid)."""
@@ -79,16 +74,13 @@ def _bfs_order(tree: Tree, root: int, key=None) -> tuple[list[int], list[int]]:
     g = tree.graph
     parent = [-1] * g.n
     order = [root]
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        a = queue.popleft()
-        children = sorted((b for b in mask_bits(g.masks[a]) if b not in seen), key=key)
-        for b in children:
-            seen.add(b)
+    seen = 1 << root
+    for a in order:  # the order grows as it is walked: it is the queue
+        fresh = g.masks[a] & ~seen
+        seen |= fresh
+        for b in sorted(mask_bits(fresh), key=key):
             parent[b] = a
             order.append(b)
-            queue.append(b)
     return order, parent
 
 
@@ -112,7 +104,7 @@ def greedy_embed(host: Graph, tree: Tree, alive: int | None = None) -> Embedding
         raise PreconditionError(
             f"minimum degree {stats[0]} at vertex {offender} is below m-1 = {m - 1}"
         )
-    search = _anchored_search(masks, tree, *_bfs_order(tree, 0), mask_bits(alive & -alive))
+    search = _anchored_search(masks, tree, *_bfs_order(tree, 0), alive & -alive)
     return _first_embedding(host, tree, alive, search)
 
 
@@ -145,7 +137,7 @@ def bipartite_embed(host: Graph, tree: Tree, alive: int | None = None) -> Embedd
         if dv is not None and dv < need_v:
             reasons.append(f"swap={swap}: Y-side degree {dv} below |X| = {need_v}")
             continue
-        search = _anchored_search(masks, tree, *_bfs_order(tree, 0), [min(tu)])
+        search = _anchored_search(masks, tree, *_bfs_order(tree, 0), 1 << min(tu))
         return _first_embedding(host, tree, alive, search)
     raise PreconditionError(
         "degree conditions fail in both orientations: " + "; ".join(reasons)
@@ -157,53 +149,49 @@ def _anchored_search(
     tree: Tree,
     order: list[int],
     parent: list[int],
-    root_candidates: Iterable[int],
+    roots: int,
 ) -> Iterator[Embedding]:
     """Complete backtracking over injective adjacency-preserving maps into
-    the host whose neighbour masks are ``masks``.
+    the host whose neighbour masks are ``masks``, the root drawn from the
+    vertex mask ``roots``.
 
-    Tree vertices are assigned along ``order`` (each non-root after its
-    parent), so candidates for a vertex are the unused neighbors of its
-    parent's image.  A host vertex of lower degree than the tree vertex
-    cannot take its neighborhood, so it is skipped: the maps and their
-    order are those of the search without this prune.
+    Tree vertices are assigned along ``order``, a BFS order, so a vertex's
+    only tree neighbour placed before it is its parent, and its candidates
+    are the unused neighbours of its parent's image: every map preserves
+    adjacency.  A host vertex of lower degree than the tree vertex cannot
+    take its neighbourhood, so it is skipped: the maps and their order are
+    those of the search without this prune.
     """
     hm, tm = masks, tree.graph.masks
     m = tree.order
     image = [-1] * m
-    used: set[int] = set()
 
-    def candidates(pos: int) -> Iterator[int]:
-        t = order[pos]
+    def draws(t: int, reach: int) -> Iterator[int]:
         need = tm[t].bit_count()
-        cand = root_candidates if pos == 0 else mask_bits(hm[image[parent[t]]])
-        for h in cand:
-            if h in used or hm[h].bit_count() < need:
-                continue
-            for tn in mask_bits(tm[t]):
-                hn = image[tn]
-                if hn != -1 and not hm[hn] >> h & 1:
-                    break
-            else:
+        for h in mask_bits(reach):
+            if hm[h].bit_count() >= need:
                 yield h
 
-    # One candidate iterator per placed level.  A level undoes its previous
-    # choice before it draws again, so every draw sees only its ancestors.
-    stack = [candidates(0)]
+    # One candidate iterator per placed level, lowest vertex first, on a
+    # mask fixed when the level opens: while it is live only its ancestors
+    # hold host vertices.  ``used`` holds the images of every level below
+    # the top one.
+    used = 0
+    stack = [draws(order[0], roots)]
     while stack:
-        t = order[len(stack) - 1]
-        used.discard(image[t])
-        image[t] = -1
         h = next(stack[-1], None)
         if h is None:
             stack.pop()
+            if stack:
+                used ^= 1 << image[order[len(stack) - 1]]
+            continue
+        image[order[len(stack) - 1]] = h
+        if len(stack) == m:
+            yield Embedding.from_dict({tv: image[tv] for tv in range(m)})
         else:
-            image[t] = h
-            used.add(h)
-            if len(stack) == m:
-                yield Embedding.from_dict({tv: image[tv] for tv in range(m)})
-            else:
-                stack.append(candidates(len(stack)))
+            used |= 1 << h
+            t = order[len(stack)]
+            stack.append(draws(t, hm[image[parent[t]]] & ~used))
 
 
 def _first_embedding(host: Graph, tree: Tree, alive: int, maps: Iterator[Embedding]) -> Embedding:
@@ -253,7 +241,7 @@ def sparse_embed(host: Graph, tree: Tree, t: int = 2, *, alive: int | None = Non
     tm = tree.graph.masks
     root = min(range(m), key=lambda v: (-tm[v].bit_count(), v))
     order, parent = _bfs_order(tree, root, key=lambda v: (-tm[v].bit_count(), v))
-    search = _anchored_search(masks, tree, order, parent, mask_bits(alive))
+    search = _anchored_search(masks, tree, order, parent, alive)
     return _first_embedding(host, tree, alive, search)
 
 
@@ -269,7 +257,7 @@ def iter_embeddings(host: Graph, tree: Tree, alive: int | None = None) -> Iterat
     if alive.bit_count() > BRUTE_GUARD:
         raise GuardExceeded(f"exhaustive embedding guard: {alive.bit_count()} > {BRUTE_GUARD}")
     order, parent = _bfs_order(tree, 0)
-    return _anchored_search(masks, tree, order, parent, mask_bits(alive))
+    return _anchored_search(masks, tree, order, parent, alive)
 
 
 def exhaustive_embed(host: Graph, tree: Tree, alive: int | None = None) -> Embedding | None:

@@ -5,13 +5,14 @@ bitmasks: bit y of ``Graph.masks[x]`` is set iff xy is an edge, built once
 at construction and the only adjacency kept.  Host facts take an optional
 vertex mask ``alive`` and answer for the subgraph it induces from the host's
 masks, in the host's numbering, as an induced copy (which keeps the vertex
-order) would answer mapped back.  All functions here are pure and safe to
-call from any number of threads.
+order) would answer mapped back.  The 2-colouring, the odd cycle and
+``Tree``'s connectivity check and parts read one BFS that grows a level
+at a time on these masks.  All functions here are pure and safe to call
+from any number of threads.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -26,7 +27,6 @@ __all__ = [
     "odd_cycle",
     "induced_subgraph",
     "components",
-    "is_connected",
 ]
 
 
@@ -228,38 +228,25 @@ def is_triangle_free(g: Graph) -> bool:
     return find_triangle(g) is None
 
 
-def _two_color(g: Graph, alive: int | None) -> tuple[list[int], list[int], tuple[int, int] | None]:
-    """BFS 2-coloring within the mask ``alive`` (component minimum gets
-    color 0, vertices outside keep -1) with the BFS parents.
-
-    Stops at the first edge whose endpoints share a color and returns it as
-    the third item (None when the coloring is proper).  ``side[c]`` is the
-    mask of the vertices colored c, so a dequeued vertex finds its clash
-    (lowest first) and its uncolored neighbours with one AND each.
-    """
-    alive, masks = alive_masks(g, alive)
-    color = [-1] * g.n
-    parent = [-1] * g.n
-    side = [0, 0]
-    for start in mask_bits(alive):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        side[0] |= 1 << start
-        queue = deque([start])
-        while queue:
-            a = queue.popleft()
-            c = color[a]
-            clash = masks[a] & side[c]
-            if clash:
-                return color, parent, (a, next(mask_bits(clash)))
-            fresh = masks[a] & ~(side[0] | side[1])
-            side[c ^ 1] |= fresh
-            for b in mask_bits(fresh):
-                color[b] = c ^ 1
-                parent[b] = a
-                queue.append(b)
-    return color, parent, None
+def _levels(masks: Sequence[int], v: int, alive: int) -> tuple[list[int], tuple[int, int] | None]:
+    """BFS levels of the component of ``v`` among the vertices of the mask
+    ``alive`` (which holds v), one mask per level, grown as in
+    :func:`mask_component`.  Stops at the first level that holds an edge and
+    returns that edge too, lower end first; None when no level holds one,
+    and then the even and the odd levels 2-colour the component."""
+    levels: list[int] = []
+    seen = frontier = 1 << v
+    while frontier:
+        levels.append(frontier)
+        reach = 0
+        for x in mask_bits(frontier):
+            near = masks[x]
+            if near & frontier:
+                return levels, (x, next(mask_bits(near & frontier)))
+            reach |= near
+        frontier = reach & alive & ~seen
+        seen |= frontier
+    return levels, None
 
 
 def bipartition(
@@ -269,37 +256,37 @@ def bipartition(
 
     Within each connected component the coloring is unique up to swapping
     parts; canonically, the minimum vertex id of each component lands in the
-    first part.
+    first part, with the component's even BFS levels from it.
     """
-    color, _, clash = _two_color(g, alive)
-    if clash is not None:
-        return None
-    part0 = frozenset(v for v in range(g.n) if color[v] == 0)
-    part1 = frozenset(v for v in range(g.n) if color[v] == 1)
-    return part0, part1
+    alive, masks = alive_masks(g, alive)
+    sides = [0, 0]
+    while alive:
+        levels, clash = _levels(masks, (alive & -alive).bit_length() - 1, alive)
+        if clash is not None:
+            return None
+        for depth, level in enumerate(levels):
+            sides[depth & 1] |= level
+            alive ^= level
+    return frozenset(mask_bits(sides[0])), frozenset(mask_bits(sides[1]))
 
 
 def odd_cycle(g: Graph) -> list[int] | None:
-    """Vertices of some odd cycle, or None when the graph is bipartite."""
-    _, parent, clash = _two_color(g, None)
-    return None if clash is None else _cycle_through(parent, *clash)
-
-
-def _cycle_through(parent: list[int], a: int, b: int) -> list[int]:
-    """Close the cycle formed by BFS-tree paths to a and b plus the edge ab."""
-    seen_at = {}
-    pa: list[int] = []
-    x = a
-    while x != -1:
-        seen_at[x] = len(pa)
-        pa.append(x)
-        x = parent[x]
-    pb: list[int] = []
-    y = b
-    while y not in seen_at:
-        pb.append(y)
-        y = parent[y]
-    return pa[: seen_at[y] + 1] + list(reversed(pb))
+    """Vertices of some odd cycle, or None when the graph is bipartite: from
+    both ends of the first edge inside a BFS level, walks step to the lowest
+    neighbour one level up until they meet."""
+    for comp in mask_components(g.masks, vertex_mask(g, None)):
+        levels, clash = _levels(g.masks, (comp & -comp).bit_length() - 1, comp)
+        if clash is not None:
+            a, b = clash
+            up_a, up_b, depth = [a], [b], len(levels) - 1
+            while a != b:
+                depth -= 1
+                a = next(mask_bits(g.masks[a] & levels[depth]))
+                b = next(mask_bits(g.masks[b] & levels[depth]))
+                up_a.append(a)
+                up_b.append(b)
+            return up_a + up_b[-2::-1]
+    return None
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -319,11 +306,6 @@ def components(g: Graph) -> list[frozenset[int]]:
     return [frozenset(mask_bits(c)) for c in mask_components(g.masks, vertex_mask(g, None))]
 
 
-def is_connected(g: Graph) -> bool:
-    """True when the graph has at most one connected component."""
-    return len(components(g)) <= 1
-
-
 class Tree:
     """A tree on ``0..m-1`` with its bipartition and maximum degree.
 
@@ -336,13 +318,17 @@ class Tree:
     def __init__(self, graph: Graph):
         if graph.n == 0:
             raise ValueError("a tree has at least one vertex")
-        if graph.edge_count != graph.n - 1 or not is_connected(graph):
+        # One BFS from vertex 0.  With n-1 edges the graph is a tree iff its
+        # levels cover every vertex (a cycle would leave one out), and then
+        # its even and odd levels are the parts.
+        sides = [0, 0]
+        for depth, level in enumerate(_levels(graph.masks, 0, (1 << graph.n) - 1)[0]):
+            sides[depth & 1] |= level
+        if graph.edge_count != graph.n - 1 or (sides[0] | sides[1]).bit_count() != graph.n:
             raise ValueError("not a tree: need a connected graph with n-1 edges")
-        parts = bipartition(graph)
-        assert parts is not None  # trees are acyclic, hence bipartite
         self.graph = graph
         self.order = graph.n
-        self.part_x, self.part_y = parts
+        self.part_x, self.part_y = (frozenset(mask_bits(side)) for side in sides)
         self.max_degree = max(m.bit_count() for m in graph.masks)
 
     @classmethod

@@ -255,8 +255,6 @@ def _certified_run(
         if emb is None:
             raise SearchExhausted(f"embedding stage (forced): {exc}") from exc
     image = emb.image()
-    if len(image) != m:
-        raise TheoremViolation("removed set size differs from the tree order")
     kappa_after = global_connectivity(g, image)
     if kappa_after < k:
         message = f"removal drops connectivity to {kappa_after} < k = {k}"

@@ -12,7 +12,7 @@ import networkx as nx
 from keeptree.connectivity import _SplitFlow
 from keeptree.embed import BRUTE_GUARD, Embedding
 from keeptree.errors import GuardExceeded
-from keeptree.graphs import Graph, Tree, is_connected, mask_bits
+from keeptree.graphs import Graph, Tree, mask_bits
 from keeptree.matching import Matching, saturating_matching_or_violator
 
 
@@ -29,9 +29,8 @@ def small_connected_graphs(max_n: int = 7) -> list[Graph]:
         n = nxg.number_of_nodes()
         if n == 0 or n > max_n:
             continue
-        g = Graph(n, list(nxg.edges()))
-        if is_connected(g):
-            out.append(g)
+        if nx.is_connected(nxg):
+            out.append(Graph(n, list(nxg.edges())))
     return out
 
 

@@ -106,6 +106,11 @@ class TestFind:
         assert rc == 1
         assert "error:" in capsys.readouterr().err and not cert.exists()
 
+    def test_unwritable_output_exit_1(self, tmp_path, k44_file, edge_tree_file, capsys):
+        out = tmp_path / "missing-dir" / "cert.json"
+        assert main(["find", str(k44_file), str(edge_tree_file), "1", "--out", str(out)]) == 1
+        assert "io error:" in capsys.readouterr().err
+
     def test_usage_error_exit_1(self):
         with pytest.raises(SystemExit) as err:
             main(["find", "only-one-arg"])
@@ -128,6 +133,14 @@ class TestVerify:
         other = tmp_path / "k55.txt"
         other.write_text(format_edge_list(complete_bipartite(5, 5)))
         assert main(["verify", str(other), str(cert)]) == 5
+
+    @pytest.mark.parametrize("content", ["not json", None], ids=["not-json", "missing"])
+    def test_unreadable_certificate_exit_1(self, tmp_path, k44_file, content, capsys):
+        cert = tmp_path / "cert.json"
+        if content is not None:
+            cert.write_text(content)
+        assert main(["verify", str(k44_file), str(cert)]) == 1
+        assert "cannot read certificate" in capsys.readouterr().err
 
     def test_schema_error_exit_1(self, tmp_path, k44_file):
         cert = tmp_path / "cert.json"
@@ -268,6 +281,12 @@ class TestGen:
         assert main(["gen", "petersen"]) == 0
         g = parse_edge_list(capsys.readouterr().out)
         assert g.n == 10 and g.edge_count == 15
+
+    def test_out_file(self, tmp_path):
+        out = tmp_path / "k44.txt"
+        assert main(["gen", "complete-bipartite", "4", "4", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[:3] == ["# complete-bipartite (4, 4) seed=0", "8", "0 4"]
 
     def test_dot_output(self, capsys):
         assert main(["gen", "cycle", "4", "--format", "dot"]) == 0

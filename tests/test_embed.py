@@ -223,7 +223,7 @@ class TestExhaustiveEmbed:
         host = path_graph(3000)
         tree = Tree(host)
         order, parent = _bfs_order(tree, 0)
-        emb = next(_anchored_search(host.masks, tree, order, parent, [0]))
+        emb = next(_anchored_search(host.masks, tree, order, parent, 1))
         assert emb.mapping == tuple((v, v) for v in range(3000))
 
 

@@ -32,7 +32,6 @@ from keeptree.graphs import (
     girth,
     girth_at_least,
     induced_subgraph,
-    is_connected,
     is_triangle_free,
     mask_bits,
     mask_component,
@@ -361,6 +360,12 @@ class TestBipartition:
             else:
                 assert cyc is None
 
+    def test_odd_cycle_in_a_later_component(self):
+        # A 4-cycle on 0..3, then a 5-cycle on 4..8: the first level of the
+        # second component's BFS from 4 that holds an edge is {6, 7}.
+        g = Graph(9, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 8), (8, 4)])
+        assert odd_cycle(g) == [6, 5, 4, 8, 7]
+
 
 class TestInducedDelete:
     """Vertex deletion: ``induced_subgraph`` on the complement."""
@@ -404,7 +409,7 @@ class TestComponents:
         assert [sorted(c) for c in comps] == [[0, 1, 2], [3, 4, 5]]
 
     def test_connected_is_single(self, pete):
-        assert len(components(pete)) == 1 and is_connected(pete)
+        assert len(components(pete)) == 1
 
     def test_trivial_flagging(self, c5):
         comps = [frozenset(mask_bits(c)) for c in mask_components(c5.masks, 0b11010)]
@@ -434,6 +439,17 @@ class TestTree:
     def test_rejects_disconnected(self):
         with pytest.raises(ValueError, match="not a tree"):
             Tree(Graph(4, [(0, 1), (2, 3)]))
+
+    @pytest.mark.parametrize(
+        "graph",
+        [Graph(4, [(1, 2), (2, 3), (1, 3)]), Graph(5, [(1, 2), (2, 3), (3, 4), (4, 1)])],
+        ids=["triangle+isolated", "4-cycle+isolated"],
+    )
+    def test_rejects_disconnected_with_tree_edge_count(self, graph):
+        # n - 1 edges, so only the connectivity half of the check rejects.
+        assert graph.edge_count == graph.n - 1
+        with pytest.raises(ValueError, match="not a tree"):
+            Tree(graph)
 
     def test_single_vertex(self):
         t = Tree(Graph(1))

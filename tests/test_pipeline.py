@@ -431,6 +431,23 @@ class TestFindKeepingTree:
         assert len(cert.embedding.image()) == 1
         assert verify_certificate(k33, cert).passed
 
+    @pytest.mark.xfail(strict=True, raises=SearchExhausted, reason="ROADMAP item 12")
+    @pytest.mark.parametrize(
+        "sel", [None, CaseSelector(CASE_TRIANGLE_FREE)], ids=["auto", "triangle-free"]
+    )
+    def test_single_vertex_tree_on_a_passing_host(self, tree_single, sel):
+        # A 5-cycle 1-2-3-4-6 with pendant vertices 0 at 1 and 5 at 4: kappa
+        # = 1, the gate passes (the auto case picks girth:2) and removing
+        # vertex 0 keeps the rest connected, yet the triple stage finds no
+        # connected triple.
+        g = Graph(7, [(0, 1), (1, 2), (1, 6), (2, 3), (3, 4), (4, 5), (4, 6)])
+        assert oracle_exists(g, tree_single, 1) == embed.Embedding(((0, 0),))
+        report = check_hypotheses(g, tree_single, 1, sel)
+        assert report.passed
+        assert report.sel == (sel or CaseSelector(CASE_GIRTH, 2))
+        cert = find_keeping_tree(g, tree_single, 1, sel)
+        assert verify_certificate(g, cert).passed
+
     def test_girth_case_petersen(self, pete, tree_single):
         cert = find_keeping_tree(pete, tree_single, 1, CaseSelector(CASE_GIRTH, 2))
         assert cert.connectivity_after_removal >= 1
