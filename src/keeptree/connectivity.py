@@ -14,11 +14,11 @@ Every connectivity value comes from one threshold test, Even's test
 (:func:`_pair_below`), which stops at its first pair below a bound.  Exact
 connectivity is a descent: it reruns the test from the minimum degree,
 lowering the bound to each value reported, until the test passes.  On the
-whole vertex set of a graph that is not complete, kappa is the minimum over
-nonadjacent pairs, so the test runs no flow for an adjacent head pair; on a
-proper subset it checks every pair.  Most of its flows are settled by the
-kernel's pre-routed short paths, which it counts on masks before it
-allocates any flow state.
+whole vertex set of a graph with more than b vertices, kappa < b is
+witnessed by a nonadjacent pair, so the test at bound b runs no flow for an
+adjacent head pair; on a proper subset, or on at most b vertices, it checks
+every pair.  Most of its flows are settled by the kernel's pre-routed short
+paths, which it counts on masks before it allocates any flow state.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import TheoremViolation
-from .graphs import Graph, mask_bits, mask_component, vertex_mask
+from .graphs import Graph, mask_bits, vertex_mask
 
 __all__ = [
     "local_connectivity_value",
@@ -267,9 +267,10 @@ def find_pair_below(
     G[within] (all of G by default), or None.
 
     Returns (a, b, value) with value the pair's exact local connectivity.
-    A query on a proper subset may report any pair; one on every vertex of
+    A query on a proper subset may report any pair.  One on every vertex of
     G[within] reports a nonadjacent pair among the first ``bound`` vertices
-    or a fan's witness pair (see :func:`_pair_below`).
+    or a fan's witness pair when G[within] has more than ``bound`` vertices,
+    and else its first pair (see :func:`_pair_below`).
     """
     alive, us = vertex_mask(g, within), vertex_mask(g, u_set)
     if us & ~alive:
@@ -301,22 +302,16 @@ def _pair_below(net: _SplitFlow, us: list[int], bound: int) -> tuple[int, int, i
     some (x, u_j) is below ``bound``; a witness scan that finds none raises
     :class:`TheoremViolation`.
 
-    When ``us`` is every vertex of the network, the complete and
-    disconnected graphs are answered by :func:`_trivial_kappa`, and a
-    connected graph passes bound 1.  Otherwise vertex separators suffice and
-    never split adjacent vertices, so the head's adjacent pairs run no flow
-    (Esfahanian & Hakimi, Networks 14, 1984); fans and witness scans keep
-    every pair.  An adjacent pair's value is at least kappa, as deleting the
-    edge lowers connectivity by one at most and the edge is one more path.
-    So every value reported here is at least kappa.
+    On every vertex of a network with n > ``bound`` vertices, kappa <
+    ``bound`` means a set of fewer than ``bound`` vertices (empty, if the
+    graph is disconnected) splits a nonadjacent pair; a complete graph has
+    none, but kappa = n - 1 >= ``bound``.  So the head's adjacent pairs run
+    no flow (Esfahanian & Hakimi, Networks 14, 1984).  With n <= ``bound`` no
+    pair has ``bound`` paths, and the first head pair is reported.  An
+    adjacent pair's value, the edge plus the paths of G without that edge,
+    is at least kappa, so every value reported here is at least kappa.
     """
-    whole = len(us) == net.alive.bit_count()
-    if whole:
-        trivial = _trivial_kappa(net)
-        if trivial is not None:
-            return trivial if trivial[2] < bound else None
-        if bound == 1:
-            return None
+    whole = len(us) == net.alive.bit_count() > bound
     head = us[:bound]
     pairs: Iterable[tuple[int, int]] = combinations(head, 2)
     if whole:
@@ -338,21 +333,6 @@ def _pair_below(net: _SplitFlow, us: list[int], bound: int) -> tuple[int, int, i
                 )
             return found
         net.join_sink(u)
-    return None
-
-
-def _trivial_kappa(net: _SplitFlow) -> tuple[int, int, int] | None:
-    """(a, b, kappa) for a pair attaining it when the network's graph (n >= 2)
-    is complete or disconnected, so no flow is needed; None otherwise.
-    Degrees are popcounts, and one mask BFS tests connectedness."""
-    alive, adj = net.alive, net.adj
-    count = alive.bit_count()
-    a = next(mask_bits(alive))
-    if all(adj[v].bit_count() == count - 1 for v in mask_bits(alive)):
-        return a, next(mask_bits(alive ^ 1 << a)), count - 1
-    seen = mask_component(adj, a, alive)
-    if seen != alive:
-        return a, next(mask_bits(alive & ~seen)), 0
     return None
 
 

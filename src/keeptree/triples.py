@@ -20,9 +20,8 @@ of an (S, f) whose widest split fails.  Private helpers take vertex masks.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Iterator, Sequence
 
 from .connectivity import _SplitFlow, _min_cut, _weaker_pair, find_pair_below
@@ -285,16 +284,11 @@ def find_triple(
 
 
 def _search(g: Graph, c: int, p: int) -> ConnectedTriple:
-    """:func:`find_triple`'s search inside the component mask ``c``."""
-    tried: set[int] = set()
-    queue: deque[int] = deque([c])
-    budget = _FRAGMENT_BUDGET
-    while queue and budget > 0:
-        fragment = queue.popleft()
-        if fragment in tried:
-            continue
-        tried.add(fragment)
-        budget -= 1
+    """:func:`find_triple`'s search inside the component mask ``c``: the
+    first ``_FRAGMENT_BUDGET`` distinct fragments, breadth first, then the
+    exhaustive stage."""
+    queue = [c]
+    for fragment in islice(queue, _FRAGMENT_BUDGET):
         boundary = mask_neighbours(g.masks, fragment)
         if fragment.bit_count() >= 2 and boundary.bit_count() <= 2 * p - 1:
             f = frozenset(mask_bits(fragment))
@@ -303,7 +297,7 @@ def _search(g: Graph, c: int, p: int) -> ConnectedTriple:
                 if validate_triple(g, cand).passed:
                     return cand
         for frag in _descend_fragments(g, fragment, boundary, p):
-            if frag not in tried:
+            if frag not in queue:
                 queue.append(frag)
     return _exhaustive_stage(g, c, p)
 

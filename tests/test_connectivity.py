@@ -2,6 +2,7 @@
 
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
 from keeptree.connectivity import (
@@ -150,6 +151,30 @@ class TestGlobalConnectivity:
             kappa = global_connectivity(g)
             for k in range(0, 6):
                 assert connectivity_at_least(g, k) == (kappa >= k if k > 0 else True)
+
+    def test_atlas_whole_set_queries_match_networkx(self):
+        # Every atlas graph on 2 to 6 vertices, connected or not: complete
+        # graphs, isolated vertices and several components, at every bound
+        # up to n + 1, on the whole vertex set.
+        for nxg in nx.graph_atlas_g():
+            n = nxg.number_of_nodes()
+            if not 2 <= n <= 6:
+                continue
+            g = Graph(n, nxg.edges())
+            kappa = nx.node_connectivity(nxg)
+            assert global_connectivity(g) == kappa, g.edges()
+            for bound in range(1, n + 2):
+                witness = find_pair_below(g, range(n), bound)
+                assert (witness is None) == (kappa >= bound), (g.edges(), bound)
+                if witness is not None:
+                    a, c, value = witness
+                    assert kappa <= value == local_connectivity_value(g, a, c) < bound
+                assert is_k_connected_after_removal(g, (), bound) == (n > bound and kappa >= bound)
+
+    def test_small_complete_graph_checks_its_adjacent_head(self):
+        # K3 has 3 vertices, no more than the bound: its first head pair,
+        # adjacent, runs its flow and is reported with its exact value.
+        assert find_pair_below(Graph(3, [(0, 1), (0, 2), (1, 2)]), range(3), 3) == (0, 1, 2)
 
 
 def _comps(g: Graph):

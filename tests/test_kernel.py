@@ -92,6 +92,19 @@ def degree_order(g: Graph, dense: frozenset[int]) -> list[int]:
     return sorted(range(g.n), key=lambda v: -degree[v])
 
 
+def bound_one_fans(
+    g: Graph, dense: frozenset[int], us: list[int], seed: int
+) -> list[tuple[int, int, int, bool]]:
+    """The flows of exact connectivity's bound-1 round on the lopsided host
+    with one cross edge, (0, 0): the head is us[0], and every later vertex
+    runs one fan at cap 1, in degree order.  Each fan is settled by a
+    pre-routed path of at most two edges into the earlier vertices, but
+    seed 1's first sparse vertex has none into the dense block, so its fan
+    allocates."""
+    first_sparse = us[len(dense)]
+    return [(v, g.n, 1, seed != 1 or v != first_sparse) for v in us[1:]]
+
+
 def circulant(n: int, jumps: tuple[int, ...], seed: int) -> Graph:
     """The circulant graph C_n(jumps) with shuffled labels."""
     perm = list(range(n))
@@ -451,7 +464,8 @@ def test_exact_connectivity_past_the_head(flow_calls, descent, k, seed):
     block, so every head pair passes; the first round runs flows for its
     nonadjacent pairs only, then fans.  The first sparse vertex's fan is
     cut by the k cross edges, and its witness scan reports kappa, at which
-    the second round passes.  Each round caps its flows at its bound."""
+    the second round passes.  Each round caps its flows at its bound; at
+    bound 1 the second round is one fan per later vertex."""
     g, dense = lopsided_two_block_host([(i, i) for i in range(k)], seed)
     us = degree_order(g, dense)
     delta = min(m.bit_count() for m in g.masks)
@@ -466,7 +480,9 @@ def test_exact_connectivity_past_the_head(flow_calls, descent, k, seed):
     assert [(x, y) for x, y, _, _ in flow_calls[: len(pairs) + 1]] == pairs + [(us[len(head)], g.n)]
     limits = [limit for _, _, limit, _ in flow_calls]
     assert limits == sorted(limits, reverse=True)
-    assert set(limits) == {delta, k} - {1}  # bound 1 passes on a connected graph unflowed
+    assert set(limits) == {delta, k}
+    if k == 1:
+        assert [call for call in flow_calls if call[2] == 1] == bound_one_fans(g, dense, us, seed)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -487,9 +503,9 @@ def test_witness_scan_continues_past_its_first_drop(descent, seed):
 def test_witness_scan_stops_at_the_fan_value(flow_calls, descent, seed):
     """One cross edge, at the dense vertex of highest degree: the first
     sparse vertex's fan has one path, and so has its pair with that vertex,
-    first in the witness scan.  The scan stops there, and bound 1 passes
-    without a flow, so that pair is the last flow of the descent: the other
-    dense vertices run no witness flow, and the later vertices no fan."""
+    first in the witness scan.  The scan stops there, so that pair is the
+    last flow of the first round: the other dense vertices run no witness
+    flow, and the later vertices no fan.  Then the bound-1 round passes."""
     g, dense = lopsided_two_block_host([(0, 0)], seed)
     us = degree_order(g, dense)
     u = us[len(dense)]
@@ -498,7 +514,7 @@ def test_witness_scan_stops_at_the_fan_value(flow_calls, descent, seed):
     assert [answer for _, answer in descent] == [(us[0], u, 1), None]
     fan = [call[:2] for call in flow_calls].index((u, g.n))
     delta = min(m.bit_count() for m in g.masks)
-    assert flow_calls[fan + 1 :] == [(us[0], u, delta, False)]
+    assert flow_calls[fan + 1 :] == [(us[0], u, delta, False)] + bound_one_fans(g, dense, us, seed)
 
 
 @pytest.mark.parametrize("seed, allocating", [(0, 2), (1, 3), (2, 2)])
