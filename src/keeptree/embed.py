@@ -125,13 +125,13 @@ def bipartite_embed(host: Graph, tree: Tree, alive: int | None = None) -> Embedd
     degrees = [min((masks[v].bit_count() for v in side), default=None) for side in parts]
     reasons = []
     for swap in (False, True):
-        tu, tv = parts[::-1] if swap else parts
+        tu = parts[1] if swap else parts[0]
         need_u, need_v = len(tree.part_y), len(tree.part_x)
         du, dv = degrees[::-1] if swap else degrees
         if not tu:
             reasons.append(f"swap={swap}: no vertices available for the X part")
             continue
-        if du is not None and du < need_u:
+        if du < need_u:
             reasons.append(f"swap={swap}: X-side degree {du} below |Y| = {need_u}")
             continue
         if dv is not None and dv < need_v:

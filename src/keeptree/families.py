@@ -300,25 +300,11 @@ def _random_tree(m: int, seed: int) -> Graph:
 
 def _tree_centers(t: Tree) -> list[int]:
     """The one or two middle vertices obtained by repeatedly peeling leaves."""
-    g = t.graph
-    if g.n <= 2:
-        return list(range(g.n))
-    degree = {v: nbrs.bit_count() for v, nbrs in enumerate(g.masks)}
-    layer = sorted(v for v in degree if degree[v] == 1)
-    remaining = g.n
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            del degree[v]
-        for v in layer:
-            for w in mask_bits(g.masks[v]):
-                if w in degree:
-                    degree[w] -= 1
-                    if degree[w] == 1:
-                        nxt.append(w)
-        layer = sorted(set(nxt))
-    return sorted(degree)
+    masks = t.graph.masks
+    alive = (1 << t.graph.n) - 1
+    while alive.bit_count() > 2:
+        alive &= ~sum(1 << v for v in mask_bits(alive) if (masks[v] & alive).bit_count() <= 1)
+    return list(mask_bits(alive))
 
 
 def tree_canonical(t: Tree) -> str:
@@ -403,22 +389,15 @@ FAMILY_HELP = {
 
 def gen_graph(spec: FamilySpec) -> Graph:
     """Build the graph described by a family spec."""
-    if spec.family in _DETERMINISTIC:
-        builder, _ = _DETERMINISTIC[spec.family]
-        try:
-            return builder(*spec.params)
-        except TypeError as exc:
-            raise ValueError(
-                f"{spec.family} takes parameters "
-                f"'{_DETERMINISTIC[spec.family][1]}': {exc}"
-            ) from exc
-    if spec.family in _SEEDED:
-        builder, docs = _SEEDED[spec.family]
-        try:
-            return builder(*spec.params, seed=spec.seed)
-        except TypeError as exc:
-            raise ValueError(f"{spec.family} takes parameters '{docs}': {exc}") from exc
-    raise ValueError(f"unknown family {spec.family!r}")
+    seeded = spec.family in _SEEDED
+    table = _SEEDED if seeded else _DETERMINISTIC
+    if spec.family not in table:
+        raise ValueError(f"unknown family {spec.family!r}")
+    builder, params = table[spec.family]
+    try:
+        return builder(*spec.params, **({"seed": spec.seed} if seeded else {}))
+    except TypeError as exc:
+        raise ValueError(f"{spec.family} takes parameters '{params}': {exc}") from exc
 
 
 def _parse_number(token: str) -> int | float:

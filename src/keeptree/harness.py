@@ -211,32 +211,29 @@ class SuiteReport:
     certificates: dict[str, str]
     timings: dict[str, float]
 
+    def _rows(self, with_timing: bool) -> list[dict[str, Any]]:
+        """The records, each with its ``runtime_ms`` when ``with_timing``."""
+        if not with_timing:
+            return list(self.records)
+        return [
+            {**rec, "runtime_ms": round(self.timings[rec["instance_id"]], 3)}
+            for rec in self.records
+        ]
+
     def to_json(self, with_timing: bool = False) -> str:
-        records = []
-        for rec in self.records:
-            rec = dict(rec)
-            if with_timing:
-                rec["runtime_ms"] = round(self.timings[rec["instance_id"]], 3)
-            records.append(rec)
         payload = {
             "schema": SUITE_SCHEMA,
             "aggregate": self.aggregate,
-            "instances": records,
+            "instances": self._rows(with_timing),
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def to_csv(self, with_timing: bool = False) -> str:
         columns = CSV_COLUMNS + (("runtime_ms",) if with_timing else ())
         lines = [",".join(columns)]
-        for rec in self.records:
-            row = []
-            for col in columns:
-                if col == "runtime_ms":
-                    value = round(self.timings[rec["instance_id"]], 3)
-                else:
-                    value = rec.get(col)
-                row.append("" if value is None else str(value))
-            lines.append(",".join(row))
+        for rec in self._rows(with_timing):
+            values = (rec.get(col) for col in columns)
+            lines.append(",".join("" if value is None else str(value) for value in values))
         return "\n".join(lines) + "\n"
 
 
@@ -399,8 +396,7 @@ def corpus_force() -> list[SuiteInstance]:
         for m in (2, 3, 4)
         for ti, tree in enumerate(enumerate_trees(m))
     ]
-    i = 0
-    while len(out) < _FORCED_COUNT:
+    for i in range(_FORCED_COUNT):
         k, m, ti, tree = cells[i % len(cells)]
         d = math.ceil(degree_threshold(sel, tree, k)) - 1
         if i < len(cells):
@@ -420,7 +416,6 @@ def corpus_force() -> list[SuiteInstance]:
                 force=True,
             )
         )
-        i += 1
     return out
 
 

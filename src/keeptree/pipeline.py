@@ -108,7 +108,7 @@ def check_hypotheses(
             sel = CaseSelector(CASE_BIPARTITE)
         elif girth_at_least(gv, 5):
             # A host that is not bipartite has a cycle, so gv is a number.
-            sel = CaseSelector(CASE_GIRTH, max(2, (gv - 1) // 2))
+            sel = CaseSelector(CASE_GIRTH, (gv - 1) // 2)
         else:
             sel = CaseSelector(CASE_TRIANGLE_FREE)
     beta = compute_beta(sel, tree)
@@ -234,9 +234,8 @@ def _certified_run(
 
     beta = report.beta
     alive = vertex_mask(g, saturated.f_rest)
-    host_stats = degree_stats(g, alive)
-    host_delta = host_stats[0] if host_stats else None
-    if (host_delta is None or host_delta < beta) and not force:
+    host_delta = degree_stats(g, alive)[0]
+    if host_delta < beta and not force:
         raise TheoremViolation(
             f"fragment minimum degree {host_delta} fell below beta = {beta} "
             f"despite passing hypotheses"

@@ -285,8 +285,10 @@ def find_triple(
 
 def _search(g: Graph, c: int, p: int) -> ConnectedTriple:
     """:func:`find_triple`'s search inside the component mask ``c``: the
-    first ``_FRAGMENT_BUDGET`` distinct fragments, breadth first, then the
-    exhaustive stage."""
+    first ``_FRAGMENT_BUDGET`` fragments, breadth first, then the exhaustive
+    stage.  No fragment is queued twice: a descent cuts F at a nonadjacent
+    pair with each end in or next to the connected F, so the cut meets F and
+    the sub-fragments are disjoint proper subsets of F, a laminar family."""
     queue = [c]
     for fragment in islice(queue, _FRAGMENT_BUDGET):
         boundary = mask_neighbours(g.masks, fragment)
@@ -296,9 +298,7 @@ def _search(g: Graph, c: int, p: int) -> ConnectedTriple:
                 cand = ConnectedTriple(p, frozenset(mask_bits(s1)), frozenset(mask_bits(s2)), f)
                 if validate_triple(g, cand).passed:
                     return cand
-        for frag in _descend_fragments(g, fragment, boundary, p):
-            if frag not in queue:
-                queue.append(frag)
+        queue += _descend_fragments(g, fragment, boundary, p)
     return _exhaustive_stage(g, c, p)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from keeptree import pipeline
 from keeptree.cli import main
-from keeptree.errors import TheoremViolation
+from keeptree.errors import PreconditionError, TheoremViolation
 from keeptree.families import complete_bipartite, heawood
 from keeptree.io import format_edge_list, parse_edge_list
 
@@ -58,6 +58,30 @@ class TestFind:
         out = str(tmp_path / "c.json")
         assert main(["find", str(k44_file), str(edge_tree_file), "1", "--out", out]) == 4
         assert "consumed" in capsys.readouterr().err
+
+    def test_embedding_violation_exit_4(self, monkeypatch, k44_file, edge_tree_file, capsys):
+        def refused(*args):
+            raise PreconditionError("x")
+
+        monkeypatch.setattr(pipeline, "_case_embed", refused)
+        assert main(["find", str(k44_file), str(edge_tree_file), "1"]) == 4
+        assert "embedding stage failed despite passing hypotheses: x" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, code, message",
+        [
+            (["--force"], 3, "search exhausted: triple stage: empty graph"),
+            ([], 2, "connectivity below k = 1"),
+        ],
+        ids=["forced", "unforced"],
+    )
+    def test_empty_graph(self, tmp_path, flags, code, message, capsys):
+        empty = tmp_path / "e0.txt"
+        empty.write_text("0\n")
+        single = tmp_path / "k1.txt"
+        single.write_text("1\n")
+        assert main(["find", str(empty), str(single), "1", *flags]) == code
+        assert message in capsys.readouterr().err
 
     def test_enumeration_guard_refusal_exit_3(self, tmp_path, edge_tree_file, capsys):
         # Heawood's 14-vertex closure exceeds the triple enumeration guard (10).

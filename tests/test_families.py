@@ -1,15 +1,20 @@
 """Family generators: shapes, declared properties, reproducibility."""
 
+import hashlib
 import random
+import re
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from keeptree.connectivity import global_connectivity
+from keeptree import families
+from keeptree.connectivity import connectivity_at_least, global_connectivity
 from keeptree.errors import GuardExceeded
 from keeptree.families import (
+    FAMILY_HELP,
     FamilySpec,
     complete_bipartite,
     cycle,
@@ -112,6 +117,19 @@ class TestRandomFamilies:
             assert bipartition(g) is not None
             assert global_connectivity(g) >= 2
 
+    def test_bipartite_retries_below_the_connectivity_floor(self, monkeypatch):
+        # Seed 49's first attempt at (3, 4, 2) is not 2-connected; a retry is.
+        verdicts = []
+
+        def counted(g, k):
+            verdicts.append(connectivity_at_least(g, k))
+            return verdicts[-1]
+
+        monkeypatch.setattr(families, "connectivity_at_least", counted)
+        g = random_bipartite(3, 4, 2, 49)
+        assert verdicts[0] is False and verdicts[-1] is True
+        assert degree_stats(g)[0] >= 2 and global_connectivity(g) >= 2
+
     def test_bipartite_rejects_impossible_floor(self):
         with pytest.raises(ValueError):
             random_bipartite(3, 3, 4, 0)
@@ -172,6 +190,12 @@ class TestTrees:
         for m, count in ((1, 1), (2, 1), (3, 1), (4, 2), (5, 3), (6, 6), (7, 11)):
             assert len(enumerate_trees(m)) == count
 
+    def test_enumerate_representatives_pinned(self):
+        # The representative of each class, and their order, for m = 1..7.
+        edges = [[t.graph.edges() for t in enumerate_trees(m)] for m in range(1, 8)]
+        digest = hashlib.sha256(repr(edges).encode()).hexdigest()
+        assert digest == "9655755ce783d6e945479faba62403f6e786806e7c440d32df4632a6f39b6bb1"
+
     def test_enumerate_m4_classes(self):
         classes = enumerate_trees(4)
         degrees = sorted(t.max_degree for t in classes)
@@ -217,5 +241,23 @@ class TestFamilySpecDispatch:
             gen_graph(FamilySpec("mystery"))
 
     def test_bad_arity(self):
-        with pytest.raises(ValueError, match="parameters"):
-            gen_graph(FamilySpec("cycle", (3, 4)))
+        # One spec per dispatch branch: deterministic, then seeded.
+        cases = (
+            (FamilySpec("cycle", (3, 4)), "cycle takes parameters 'n'"),
+            (
+                FamilySpec("random-bipartite", (5, 5), seed=1),
+                "random-bipartite takes parameters 'a b min-degree seed'",
+            ),
+        )
+        for spec, message in cases:
+            with pytest.raises(ValueError, match=message):
+                gen_graph(spec)
+
+
+def test_readme_lists_every_family():
+    # The first sentence of README's "Graph families" section lists every
+    # family ``gen`` builds.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listing = readme.split("### Graph families\n\n", 1)[1].split(".  ", 1)[0]
+    missing = [name for name in FAMILY_HELP if not re.search(rf"`{re.escape(name)}[ `]", listing)]
+    assert not missing

@@ -1,8 +1,10 @@
 """Oracle, suite runner, corpora and manifests."""
 
+import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -305,6 +307,18 @@ class TestRunSuite:
         assert "runtime_ms" not in report.to_csv()
         assert report.to_csv(with_timing=True).splitlines()[0].split(",")[-1] == "runtime_ms"
         assert report.timings["a"] > 0
+        # Each timed record carries its timing rounded to 3 places; without
+        # that key or column, both timed forms are the canonical bytes.
+        second = SuiteInstance("b", "k44", k44, path_tree(2), 1, None)
+        for timed in (run_suite([inst, second]), replace(report, timings={"a": 1.23456})):
+            expected = [str(round(timed.timings[r["instance_id"]], 3)) for r in timed.records]
+            payload = json.loads(timed.to_json(with_timing=True))
+            assert [str(rec.pop("runtime_ms")) for rec in payload["instances"]] == expected
+            assert json.dumps(payload, sort_keys=True, indent=2) + "\n" == timed.to_json()
+            rows = [line.split(",") for line in timed.to_csv(with_timing=True).splitlines()]
+            assert [row.pop() for row in rows] == ["runtime_ms", *expected]
+            assert "".join(",".join(row) + "\n" for row in rows) == timed.to_csv()
+        assert expected == ["1.235"]
 
     def test_csv_shape(self, k44):
         inst = SuiteInstance("a", "k44", k44, path_tree(2), 1, None)

@@ -58,6 +58,10 @@ class TestMaxMatching:
         assert isinstance(m, Matching) and m.size == 3
         assert not check_matching(k33, range(3), range(3, 6), m)
 
+    def test_left_endpoint_outside_left_set(self, k44):
+        problems = check_matching(k44, [0], [4, 5], Matching(((1, 4),)))
+        assert problems == ["left endpoint 1 outside the left set"]
+
     def test_overlapping_sides_rejected(self, k33):
         with pytest.raises(ValueError, match="overlap"):
             saturating_matching_or_violator(k33, {0, 1}, {1, 4})

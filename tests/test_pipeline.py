@@ -20,7 +20,13 @@ from keeptree.certificate import (
     verify_certificate,
 )
 from keeptree.connectivity import connectivity_at_least
-from keeptree.errors import GuardExceeded, HypothesisFailure, SearchExhausted, TheoremViolation
+from keeptree.errors import (
+    GuardExceeded,
+    HypothesisFailure,
+    PreconditionError,
+    SearchExhausted,
+    TheoremViolation,
+)
 from keeptree.families import (
     complete_bipartite,
     cycle,
@@ -333,6 +339,16 @@ class TestFindKeepingTree:
         ):
             find_keeping_tree(k44, tree_k2, 1)
 
+    def test_embedding_failure_past_a_passed_gate_is_a_violation(self, monkeypatch, k44, tree_k2):
+        def refused(*args):
+            raise PreconditionError("x")
+
+        monkeypatch.setattr(pipeline, "_case_embed", refused)
+        message = r"^embedding stage failed despite passing hypotheses: x$"
+        with pytest.raises(TheoremViolation, match=message) as violation:
+            find_keeping_tree(k44, tree_k2, 1)
+        assert violation.value.report.passed
+
     def test_forced_refinement_failure_is_search_exhausted(self, monkeypatch, tree_p4):
         # Below the threshold, Hall refinement consumes the whole fragment of
         # most of these hosts, and the forced run reports the triple stage
@@ -553,6 +569,18 @@ class TestVerifyCertificate:
         report = verify_certificate(k44, data)
         assert report.get("tree-shape")
         assert not report.get("tree-order") and not report.get("embedding-valid")
+
+    def test_cyclic_tree_fails_shape_first(self, k44, tree_k2):
+        # A triangle is no tree: the checks that need the tree are skipped.
+        data = json.loads(self._cert(k44, tree_k2).canonical_json())
+        data["tree"] = {"order": 3, "edges": [[0, 1], [1, 2], [0, 2]]}
+        report = verify_certificate(k44, data)
+        assert report.first_failure() == (
+            "tree-shape: not a tree: need a connected graph with n-1 edges"
+        )
+        details = {name: (ok, detail) for name, ok, detail in report.checks}
+        for name in ("arith-threshold", "tree-order", "embedding-valid"):
+            assert details[name] == (False, "skipped: tree malformed")
 
     def test_wrong_graph_fails(self, k44, k33, tree_k2):
         cert = self._cert(k44, tree_k2)

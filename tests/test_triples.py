@@ -77,6 +77,14 @@ class TestValidateTriple:
         report = validate_triple(c6, t)
         assert not report.get("nontrivial")
 
+    def test_empty_fragment_fails_and_skips_connectivity(self, k44):
+        t = ConnectedTriple(1, frozenset(), frozenset({0}), frozenset())
+        report = validate_triple(k44, t)
+        details = {name: (ok, detail) for name, ok, detail in report.checks}
+        assert details["component"] == (False, "f is empty")
+        assert not report.get("nontrivial")
+        assert details["connectivity"] == (False, "skipped: fragment/overlap conditions failed")
+
     def test_low_connectivity_witnessed(self, two_c4_bridge):
         # The whole graph has a bridge, so the trivial triple fails (iii).
         t = ConnectedTriple(1, frozenset(), frozenset(), frozenset(range(8)))
